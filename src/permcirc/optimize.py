@@ -62,7 +62,8 @@ class OptTrace:
 
 
 class ObjectiveError(RuntimeError):
-    """Objective callback failed; carries the iteration context."""
+    """Objective callback failed or returned a non-finite value; carries
+    the iteration context."""
 
 
 _GRAD_STEP = 1e-6
@@ -100,6 +101,8 @@ def minimize(objective, x0, cfg: OptConfig, periods=None, ratio_fn=None) -> OptT
             value = float(objective(xr))
         except Exception as e:
             raise ObjectiveError(f"objective failed at {context}: {e}") from e
+        if not np.isfinite(value):
+            raise ObjectiveError(f"objective returned {value} at {context}")
         trace.evaluations += 1
         return value
 

@@ -7,7 +7,11 @@ A permutation is a plain tuple ``p`` with ``p[i]`` the image of ``i``,
 
 Ranking uses the factorial number system: the rank of a permutation is
 its position in lexicographic order, so ``itertools.permutations`` and
-`perm_table` enumerate in rank order.
+`perm_table` enumerate in rank order.  Digit i of the rank (weight
+(n-1-i)!) counts the values after position i that are smaller than
+p[i], so it is fixed by the values at positions 0..i: the first m digits
+are the rank of the m-entry prefix among the arrangements of m out of n
+values.  `rank_rows` ranks such prefixes in bulk.
 """
 
 from functools import lru_cache
@@ -21,6 +25,11 @@ Perm = tuple[int, ...]
 # 12! ~ 4.8e8 still fits comfortably in int64 basis indices; anything
 # larger is far beyond what the feasible-subspace simulator can hold.
 MAX_RANK_DEGREE = 12
+
+
+def _check_rank_degree(n: int) -> None:
+    if n > MAX_RANK_DEGREE:
+        raise ValueError(f"ranking capped at degree {MAX_RANK_DEGREE}, got {n}")
 
 
 def identity(n: int) -> Perm:
@@ -91,8 +100,7 @@ def inversion_number(p: Perm) -> int:
 def rank(p: Perm) -> int:
     """Lexicographic (Lehmer) rank of p among all permutations of its degree."""
     n = len(p)
-    if n > MAX_RANK_DEGREE:
-        raise ValueError(f"ranking capped at degree {MAX_RANK_DEGREE}, got {n}")
+    _check_rank_degree(n)
     r = 0
     for i in range(n):
         smaller_later = sum(1 for j in range(i + 1, n) if p[j] < p[i])
@@ -102,8 +110,7 @@ def rank(p: Perm) -> int:
 
 def unrank(r: int, n: int) -> Perm:
     """Inverse of `rank`: the permutation of degree n at lexicographic rank r."""
-    if n > MAX_RANK_DEGREE:
-        raise ValueError(f"ranking capped at degree {MAX_RANK_DEGREE}, got {n}")
+    _check_rank_degree(n)
     if not 0 <= r < factorial(n):
         raise ValueError(f"rank {r} out of range for degree {n}")
     avail = list(range(n))
@@ -124,32 +131,53 @@ def all_perms(n: int):
 def perm_table(n: int) -> np.ndarray:
     """(n!, n) int8 array of all degree-n permutations, row k at rank k.
 
+    Built by prefix recursion: the degree-k table is k blocks, block v
+    being first value v followed by the degree-(k-1) table with every
+    value >= v shifted up by one, which keeps lexicographic order.
     Shared basis enumeration for the feasible-subspace simulator; rows
     are read-only.
     """
-    table = np.fromiter(
-        (v for p in _permutations(range(n)) for v in p), dtype=np.int8,
-        count=factorial(n) * n,
-    ).reshape(factorial(n), n)
+    _check_rank_degree(n)
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    table = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        first = np.arange(k, dtype=np.int8)[:, None, None]
+        blocks = np.empty((k, table.shape[0], k), dtype=np.int8)
+        blocks[:, :, :1] = first
+        np.add(table, table >= first, out=blocks[:, :, 1:])
+        table = blocks.reshape(-1, k)
     table.setflags(write=False)
     return table
 
 
-@lru_cache(maxsize=None)
-def _radix_weights(n: int) -> np.ndarray:
-    return n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+def rank_rows(rows: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Vectorised rank of the (k, m) rows, each the first m entries of a
+    degree-n permutation (n defaults to m, ranking whole permutations).
 
-
-def rank_rows(rows: np.ndarray) -> np.ndarray:
-    """Vectorised `rank` for an (k, n) array of one-line rows.
-
-    Rows are radix-n encoded and located by binary search in the sorted
-    key list of `perm_table`; every row must be a valid permutation.
+    The result is each row's position in
+    ``itertools.permutations(range(n), m)``: the Lehmer digit of column i
+    is its value minus the number of earlier columns holding a smaller
+    value, a digit in 0..n-1-i, and Horner's rule combines the digits in
+    the mixed radix n, n-1, ..., n-m+1.
     """
-    n = rows.shape[1]
-    w = _radix_weights(n)
-    keys = perm_table(n).astype(np.int64) @ w
-    return np.searchsorted(keys, rows.astype(np.int64) @ w)
+    rows = np.asarray(rows)
+    m = rows.shape[1]
+    n = m if n is None else n
+    _check_rank_degree(n)
+    if m > n:
+        raise ValueError(f"{m}-entry rows are not prefixes of degree-{n} permutations")
+    cols = np.ascontiguousarray(rows.T, dtype=np.int8)
+    out = np.zeros(rows.shape[0], dtype=np.int64)
+    less = np.empty(rows.shape[0], dtype=bool)
+    for i in range(m):
+        digit = cols[i].copy()
+        for j in range(i):
+            np.less(cols[j], cols[i], out=less)
+            digit -= less.view(np.int8)
+        out *= n - i
+        out += digit
+    return out
 
 
 def format_perm(p: Perm) -> str:

@@ -18,6 +18,7 @@ from .feasible import (
     apply_phase,
     basis_state,
     involution_action,
+    spare_buffers,
     uniform_feasible_state,
 )
 from .perms import Perm, identity, transposition
@@ -63,11 +64,24 @@ def mixer_slot_action(t: int, n: int, wraparound: bool = True) -> np.ndarray:
     return involution_action(swap, "right")
 
 
-def apply_seq_mixer(state: FeasibleState, beta: float, wraparound: bool = True) -> FeasibleState:
-    """One sweep of exponentiated slot swaps, slots ascending."""
+def apply_seq_mixer(state: FeasibleState, beta: float, wraparound: bool = True,
+                    spare: FeasibleState | None = None,
+                    scratch: np.ndarray | None = None) -> FeasibleState:
+    """One sweep of exponentiated slot swaps, slots ascending.
+
+    The gates alternate between a copy of `state` and a spare state.
+    Given `spare` (and the gate `scratch` of `spare_buffers`), they
+    alternate between `state` itself and `spare` instead: `state` is
+    overwritten, and the result is whichever of the two the last slot
+    wrote.
+    """
+    if spare is None:
+        state = state.copy()
+        spare, scratch = spare_buffers(state)
     last = state.n if wraparound else state.n - 1
     for t in range(last):
-        state = apply_involution_exp(state, mixer_slot_action(t, state.n, wraparound), beta)
+        action = mixer_slot_action(t, state.n, wraparound)
+        state, spare = apply_involution_exp(state, action, beta, out=spare, scratch=scratch), state
     return state
 
 
@@ -87,8 +101,10 @@ def run_qaoa(cost: TourCost, cfg: QaoaConfig, betas, gammas,
             f"need {cfg.layers} betas and gammas, got {betas.shape} and {gammas.shape}"
         )
     state = initial_state(cfg, cost.degree, start)
+    spare, scratch = spare_buffers(state)
     vec = cost.vector()
     for beta, gamma in zip(betas, gammas):
-        state = apply_phase(state, gamma, vec)
-        state = apply_seq_mixer(state, beta, cfg.slot_wraparound)
+        phased = apply_phase(state, gamma, vec, out=spare)
+        mixed = apply_seq_mixer(phased, beta, cfg.slot_wraparound, spare=state, scratch=scratch)
+        state, spare = mixed, (state if mixed is phased else phased)
     return state

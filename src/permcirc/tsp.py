@@ -27,7 +27,8 @@ class TooLarge(Exception):
 
 @dataclass(frozen=True)
 class TspInstance:
-    """Complete weighted digraph without self-loops; w[u, v] > 0 for u != v."""
+    """Complete weighted digraph without self-loops; every weight finite,
+    w[u, v] > 0 for u != v."""
 
     w: np.ndarray
 
@@ -35,6 +36,8 @@ class TspInstance:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weight matrix must be square, got {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         off = ~np.eye(w.shape[0], dtype=bool)
         if w.shape[0] > 1 and not (w[off] > 0).all():
             raise ValueError("off-diagonal weights must be positive")
@@ -170,7 +173,8 @@ def load_instance(path) -> TspInstance:
         n = int(header(0, "n"))
     except ValueError as e:
         raise ValueError(f"{path}: bad city count: {e}") from None
-    header(1, "directed")
+    if header(1, "directed") not in ("0", "1"):
+        raise ValueError(f"{path}:{lines[1][0]}: directed must be 0 or 1, got {lines[1][1]!r}")
     rows = lines[2:]
     if len(rows) != n:
         raise ValueError(f"{path}: expected {n} weight rows, found {len(rows)}")
@@ -184,6 +188,8 @@ def load_instance(path) -> TspInstance:
                 w[u, v] = float(tok)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: field {v + 1}: bad weight {tok!r}") from None
+            if not np.isfinite(w[u, v]):
+                raise ValueError(f"{path}:{lineno}: field {v + 1}: weight must be finite")
             if u != v and w[u, v] <= 0:
                 raise ValueError(f"{path}:{lineno}: field {v + 1}: weight must be positive")
     return TspInstance(w)

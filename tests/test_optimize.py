@@ -92,6 +92,20 @@ def test_objective_error_context():
         minimize(broken, np.zeros(2), OptConfig())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_objective_raises_with_context(bad):
+    with pytest.raises(ObjectiveError, match="initial point"):
+        minimize(lambda x: bad, np.zeros(2), OptConfig())
+
+    def probe_3_breaks(x):
+        # the incumbent stays at the origin through iteration 1, so only
+        # its gradient probe 3 sees x[3] == step
+        return bad if x[3] == 1e-6 else float(np.sum(x**2))
+
+    with pytest.raises(ObjectiveError, match=r"returned .* at gradient probe 3"):
+        minimize(probe_3_breaks, np.zeros(4), OptConfig())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         OptConfig(max_iters=0)

@@ -1,3 +1,4 @@
+import re
 from math import factorial
 
 import numpy as np
@@ -123,6 +124,20 @@ def test_load_rejects_bad_weight(tmp_path):
     path.write_text("n 3\ndirected 1\n0.0 1.0 1.0\n")
     with pytest.raises(ValueError, match="weight rows"):
         load_instance(path)
+    path.write_text("n 2\ndirected 1\n0.0 inf\n2.0 0.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: field 2: weight must be finite")):
+        load_instance(path)
+
+
+def test_load_checks_directed_flag(tmp_path):
+    path = tmp_path / "d.tsp"
+    for flag in ("0", "1"):
+        path.write_text(f"n 2\ndirected {flag}\n0.0 1.0\n2.0 0.0\n")
+        assert load_instance(path).n == 2
+    for flag in ("banana", "2", "-1", "true"):
+        path.write_text(f"# comment\nn 2\ndirected {flag}\n0.0 1.0\n2.0 0.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: directed must be 0 or 1")):
+            load_instance(path)
 
 
 def test_instance_validation():
@@ -130,6 +145,16 @@ def test_instance_validation():
         TspInstance(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         TspInstance(np.ones((2, 3)))
+    for bad in (np.inf, np.nan, -np.inf):
+        w = np.ones((3, 3))
+        np.fill_diagonal(w, 0.0)
+        w[0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TspInstance(w)
+        np.fill_diagonal(w, bad)
+        w[0, 2] = 1.0
+        with pytest.raises(ValueError, match="finite"):
+            TspInstance(w)
 
 
 def test_cost_vector_matches_scalar():
