@@ -18,6 +18,7 @@ from .feasible import (
     sample,
     uniform_feasible_state,
 )
+from .limits import TooLarge
 from .optimize import OptConfig, OptTrace, approximation_ratio, minimize
 from .perms import (
     Perm,
@@ -37,7 +38,6 @@ from .sequences import (
     BUBBLE,
     GeneratingSequence,
     NotDecomposable,
-    SequenceTooLong,
     binary_insertion_sequence,
     bubble_sequence,
     decompose,
@@ -45,6 +45,6 @@ from .sequences import (
     recompose,
     verify_generating,
 )
-from .tsp import TooLarge, TourCost, TspInstance, load_instance, optimum, random_instance, save_instance, tour_cost
+from .tsp import TourCost, TspInstance, load_instance, optimum, random_instance, save_instance, tour_cost
 
 __version__ = "0.1.0"

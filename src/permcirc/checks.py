@@ -233,7 +233,7 @@ def check_optimizer() -> tuple[bool, str]:
     repeat = minimize(
         lambda x: float(np.sum((x - target) ** 2)), np.zeros(4), OptConfig()
     )
-    same = all(
+    same = len(trace.points) == len(repeat.points) and all(
         a.value == b.value and (a.params == b.params).all()
         for a, b in zip(trace.points, repeat.points)
     )

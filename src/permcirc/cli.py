@@ -18,12 +18,12 @@ from .experiment import (
     top_k_rows,
     write_trace_csv,
 )
-from .feasible import StateTooLarge
-from .optimize import OptConfig
+from .limits import TooLarge
+from .optimize import ObjectiveError, OptConfig
 from .perms import format_perm, parse_perm
 from .qaoa import QaoaConfig, default_layers
-from .sequences import BINARY_INSERTION, BUBBLE, SequenceTooLong
-from .tsp import TooLarge, load_instance, random_instance, save_instance
+from .sequences import BINARY_INSERTION, BUBBLE
+from .tsp import load_instance, optimum, random_instance, save_instance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,7 +71,7 @@ def build_parser() -> _Parser:
     _add_instance_flags(p)
     p.add_argument("--out", required=True, metavar="PATH")
 
-    p = sub.add_parser("solve-exact", help="brute-force optimal tour")
+    p = sub.add_parser("solve-exact", help="exact optimal tour")
     _add_instance_flags(p)
     p.add_argument("--reduced", action=argparse.BooleanOptionalAction, default=True)
 
@@ -112,8 +112,6 @@ def cmd_gen_instance(args) -> int:
 
 
 def cmd_solve_exact(args) -> int:
-    from .tsp import optimum
-
     inst = _resolve_instance(args)
     tour, cost = optimum(inst, args.reduced)
     print(f"{cost!r} {format_perm(tour)}")
@@ -198,10 +196,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (TooLarge, SequenceTooLong, StateTooLarge) as e:
+    except TooLarge as e:
         print(f"permcirc: size cap: {e}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, ObjectiveError) as e:
         print(f"permcirc: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import limits
 from .encoding import COMPACT, ONEHOT, EncodingSpec
 from .feasible import expectation, fidelity, reachability_params, run_exhaustive_circuit
 from .optimize import OptConfig, OptTrace, approximation_ratio, minimize
@@ -52,6 +53,12 @@ class RunSpec:
             raise ValueError("qaoa settings given but method is not qaoa")
         if self.encoding_kind not in (ONEHOT, COMPACT):
             raise ValueError(f"unknown encoding {self.encoding_kind!r}")
+        # refused before any n!-sized array exists, the cost vector included
+        degree = self.instance.n - 1 if self.reduced else self.instance.n
+        if degree < 2:
+            raise ValueError(f"a run needs at least {3 if self.reduced else 2} cities with "
+                             f"reduced={self.reduced}, got {self.instance.n}")
+        limits.check("state", degree)
 
     @property
     def encoding(self) -> EncodingSpec:
@@ -142,7 +149,7 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
 
 def reach_report(spec: RunSpec, target=None) -> dict:
     """Exact-reachability demonstration: angles pi*b/2 driving the start
-    tour onto `target` (the brute-force optimum when omitted)."""
+    tour onto `target` (the exact optimum when omitted)."""
     if spec.method == "qaoa":
         raise ValueError("reach requires an exhaustively parametrised method")
     degree = spec.degree

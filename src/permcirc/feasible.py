@@ -23,6 +23,7 @@ from math import factorial
 
 import numpy as np
 
+from . import limits
 from .perms import (
     Perm,
     check_perm,
@@ -38,17 +39,10 @@ from .perms import (
 from .sequences import GeneratingSequence, decompose
 from .tsp import TourCost
 
-# 16 bytes per amplitude: degree 11 already needs ~640 MB.
-SIM_MAX_DEGREE = 11
-
 # Amplitudes per block of the buffered gate: a block's four passes (about
 # 56 bytes an amplitude with its table slice) then stay in a 2 MB L2.
 # At degree 10 this halved a 45-gate circuit against whole-state passes.
 GATE_BLOCK = 16384
-
-
-class StateTooLarge(Exception):
-    """Feasible-subspace state refused above the degree cap."""
 
 
 @dataclass
@@ -65,18 +59,10 @@ class FeasibleState:
         return FeasibleState(self.n, self.amps.copy())
 
 
-def _check_degree(n: int) -> None:
-    if n > SIM_MAX_DEGREE:
-        raise StateTooLarge(
-            f"degree {n} needs {16 * factorial(n) / 2**30:.1f} GiB of amplitudes; "
-            f"cap is {SIM_MAX_DEGREE}"
-        )
-
-
 def basis_state(p: Perm) -> FeasibleState:
     """Unit amplitude on one tour."""
     check_perm(p)
-    _check_degree(len(p))
+    limits.check("state", len(p))
     amps = np.zeros(factorial(len(p)), dtype=complex)
     amps[rank(p)] = 1.0
     return FeasibleState(len(p), amps)
@@ -84,7 +70,7 @@ def basis_state(p: Perm) -> FeasibleState:
 
 def uniform_feasible_state(n: int) -> FeasibleState:
     """Every tour at amplitude 1/sqrt(n!)."""
-    _check_degree(n)
+    limits.check("state", n)
     size = factorial(n)
     amps = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
     return FeasibleState(n, amps)
@@ -140,7 +126,7 @@ def involution_action(element: Perm, side: str = "right") -> np.ndarray:
     if side not in ("left", "right"):
         raise ValueError(f"bad action side {side!r}")
     n = len(element)
-    _check_degree(n)
+    limits.check("state", n)
     if element == identity(n):
         out = np.arange(factorial(n), dtype=np.int64)
     elif side == "right":

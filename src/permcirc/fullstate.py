@@ -14,11 +14,10 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from . import limits
 from .encoding import ONEHOT, Bits, EncodingSpec, encode
 from .feasible import FeasibleState
 from .perms import Perm, all_perms, is_involution
-
-FULL_SIM_MAX_QUBITS = 17
 
 
 @dataclass
@@ -44,12 +43,14 @@ def index_to_bits(index: int, m: int) -> Bits:
 
 
 def zero_state(m: int) -> StateVector:
+    limits.check("statevector", m)
     amps = np.zeros(1 << m, dtype=complex)
     amps[0] = 1.0
     return StateVector(m, amps)
 
 
 def basis_statevector(bits: Bits) -> StateVector:
+    limits.check("statevector", len(bits))
     amps = np.zeros(1 << len(bits), dtype=complex)
     amps[bits_to_index(bits)] = 1.0
     return StateVector(len(bits), amps)
@@ -62,8 +63,7 @@ def swap_index_table(element: Perm, spec: EncodingSpec) -> np.ndarray:
     if not is_involution(element):
         raise ValueError("slot element must be an involution")
     m = spec.num_bits
-    if m > FULL_SIM_MAX_QUBITS:
-        raise ValueError(f"full statevector capped at {FULL_SIM_MAX_QUBITS} qubits")
+    limits.check("statevector", m)
     r = spec.subregister_width
     idx = np.arange(1 << m, dtype=np.int64)
     out = np.zeros_like(idx)

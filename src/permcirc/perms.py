@@ -20,16 +20,9 @@ from math import factorial
 
 import numpy as np
 
+from . import limits
+
 Perm = tuple[int, ...]
-
-# 12! ~ 4.8e8 still fits comfortably in int64 basis indices; anything
-# larger is far beyond what the feasible-subspace simulator can hold.
-MAX_RANK_DEGREE = 12
-
-
-def _check_rank_degree(n: int) -> None:
-    if n > MAX_RANK_DEGREE:
-        raise ValueError(f"ranking capped at degree {MAX_RANK_DEGREE}, got {n}")
 
 
 def identity(n: int) -> Perm:
@@ -100,7 +93,7 @@ def inversion_number(p: Perm) -> int:
 def rank(p: Perm) -> int:
     """Lexicographic (Lehmer) rank of p among all permutations of its degree."""
     n = len(p)
-    _check_rank_degree(n)
+    limits.check("permutations", n)
     r = 0
     for i in range(n):
         smaller_later = sum(1 for j in range(i + 1, n) if p[j] < p[i])
@@ -110,7 +103,7 @@ def rank(p: Perm) -> int:
 
 def unrank(r: int, n: int) -> Perm:
     """Inverse of `rank`: the permutation of degree n at lexicographic rank r."""
-    _check_rank_degree(n)
+    limits.check("permutations", n)
     if not 0 <= r < factorial(n):
         raise ValueError(f"rank {r} out of range for degree {n}")
     avail = list(range(n))
@@ -137,7 +130,7 @@ def perm_table(n: int) -> np.ndarray:
     Shared basis enumeration for the feasible-subspace simulator; rows
     are read-only.
     """
-    _check_rank_degree(n)
+    limits.check("permutations", n)
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     table = np.zeros((1, 0), dtype=np.int8)
@@ -164,7 +157,7 @@ def rank_rows(rows: np.ndarray, n: int | None = None) -> np.ndarray:
     rows = np.asarray(rows)
     m = rows.shape[1]
     n = m if n is None else n
-    _check_rank_degree(n)
+    limits.check("permutations", n)
     if m > n:
         raise ValueError(f"{m}-entry rows are not prefixes of degree-{n} permutations")
     cols = np.ascontiguousarray(rows.T, dtype=np.int8)

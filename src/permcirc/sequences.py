@@ -18,6 +18,7 @@ enumeration of all 2^d masks.
 from dataclasses import dataclass
 from math import ceil, factorial, log2
 
+from . import limits
 from .perms import (
     Perm,
     all_perms,
@@ -33,17 +34,10 @@ BUBBLE = "bubble"
 BINARY_INSERTION = "binary-insertion"
 CUSTOM = "custom"
 
-# Exhaustive mask enumeration is refused beyond this many elements.
-VERIFY_MAX_ELEMENTS = 24
-
 
 class NotDecomposable(Exception):
     """The target permutation is not a product of the sequence; the
     sequence is not generating."""
-
-
-class SequenceTooLong(Exception):
-    """Exhaustive verification refused: 2^d masks is out of reach."""
 
 
 @dataclass(frozen=True)
@@ -202,10 +196,7 @@ def _decompose_binary_insertion(g: Perm) -> tuple[int, ...]:
 def _decompose_sweep(seq: GeneratingSequence, g: Perm) -> tuple[int, ...]:
     # Layered reachability with parent pointers: layer k holds every
     # product of h_k^{b_k}..h_1^{b_1}.  Memory is O(d * n!).
-    if seq.n > 9:
-        raise SequenceTooLong(
-            f"custom-sequence decomposition sweeps all of S_n; degree {seq.n} > 9"
-        )
+    limits.check("decompose sweep", seq.n)
     layer: dict[Perm, tuple[Perm, int] | None] = {identity(seq.n): None}
     layers = [layer]
     for h in seq.elements:
@@ -241,10 +232,9 @@ class GeneratingReport:
 
 def verify_generating(seq: GeneratingSequence) -> GeneratingReport:
     """Certify the generating property by enumerating all 2^d ordered
-    products; refuses sequences longer than VERIFY_MAX_ELEMENTS."""
+    products, within the "generating check" row of `limits.CAPS`."""
     d = len(seq.elements)
-    if d > VERIFY_MAX_ELEMENTS:
-        raise SequenceTooLong(f"2^{d} products exceed the exhaustive cap")
+    limits.check("generating check", d)
     order = factorial(seq.n)
     reached: set[Perm] = set()
 
@@ -266,11 +256,10 @@ def min_adjacency_length(n: int) -> int:
     """Length of the shortest generating sequence built only from
     adjacency transpositions, by iterative-deepening exhaustive search.
 
-    Search cost grows as (n-1)^L; capped at n <= 5.  The bubble sequence
-    attains the returned value.
+    Search cost grows as (n-1)^L, within the "adjacency search" row of
+    `limits.CAPS`.  The bubble sequence attains the returned value.
     """
-    if n > 5:
-        raise ValueError("exhaustive search capped at n <= 5")
+    limits.check("adjacency search", n)
     if n == 1:
         return 0
     taus = [transposition(n, j, j + 1) for j in range(n - 1)]
@@ -297,31 +286,6 @@ def min_adjacency_length(n: int) -> int:
         if search(0, length, {identity(n)}):
             return length
     return upper
-
-
-def sequence_to_text(seq: GeneratingSequence) -> str:
-    """Header line (n, kind, d, action_side) plus one 1-based one-line
-    permutation per line."""
-    from .perms import format_perm
-
-    lines = [f"n={seq.n} kind={seq.kind} d={len(seq)} action={seq.action_side}"]
-    lines += [format_perm(h) for h in seq.elements]
-    return "\n".join(lines) + "\n"
-
-
-def sequence_from_text(text: str) -> GeneratingSequence:
-    from .perms import parse_perm
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    fields = dict(tok.split("=", 1) for tok in lines[0].split())
-    n, d = int(fields["n"]), int(fields["d"])
-    elements = tuple(parse_perm(ln) for ln in lines[1:])
-    if len(elements) != d:
-        raise ValueError(f"header says d={d} but found {len(elements)} elements")
-    if any(len(h) != n for h in elements):
-        raise ValueError("element degree differs from header n")
-    return GeneratingSequence(n, elements, kind=fields["kind"],
-                              action_side=fields["action"])
 
 
 def check_sequence(seq: GeneratingSequence, exhaustive: bool = False) -> list[str]:

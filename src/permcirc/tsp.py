@@ -1,5 +1,5 @@
 """TSP instances on complete weighted digraphs, tour costs, and the
-brute-force optimum.
+exact optimum.
 
 Tours are permutations in one-line notation: position t holds the city
 visited at time t (0-based).  The reduced cost fixes the last city as
@@ -7,22 +7,12 @@ tour start, so reduced tours are permutations of the remaining n-1
 cities with the two boundary edges added implicitly.
 """
 
-from dataclasses import dataclass
-from itertools import permutations
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .perms import Perm, check_perm, perm_table, unrank
-
-# Exhaustive enumeration bound; 12! tours is already hours of work.
-OPTIMUM_MAX_DEGREE = 12
-# Below this the cost vector over all ranks is built in one vectorised pass.
-_VECTOR_MAX_DEGREE = 10
-
-
-class TooLarge(Exception):
-    """Exhaustive enumeration refused above the degree cap."""
 
 
 @dataclass(frozen=True)
@@ -31,6 +21,8 @@ class TspInstance:
     w[u, v] > 0 for u != v."""
 
     w: np.ndarray
+    # read-only cost vectors keyed by `reduced`, built once by TourCost
+    _cost_vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -74,60 +66,51 @@ def tour_cost(inst: TspInstance, p: Perm, reduced: bool = False) -> float:
 
 
 class TourCost:
-    """Callable tour-cost function for one instance, with a cached cost
-    vector over all Lehmer ranks of the effective degree."""
+    """Callable tour-cost function for one instance, and its cost vector
+    over all Lehmer ranks of the effective degree."""
 
     def __init__(self, instance: TspInstance, reduced: bool = False):
         self.instance = instance
         self.reduced = reduced
         self.degree = instance.n - 1 if reduced else instance.n
-        self._vector: np.ndarray | None = None
+        if self.degree < 1:
+            raise ValueError(f"bad city count {instance.n} for reduced={reduced}")
 
     def __call__(self, p: Perm) -> float:
         return tour_cost(self.instance, p, self.reduced)
 
     def vector(self) -> np.ndarray:
-        """Costs of all degree! tours, indexed by Lehmer rank."""
-        if self._vector is None:
-            if self.degree > _VECTOR_MAX_DEGREE:
-                raise TooLarge(f"cost vector capped at degree {_VECTOR_MAX_DEGREE}")
+        """Costs of all degree! tours, indexed by Lehmer rank.  Built once
+        per instance and `reduced` and shared, so the array is read-only."""
+        cached = self.instance._cost_vectors
+        if self.reduced not in cached:
             table = perm_table(self.degree)
             w = self.instance.w
-            if self.degree == 1:
-                costs = np.zeros(1)
-                if self.reduced:
-                    costs += w[1, 0] + w[0, 1]
-            elif self.reduced:
+            if self.reduced:
                 last = self.instance.n - 1
                 costs = w[last, table[:, 0]].copy()
                 for t in range(self.degree - 1):
                     costs += w[table[:, t], table[:, t + 1]]
                 costs += w[table[:, -1], last]
+            elif self.degree == 1:
+                costs = np.zeros(1)
             else:
                 costs = w[table[:, 0], table[:, 1]].copy()
                 for t in range(1, self.degree - 1):
                     costs += w[table[:, t], table[:, t + 1]]
                 costs += w[table[:, -1], table[:, 0]]
-            self._vector = costs
-        return self._vector
+            costs.setflags(write=False)
+            cached[self.reduced] = costs
+        return cached[self.reduced]
 
 
 def optimum(inst: TspInstance, reduced: bool = False) -> tuple[Perm, float]:
-    """Globally cheapest tour by exhaustive enumeration; ties broken by
-    smallest Lehmer rank."""
-    degree = inst.n - 1 if reduced else inst.n
-    if degree > OPTIMUM_MAX_DEGREE:
-        raise TooLarge(f"brute force capped at effective degree {OPTIMUM_MAX_DEGREE}")
-    if degree <= _VECTOR_MAX_DEGREE:
-        costs = TourCost(inst, reduced).vector()
-        best = int(np.argmin(costs))
-        return unrank(best, degree), float(costs[best])
-    best_p, best_c = None, np.inf
-    for p in permutations(range(degree)):
-        c = tour_cost(inst, p, reduced)
-        if c < best_c:
-            best_p, best_c = p, c
-    return best_p, best_c
+    """Globally cheapest tour, the argmin of the cost vector; ties broken
+    by smallest Lehmer rank."""
+    cost = TourCost(inst, reduced)
+    costs = cost.vector()
+    best = int(np.argmin(costs))
+    return unrank(best, cost.degree), float(costs[best])
 
 
 def random_instance(n: int, seed: int, lo: float = 1.0, hi: float = 10.0) -> TspInstance:

@@ -4,15 +4,20 @@ line (run with `pytest -s tests/test_acceptance.py` to see them live).
 
 import functools
 import time
-from math import ceil, factorial, log2
+from math import ceil, log2
 
 import numpy as np
 import pytest
 
+from permcirc.checks import (
+    check_mixer_oracle,
+    check_mixing_condition,
+    check_optimizer,
+    check_prefix_products,
+)
 from permcirc.encoding import COMPACT, ONEHOT, EncodingSpec, encode
 from permcirc.experiment import RunSpec, reach_report, run_experiment
 from permcirc.feasible import (
-    FeasibleState,
     apply_involution_exp,
     basis_state,
     fidelity,
@@ -24,20 +29,12 @@ from permcirc.fullstate import (
     ancilla_exponential_check,
     apply_swap_involution_exp,
     basis_statevector,
-    bits_to_index,
     project_feasible,
-    swap_partial_hamiltonian,
-    taylor_expm_apply,
 )
-from permcirc.optimize import OptConfig, minimize
-from permcirc.perms import all_perms, compose, identity, rank, unrank
-from permcirc.qaoa import QaoaConfig, apply_seq_mixer, mixer_slot_action
-from permcirc.sequences import (
-    _insertion_block,
-    binary_insertion_sequence,
-    bubble_sequence,
-    verify_generating,
-)
+from permcirc.optimize import OptConfig
+from permcirc.perms import all_perms, identity, rank
+from permcirc.qaoa import QaoaConfig
+from permcirc.sequences import binary_insertion_sequence, bubble_sequence, verify_generating
 from permcirc.tsp import random_instance
 
 
@@ -99,20 +96,8 @@ def test_generating_property():
 
 @criterion("first-image prefix-product identity for all n <= 16")
 def test_prefix_product_identity():
-    failures = 0
-    for n in range(2, 17):
-        nbits = max(1, (n - 1).bit_length())
-        for v in range(n):
-            digits = [(v >> k) & 1 for k in range(nbits)]
-            g = identity(n)
-            acc = 0
-            for level in range(1, nbits + 1):
-                if digits[level - 1]:
-                    g = compose(_insertion_block(n, level), g)
-                    acc += 1 << (level - 1)
-                failures += g[0] != acc
-            failures += g[0] != v
-    assert failures == 0
+    ok, detail = check_prefix_products(16)
+    assert ok, detail
 
 
 @criterion("cross-simulator agreement and zero infeasible mass, n = 3..4")
@@ -169,37 +154,14 @@ def test_ancilla_construction():
 
 @criterion("Taylor exponential of the raw mixer matches the slot swap, n = 3")
 def test_mixer_restriction():
-    spec = EncodingSpec(3, ONEHOT)
-    for slot in range(3):
-        H = swap_partial_hamiltonian(slot, spec)
-        action = mixer_slot_action(slot, 3)
-        for beta in (0.3, np.pi / 4, 1.2):
-            for p in all_perms(3):
-                sv = basis_statevector(encode(p, spec))
-                out = taylor_expm_apply(H, beta, sv)
-                swapped = unrank(int(action[rank(p)]), 3)
-                want = np.zeros_like(out.amps)
-                want[bits_to_index(encode(p, spec))] = np.cos(beta)
-                want[bits_to_index(encode(swapped, spec))] += -1j * np.sin(beta)
-                assert np.max(np.abs(out.amps - want)) <= 1e-8
+    ok, detail = check_mixer_oracle()
+    assert ok, detail
 
 
 @criterion("mixing condition witnessed for every basis pair at n = 4, r <= 6")
 def test_mixing_condition():
-    n, beta = 4, np.pi / 4
-    size = factorial(n)
-    columns = []
-    for r0 in range(size):
-        amps = np.zeros(size, dtype=complex)
-        amps[r0] = 1.0
-        columns.append(apply_seq_mixer(FeasibleState(n, amps), beta).amps)
-    mixer = np.column_stack(columns)
-    connected = np.zeros((size, size), dtype=bool)
-    power = np.eye(size, dtype=complex)
-    for _ in range(6):
-        power = mixer @ power
-        connected |= np.abs(power) > 1e-9
-    assert connected.all()
+    ok, detail = check_mixing_condition()
+    assert ok, detail
 
 
 @criterion("experiment protocol: four variants on a 9-city instance + exact reach")
@@ -227,10 +189,5 @@ def test_experiment_protocol():
 
 @criterion("optimizer sanity: quadratic bowl to 1e-4, reproducible traces")
 def test_optimizer_sanity():
-    bowl = lambda x: float(np.sum((x - 0.3) ** 2))  # noqa: E731
-    first = minimize(bowl, np.zeros(4), OptConfig())
-    assert np.max(np.abs(first.best_params - 0.3)) <= 1e-4
-    second = minimize(bowl, np.zeros(4), OptConfig())
-    assert len(first.points) == len(second.points)
-    for a, b in zip(first.points, second.points):
-        assert a.value == b.value and np.array_equal(a.params, b.params)
+    ok, detail = check_optimizer()
+    assert ok, detail

@@ -17,7 +17,8 @@ from permcirc.feasible import (
     spare_buffers,
     uniform_feasible_state,
 )
-from permcirc.perms import MAX_RANK_DEGREE, compose, perm_table, rank, rank_rows, transposition, unrank
+from permcirc.limits import TooLarge
+from permcirc.perms import compose, perm_table, rank, rank_rows, transposition, unrank
 from permcirc.qaoa import QaoaConfig, apply_seq_mixer, initial_state, mixer_slot_action, run_qaoa
 from permcirc.sequences import binary_insertion_sequence, bubble_sequence
 from permcirc.tsp import TourCost, random_instance
@@ -70,10 +71,11 @@ def test_rank_rows_ranks_prefixes(n):
 
 
 def test_rank_caps_refuse_before_allocating():
-    with pytest.raises(ValueError, match=f"ranking capped at degree {MAX_RANK_DEGREE}, got 13"):
-        perm_table(MAX_RANK_DEGREE + 1)
-    with pytest.raises(ValueError, match="ranking capped"):
-        rank_rows(np.zeros((1, 2), dtype=np.int8), MAX_RANK_DEGREE + 1)
+    message = "^permutation table of degree 12 needs 8.9 GiB; cap is degree 11$"
+    with pytest.raises(TooLarge, match=message):
+        perm_table(12)
+    with pytest.raises(TooLarge, match=message):
+        rank_rows(np.zeros((1, 2), dtype=np.int8), 12)
     with pytest.raises(ValueError, match="not prefixes"):
         rank_rows(np.zeros((1, 3), dtype=np.int8), 2)
 

@@ -51,6 +51,43 @@ def test_solve_exact_size_cap():
     assert run_cli("solve-exact", "--n", "15", "--seed", "0", "--no-reduced") == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--n", "12"),
+    ("reach", "--n", "12"),
+    ("solve-exact", "--n", "13"),
+])
+def test_size_caps_refuse_at_once(argv, tmp_path, capsys):
+    import time
+
+    began = time.perf_counter()
+    assert run_cli(*argv, "--seed", "0") == 3
+    assert time.perf_counter() - began < 1.0
+    assert capsys.readouterr().err.startswith("permcirc: size cap: ")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("solve-exact", "--n", "1"),
+    ("run", "--n", "1"),
+    ("run", "--n", "2", "--method", "bubble"),
+    ("run", "--n", "2", "--method", "binary-insertion"),
+    ("run", "--n", "2", "--method", "qaoa"),
+    ("reach", "--n", "2"),
+    ("run", "--n", "4", "--lo", "1e308", "--hi", "1.7e308"),  # tour costs overflow: NaN objective
+])
+def test_degenerate_sizes_are_usage_errors(argv, tmp_path, capsys):
+    out = ("--out", str(tmp_path / "t.csv")) if argv[0] == "run" else ()
+    assert run_cli(*argv, *out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("permcirc: error:")
+    assert "Traceback" not in err
+
+
+def test_solve_exact_one_city(capsys):
+    assert run_cli("solve-exact", "--n", "1", "--no-reduced") == 0
+    assert capsys.readouterr().out == "0.0 1\n"
+
+
 def test_solve_exact_nine_cities_is_fast():
     import time
 
@@ -180,6 +217,11 @@ def test_runspec_validation():
         RunSpec(inst, method="annealing")
     with pytest.raises(ValueError):
         RunSpec(inst, method="bubble", qaoa=QaoaConfig(2))
+    with pytest.raises(ValueError, match="at least 3 cities with reduced=True"):
+        RunSpec(random_instance(2, seed=0))
+    with pytest.raises(ValueError, match="at least 2 cities with reduced=False"):
+        RunSpec(random_instance(1, seed=0), reduced=False)
+    RunSpec(random_instance(2, seed=0), reduced=False)
 
 
 def test_run_experiment_summary_consistency():

@@ -6,7 +6,6 @@ from scipy.stats import chisquare
 
 from permcirc.feasible import (
     FeasibleState,
-    StateTooLarge,
     apply_involution_exp,
     apply_phase,
     basis_state,
@@ -19,6 +18,7 @@ from permcirc.feasible import (
     sample,
     uniform_feasible_state,
 )
+from permcirc.limits import TooLarge
 from permcirc.perms import all_perms, compose, identity, rank, transposition, unrank
 from permcirc.sequences import binary_insertion_sequence, bubble_sequence
 from permcirc.tsp import TourCost, random_instance, tour_cost
@@ -52,8 +52,8 @@ def test_uniform_state():
 
 
 def test_degree_cap():
-    with pytest.raises(StateTooLarge):
-        uniform_feasible_state(12)
+    with pytest.raises(TooLarge, match="^state of degree 11 needs 0.6 GiB a copy; cap is degree 10$"):
+        uniform_feasible_state(11)
 
 
 def test_involution_action_identity_element():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permcirc.perms as perms
+from permcirc.limits import TooLarge
 from permcirc.perms import (
     all_perms,
     compose,
@@ -88,8 +89,10 @@ def test_rank_injective_up_to_6():
 
 
 def test_rank_degree_cap():
-    with pytest.raises(ValueError):
-        unrank(0, 13)
+    with pytest.raises(TooLarge, match="cap is degree 11$"):
+        unrank(0, 12)
+    with pytest.raises(TooLarge, match="cap is degree 11$"):
+        rank(identity(12))
     with pytest.raises(ValueError):
         unrank(factorial(4), 4)
 

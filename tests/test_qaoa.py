@@ -3,8 +3,8 @@ from math import factorial
 import numpy as np
 import pytest
 
+from permcirc.checks import check_mixing_condition
 from permcirc.feasible import (
-    FeasibleState,
     basis_state,
     probabilities,
     uniform_feasible_state,
@@ -126,18 +126,5 @@ def test_initial_state_variants():
 
 def test_mixing_condition_witness():
     # every basis pair connected by some mixer power r <= 6 at beta = pi/4
-    n = 4
-    size = factorial(n)
-    beta = np.pi / 4
-    columns = []
-    for r0 in range(size):
-        amps = np.zeros(size, dtype=complex)
-        amps[r0] = 1.0
-        columns.append(apply_seq_mixer(FeasibleState(n, amps), beta).amps)
-    mixer = np.column_stack(columns)
-    connected = np.zeros((size, size), dtype=bool)
-    power = np.eye(size, dtype=complex)
-    for _ in range(6):
-        power = mixer @ power
-        connected |= np.abs(power) > 1e-9
-    assert connected.all()
+    ok, detail = check_mixing_condition()
+    assert ok, detail

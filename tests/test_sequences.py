@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permcirc.limits import TooLarge
 from permcirc.perms import all_perms, compose, identity, is_involution, transposition
 from permcirc.sequences import (
     BINARY_INSERTION,
     BUBBLE,
     GeneratingSequence,
     NotDecomposable,
-    SequenceTooLong,
     binary_insertion_sequence,
     bubble_sequence,
     check_sequence,
@@ -19,8 +19,6 @@ from permcirc.sequences import (
     expected_length,
     min_adjacency_length,
     recompose,
-    sequence_from_text,
-    sequence_to_text,
     verify_generating,
 )
 
@@ -73,8 +71,9 @@ def test_non_generating_sequence_reported():
 
 
 def test_verify_refuses_long_sequences():
-    with pytest.raises(SequenceTooLong):
-        verify_generating(bubble_sequence(8))  # d = 28 > 24
+    with pytest.raises(TooLarge, match="^generating check of 28 elements needs 268,435,456 products; "
+                                       "cap is 24 elements$"):
+        verify_generating(bubble_sequence(8))
 
 
 def test_decompose_identity_is_zero_mask():
@@ -145,24 +144,8 @@ def test_min_adjacency_length():
     assert min_adjacency_length(2) == 1
     assert min_adjacency_length(3) == 3
     assert min_adjacency_length(4) == 6
-    with pytest.raises(ValueError):
+    with pytest.raises(TooLarge, match="cap is degree 5$"):
         min_adjacency_length(6)
-
-
-def test_sequence_serialization_roundtrip():
-    for seq in (bubble_sequence(4), binary_insertion_sequence(5)):
-        back = sequence_from_text(sequence_to_text(seq))
-        assert back == seq
-
-
-def test_sequence_deserialization_rejects_bad_headers():
-    text = sequence_to_text(bubble_sequence(3))
-    truncated = "\n".join(text.splitlines()[:-1]) + "\n"
-    with pytest.raises(ValueError, match="d=3"):
-        sequence_from_text(truncated)
-    wrong_degree = text.replace("n=3", "n=4")
-    with pytest.raises(ValueError, match="degree"):
-        sequence_from_text(wrong_degree)
 
 
 def test_check_sequence_flags_tampering():

@@ -4,9 +4,9 @@ from math import factorial
 import numpy as np
 import pytest
 
+from permcirc.limits import TooLarge
 from permcirc.perms import all_perms, identity, unrank
 from permcirc.tsp import (
-    TooLarge,
     TourCost,
     TspInstance,
     load_instance,
@@ -83,8 +83,8 @@ def test_optimum_matches_streaming_enumeration():
 
 
 def test_optimum_cap():
-    with pytest.raises(TooLarge):
-        optimum(unit_instance(14), reduced=True)
+    with pytest.raises(TooLarge, match="^permutation table of degree 12 needs 8.9 GiB; cap is degree 11$"):
+        optimum(unit_instance(13), reduced=True)
 
 
 def test_random_instance_reproducible():
