@@ -12,6 +12,7 @@ import numpy as np
 from .checks import run_checks
 from .encoding import COMPACT, ONEHOT, EncodingSpec
 from .experiment import (
+    RATIO_MODES,
     RunSpec,
     reach_report,
     run_experiment,
@@ -84,8 +85,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grad-threshold", type=float, default=1e-4)
     p.add_argument("--grad-window", type=int, default=10)
     p.add_argument("--init-step", type=float, default=0.1 * np.pi)
-    p.add_argument("--ratio-mode", choices=["opt-over-exp", "max-gap"],
-                   default="opt-over-exp")
+    p.add_argument("--ratio-mode", choices=RATIO_MODES, default=RATIO_MODES[0])
     p.add_argument("--random-init", type=int, metavar="SEED",
                    help="draw initial parameters uniformly instead of zeros")
     p.add_argument("--out", default="trace.csv", metavar="PATH")
@@ -141,7 +141,6 @@ def cmd_run(args) -> int:
         ),
         ratio_mode=args.ratio_mode,
         random_init_seed=args.random_init,
-        out_path=args.out,
     )
     trace, summary = run_experiment(spec)
     write_trace_csv(trace, args.out, dump_params=args.dump_params)

@@ -30,6 +30,7 @@ from .sequences import (
 from .tsp import TourCost, TspInstance, optimum
 
 METHODS = (BUBBLE, BINARY_INSERTION, "qaoa")
+RATIO_MODES = ("opt-over-exp", "max-gap")
 
 
 @dataclass
@@ -44,7 +45,6 @@ class RunSpec:
     opt: OptConfig = field(default_factory=OptConfig)
     ratio_mode: str = "opt-over-exp"
     random_init_seed: int | None = None
-    out_path: str | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -53,6 +53,9 @@ class RunSpec:
             raise ValueError("qaoa settings given but method is not qaoa")
         if self.encoding_kind not in (ONEHOT, COMPACT):
             raise ValueError(f"unknown encoding {self.encoding_kind!r}")
+        if self.ratio_mode not in RATIO_MODES:
+            raise ValueError(f"unknown ratio mode {self.ratio_mode!r}; "
+                             f"use {' or '.join(RATIO_MODES)}")
         # refused before any n!-sized array exists, the cost vector included
         degree = self.instance.n - 1 if self.reduced else self.instance.n
         if degree < 2:

@@ -10,13 +10,12 @@ An element acting on the right that moves only positions s..e changes
 only rank digits s..e, so its table comes from re-ranking the
 arrangements of those e-s+1 digits and broadcasting them over the
 untouched high and low digits; left actions rank every permuted tour.
-Circuits alternate their gates between two preallocated states through
-the `out` argument of the gate and phase functions; such a gate updates
-large states in cache-sized blocks through one scratch array, and gives
-the same amplitudes, bit for bit, as allocating a new state per gate.
+Circuits alternate their gates between two states through the `out`
+argument of the gate and phase functions.  A gate gathers large states
+block by block, each gather bounds-checked by numpy indexing, and gives
+the same amplitudes, bit for bit, whether or not `out` is given.
 """
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -37,11 +36,11 @@ from .perms import (
     unrank,
 )
 from .sequences import GeneratingSequence, decompose
-from .tsp import TourCost
 
-# Amplitudes per block of the buffered gate: a block's four passes (about
-# 56 bytes an amplitude with its table slice) then stay in a 2 MB L2.
-# At degree 10 this halved a 45-gate circuit against whole-state passes.
+# Amplitudes per gate block: a state longer than this is gathered and mixed
+# a block at a time, so that a block's passes (about 56 bytes an amplitude
+# with its table slice) stay in a 2 MB L2.  Shorter states take one gather,
+# which skips the per-block slicing.
 GATE_BLOCK = 16384
 
 
@@ -74,19 +73,6 @@ def uniform_feasible_state(n: int) -> FeasibleState:
     size = factorial(n)
     amps = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
     return FeasibleState(n, amps)
-
-
-# id -> weak reference of every table `involution_action` range-checked;
-# gates gather through these without numpy's per-index bounds check.
-_CHECKED_TABLES: dict[int, weakref.ref] = {}
-
-
-def _mark_checked(table: np.ndarray) -> None:
-    if not (0 <= table.min() and table.max() < table.size):
-        raise RuntimeError("index table out of range")
-    table.setflags(write=False)
-    key = id(table)
-    _CHECKED_TABLES[key] = weakref.ref(table, lambda _: _CHECKED_TABLES.pop(key, None))
 
 
 def _window_action(element: Perm) -> np.ndarray:
@@ -133,51 +119,38 @@ def involution_action(element: Perm, side: str = "right") -> np.ndarray:
         out = _window_action(element)
     else:
         out = rank_rows(np.asarray(element, dtype=np.int8)[perm_table(n)], n)
-    _mark_checked(out)
+    out.setflags(write=False)
     return out
 
 
 def apply_involution_exp(state: FeasibleState, action: np.ndarray, theta: float,
-                         out: FeasibleState | None = None,
-                         scratch: np.ndarray | None = None) -> FeasibleState:
+                         out: FeasibleState | None = None) -> FeasibleState:
     """exp(-i theta H) for the involutory permutation operator H given by
     an index table: amps'[r] = cos(theta) amps[r] - i sin(theta) amps[a(r)].
 
     Orbit pairs {r, a(r)} are independent, so the whole update is one
     gather; fixed points of the action pick up the phase exp(-i theta).
-    With `out` (a state other than `state`) the result is written there
-    and returned, bit for bit equal to the allocating form.  States longer
-    than `GATE_BLOCK` amplitudes are then updated a block at a time,
-    gathering through `scratch`, an array shaped like the first
-    `GATE_BLOCK` amplitudes (allocated when omitted), so that each block's
-    passes stay in cache.
+    The result is written to `out` (a state other than `state`), or to a
+    new state when `out` is omitted, and returned.  States longer than
+    `GATE_BLOCK` amplitudes are gathered and mixed a block at a time; an
+    index out of range raises IndexError either way.
     """
-    if out is None:
-        amps = np.cos(theta) * state.amps - 1j * np.sin(theta) * state.amps[action]
-        return FeasibleState(state.n, amps)
-    amps, dest = state.amps, out.amps
-    if out is state or dest is amps:
-        raise ValueError("out must not be the input state")
+    amps = state.amps
     size = len(amps)
     if len(action) != size:
         raise ValueError(f"action table has {len(action)} entries for {size} amplitudes")
+    if out is None:
+        out = FeasibleState(state.n, np.empty_like(amps))
+    elif out is state or out.amps is amps:
+        raise ValueError("out must not be the input state")
+    dest = out.amps
     c, s = np.cos(theta), 1j * np.sin(theta)
     if size <= GATE_BLOCK:
-        # one block: fancy indexing is the cheapest bounds-checked gather
         _mix(c, amps, s, amps[action], dest)
         return out
-    if scratch is None:
-        scratch = np.empty_like(amps[:GATE_BLOCK])
-    elif scratch is amps or scratch is dest:
-        raise ValueError("scratch must not be the input or output state")
-    # "raise" would copy through a temporary; a checked table of the
-    # state's length is in range, so "wrap" never wraps
-    checked = _CHECKED_TABLES.get(id(action))
-    mode = "wrap" if checked is not None and checked() is action else "raise"
     for i in range(0, size, GATE_BLOCK):
-        index = action[i:i + GATE_BLOCK]
-        gathered = amps.take(index, axis=0, out=scratch[:len(index)], mode=mode)
-        _mix(c, amps[i:i + GATE_BLOCK], s, gathered, dest[i:i + GATE_BLOCK])
+        block = slice(i, i + GATE_BLOCK)
+        _mix(c, amps[block], s, amps[action[block]], dest[block])
     return out
 
 
@@ -189,32 +162,20 @@ def _mix(c, block: np.ndarray, s, gathered: np.ndarray, dest: np.ndarray) -> Non
     np.subtract(dest, gathered, out=dest)
 
 
-def apply_phase(state: FeasibleState, gamma: float, cost,
+def apply_phase(state: FeasibleState, gamma: float, cost: np.ndarray,
                 out: FeasibleState | None = None) -> FeasibleState:
-    """Diagonal phase exp(-i gamma * cost) per tour; probabilities untouched.
-
-    `cost` is a TourCost or a precomputed rank-indexed cost vector.  With
-    `out` (a state other than `state`) the result is written there and
-    returned.
-    """
-    vec = cost.vector() if isinstance(cost, TourCost) else np.asarray(cost)
+    """Diagonal phase exp(-i gamma * cost) per tour, for the rank-indexed
+    cost vector `cost`; probabilities untouched.  The result is written to
+    `out` (a state other than `state`), or to a new state when `out` is
+    omitted, and returned."""
     if out is None:
-        return FeasibleState(state.n, np.exp(-1j * gamma * vec) * state.amps)
-    if out is state or out.amps is state.amps:
+        out = FeasibleState(state.n, np.empty_like(state.amps))
+    elif out is state or out.amps is state.amps:
         raise ValueError("out must not be the input state")
-    np.multiply(-1j * gamma, vec, out=out.amps)
+    np.multiply(-1j * gamma, cost, out=out.amps)
     np.exp(out.amps, out=out.amps)
     np.multiply(out.amps, state.amps, out=out.amps)
     return out
-
-
-def spare_buffers(state: FeasibleState) -> tuple[FeasibleState, np.ndarray | None]:
-    """A second state shaped like `state` and the gate scratch array (None
-    when one block covers the state), so that a circuit can alternate its
-    gates between two states without allocating."""
-    amps = state.amps
-    scratch = np.empty_like(amps[:GATE_BLOCK]) if len(amps) > GATE_BLOCK else None
-    return FeasibleState(state.n, np.empty_like(amps)), scratch
 
 
 def run_exhaustive_circuit(seq: GeneratingSequence, thetas, start: Perm) -> FeasibleState:
@@ -223,11 +184,10 @@ def run_exhaustive_circuit(seq: GeneratingSequence, thetas, start: Perm) -> Feas
     thetas = np.asarray(thetas, dtype=float)
     if thetas.shape != (len(seq.elements),):
         raise ValueError(f"need {len(seq.elements)} angles, got shape {thetas.shape}")
-    state = basis_state(start)
-    spare, scratch = spare_buffers(state)
+    state, spare = basis_state(start), None
     for h, theta in zip(seq.elements, thetas):
         action = involution_action(h, seq.action_side)
-        state, spare = apply_involution_exp(state, action, theta, out=spare, scratch=scratch), state
+        state, spare = apply_involution_exp(state, action, theta, out=spare), state
     return state
 
 
@@ -249,10 +209,10 @@ def reachability_params(seq: GeneratingSequence, start: Perm, target: Perm) -> n
     return np.pi / 2 * np.asarray(mask, dtype=float)
 
 
-def expectation(state: FeasibleState, cost) -> float:
-    """Sum of |amp|^2 times tour cost; lies between min and max cost."""
-    vec = cost.vector() if isinstance(cost, TourCost) else np.asarray(cost)
-    return float(np.real(np.vdot(state.amps, vec * state.amps)))
+def expectation(state: FeasibleState, cost: np.ndarray) -> float:
+    """Sum of |amp|^2 times tour cost, for the rank-indexed cost vector
+    `cost`; lies between min and max cost."""
+    return float(np.real(np.vdot(state.amps, cost * state.amps)))
 
 
 def probabilities(state: FeasibleState) -> np.ndarray:

@@ -18,7 +18,6 @@ from .feasible import (
     apply_phase,
     basis_state,
     involution_action,
-    spare_buffers,
     uniform_feasible_state,
 )
 from .perms import Perm, identity, transposition
@@ -65,23 +64,20 @@ def mixer_slot_action(t: int, n: int, wraparound: bool = True) -> np.ndarray:
 
 
 def apply_seq_mixer(state: FeasibleState, beta: float, wraparound: bool = True,
-                    spare: FeasibleState | None = None,
-                    scratch: np.ndarray | None = None) -> FeasibleState:
+                    spare: FeasibleState | None = None) -> FeasibleState:
     """One sweep of exponentiated slot swaps, slots ascending.
 
-    The gates alternate between a copy of `state` and a spare state.
-    Given `spare` (and the gate `scratch` of `spare_buffers`), they
-    alternate between `state` itself and `spare` instead: `state` is
-    overwritten, and the result is whichever of the two the last slot
-    wrote.
+    Given `spare`, the gates alternate between `state` itself and `spare`:
+    `state` is overwritten, and the result is whichever of the two the
+    last slot wrote.  Without it they alternate between a copy of `state`
+    and a state the first gate allocates, and `state` is left as it was.
     """
     if spare is None:
         state = state.copy()
-        spare, scratch = spare_buffers(state)
     last = state.n if wraparound else state.n - 1
     for t in range(last):
         action = mixer_slot_action(t, state.n, wraparound)
-        state, spare = apply_involution_exp(state, action, beta, out=spare, scratch=scratch), state
+        state, spare = apply_involution_exp(state, action, beta, out=spare), state
     return state
 
 
@@ -100,11 +96,10 @@ def run_qaoa(cost: TourCost, cfg: QaoaConfig, betas, gammas,
         raise ValueError(
             f"need {cfg.layers} betas and gammas, got {betas.shape} and {gammas.shape}"
         )
-    state = initial_state(cfg, cost.degree, start)
-    spare, scratch = spare_buffers(state)
+    state, spare = initial_state(cfg, cost.degree, start), None
     vec = cost.vector()
     for beta, gamma in zip(betas, gammas):
         phased = apply_phase(state, gamma, vec, out=spare)
-        mixed = apply_seq_mixer(phased, beta, cfg.slot_wraparound, spare=state, scratch=scratch)
+        mixed = apply_seq_mixer(phased, beta, cfg.slot_wraparound, spare=state)
         state, spare = mixed, (state if mixed is phased else phased)
     return state

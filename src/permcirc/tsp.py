@@ -18,7 +18,7 @@ from .perms import Perm, check_perm, perm_table, unrank
 @dataclass(frozen=True)
 class TspInstance:
     """Complete weighted digraph without self-loops; every weight finite,
-    w[u, v] > 0 for u != v."""
+    w[u, v] > 0 for u != v, and every tour's cost finite."""
 
     w: np.ndarray
     # read-only cost vectors keyed by `reduced`, built once by TourCost
@@ -33,6 +33,12 @@ class TspInstance:
         off = ~np.eye(w.shape[0], dtype=bool)
         if w.shape[0] > 1 and not (w[off] > 0).all():
             raise ValueError("off-diagonal weights must be positive")
+        # a tour leaves each city once, so this sum bounds every tour's cost
+        with np.errstate(over="ignore"):
+            bound = np.where(off, w, 0.0).max(axis=1, initial=0.0).sum()
+        if not np.isfinite(bound):
+            raise ValueError("weights too large: the largest weights out of each city "
+                             "sum to inf, so tour costs would overflow")
         object.__setattr__(self, "w", w)
 
     @property

@@ -1,6 +1,7 @@
 """The index layer: prefix-recursive `perm_table`, prefix ranking,
-window-built action tables, and the buffered gate kernel."""
+window-built action tables, and the blocked gate kernel."""
 
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -9,12 +10,12 @@ import pytest
 
 import permcirc.feasible as feasible
 from permcirc.feasible import (
+    FeasibleState,
     apply_involution_exp,
     apply_phase,
     basis_state,
     involution_action,
     run_exhaustive_circuit,
-    spare_buffers,
     uniform_feasible_state,
 )
 from permcirc.limits import TooLarge
@@ -84,10 +85,30 @@ def bits(state):
     return state.amps.tobytes()
 
 
+def spare_like(state):
+    return FeasibleState(state.n, np.empty_like(state.amps))
+
+
+def reference_gate(state, action, theta):
+    """The gate as one allocating expression, the kernel's bit-level oracle."""
+    amps = np.cos(theta) * state.amps - 1j * np.sin(theta) * state.amps[action]
+    return FeasibleState(state.n, amps)
+
+
+def reference_phase(state, gamma, cost):
+    return FeasibleState(state.n, np.exp(-1j * gamma * cost) * state.amps)
+
+
 def functional_circuit(seq, thetas, start):
     state = basis_state(start)
     for h, theta in zip(seq.elements, thetas):
-        state = apply_involution_exp(state, involution_action(h, seq.action_side), theta)
+        state = reference_gate(state, involution_action(h, seq.action_side), theta)
+    return state
+
+
+def phased_uniform_state(n):
+    state = uniform_feasible_state(n)
+    state.amps *= np.exp(1j * np.arange(state.amps.size))
     return state
 
 
@@ -114,13 +135,11 @@ def test_blocked_gate_is_bit_identical(monkeypatch, block):
         assert bits(run_exhaustive_circuit(seq, thetas, (4, 2, 0, 1, 3))) == bits(
             functional_circuit(seq, thetas, (4, 2, 0, 1, 3))
         )
-    state = uniform_feasible_state(5)
-    state.amps *= np.exp(1j * np.arange(state.amps.size))
+    state = phased_uniform_state(5)
     action = involution_action(transposition(5, 1, 3), "left")
-    spare, scratch = spare_buffers(state)
-    assert scratch is None if block == 120 else scratch.shape == (block,)
-    got = apply_involution_exp(state, action, 0.9, out=spare, scratch=scratch)
-    assert bits(got) == bits(apply_involution_exp(state, action, 0.9))
+    expected = bits(reference_gate(state, action, 0.9))
+    assert bits(apply_involution_exp(state, action, 0.9, out=spare_like(state))) == expected
+    assert bits(apply_involution_exp(state, action, 0.9)) == expected
 
 
 def test_degree_8_buffered_circuit_is_bit_identical():
@@ -129,6 +148,39 @@ def test_degree_8_buffered_circuit_is_bit_identical():
     thetas = np.random.default_rng(8).uniform(0, 2 * np.pi, len(seq))
     start = (3, 1, 7, 0, 2, 6, 4, 5)
     assert bits(run_exhaustive_circuit(seq, thetas, start)) == bits(functional_circuit(seq, thetas, start))
+
+
+def test_default_block_gate_on_degree_8():
+    # 40320 amplitudes: two whole default-size blocks and a partial one
+    assert factorial(8) > 2 * feasible.GATE_BLOCK
+    state = phased_uniform_state(8)
+    for side in ("right", "left"):
+        action = involution_action(binary_insertion_sequence(8).elements[0], side)
+        assert bits(apply_involution_exp(state, action, 0.9)) == bits(reference_gate(state, action, 0.9))
+    bad = np.arange(factorial(8))
+    bad[-1] = factorial(8)
+    with pytest.raises(IndexError):
+        apply_involution_exp(state, bad, 0.3)
+    with pytest.raises(IndexError):
+        apply_involution_exp(state, bad, 0.3, out=spare_like(state))
+
+
+def test_circuit_allocates_no_per_gate_state():
+    # with its tables built, a circuit holds two states and one gathered
+    # block at a time; the allowance covers the interpreter's small objects
+    seq = binary_insertion_sequence(8)
+    thetas = np.random.default_rng(4).uniform(0, 2 * np.pi, len(seq))
+    start = (3, 1, 7, 0, 2, 6, 4, 5)
+    run_exhaustive_circuit(seq, thetas, start)
+    state_bytes = factorial(8) * 16
+    block_bytes = feasible.GATE_BLOCK * 16
+    tracemalloc.start()
+    try:
+        run_exhaustive_circuit(seq, thetas, start)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * state_bytes + block_bytes + 16384
 
 
 @pytest.mark.parametrize("initial", ["basis", "uniform"])
@@ -142,24 +194,23 @@ def test_buffered_qaoa_is_bit_identical(initial, wraparound, n):
     betas, gammas = rng.uniform(0, np.pi, (2, cfg.layers))
     state = initial_state(cfg, n)
     for beta, gamma in zip(betas, gammas):
-        state = apply_phase(state, gamma, cost.vector())
+        state = reference_phase(state, gamma, cost.vector())
         for t in range(n if wraparound else n - 1):
-            state = apply_involution_exp(state, mixer_slot_action(t, n, wraparound), beta)
+            state = reference_gate(state, mixer_slot_action(t, n, wraparound), beta)
     assert bits(run_qaoa(cost, cfg, betas, gammas)) == bits(state)
 
 
 def test_seq_mixer_is_bit_identical_with_and_without_spare():
     for wraparound in (True, False):
-        state = uniform_feasible_state(5)
-        state.amps *= np.exp(1j * np.arange(state.amps.size))
+        state = phased_uniform_state(5)
         expected = state
         for t in range(5 if wraparound else 4):
-            expected = apply_involution_exp(expected, mixer_slot_action(t, 5, wraparound), 0.4)
+            expected = reference_gate(expected, mixer_slot_action(t, 5, wraparound), 0.4)
         before = bits(state)
         assert bits(apply_seq_mixer(state, 0.4, wraparound)) == bits(expected)
         assert bits(state) == before
-        spare, scratch = spare_buffers(state)
-        got = apply_seq_mixer(state, 0.4, wraparound, spare=spare, scratch=scratch)
+        spare = spare_like(state)
+        got = apply_seq_mixer(state, 0.4, wraparound, spare=spare)
         assert got is (spare if wraparound else state)  # 5 slots or 4
         assert bits(got) == bits(expected)
 
@@ -168,10 +219,10 @@ def test_seq_mixer_is_bit_identical_with_and_without_spare():
 def test_out_of_range_table_raises_on_both_paths(monkeypatch, block):
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     state = uniform_feasible_state(3)
-    spare, scratch = spare_buffers(state)
+    spare = spare_like(state)
     bad = np.arange(6)
     bad[2] = 6
-    # a view of a checked table is not itself checked
+    # a view of a longer table
     view = involution_action(transposition(4, 0, 1), "right")[:6]
     corrupted = involution_action(transposition(3, 0, 1), "right").copy()
     corrupted[0] = 99
@@ -179,14 +230,14 @@ def test_out_of_range_table_raises_on_both_paths(monkeypatch, block):
         with pytest.raises(IndexError):
             apply_involution_exp(state, action, 0.3)
         with pytest.raises(IndexError):
-            apply_involution_exp(state, action, 0.3, out=spare, scratch=scratch)
-    # a checked table of another degree is refused, not wrapped
+            apply_involution_exp(state, action, 0.3, out=spare)
+    # a table of another degree is refused
     with pytest.raises(ValueError):
         apply_involution_exp(state, involution_action(transposition(4, 0, 1), "right"), 0.3,
-                             out=spare, scratch=scratch)
+                             out=spare)
 
 
-def test_out_must_not_alias_the_input(monkeypatch):
+def test_out_must_not_alias_the_input():
     state = uniform_feasible_state(3)
     action = involution_action(transposition(3, 0, 1), "right")
     cost = np.arange(6.0)
@@ -194,21 +245,17 @@ def test_out_must_not_alias_the_input(monkeypatch):
         apply_involution_exp(state, action, 0.3, out=state)
     with pytest.raises(ValueError):
         apply_phase(state, 0.3, cost, out=state)
-    spare, _ = spare_buffers(state)
-    monkeypatch.setattr(feasible, "GATE_BLOCK", 2)
-    with pytest.raises(ValueError):
-        apply_involution_exp(state, action, 0.3, out=spare, scratch=state.amps)
 
 
 def test_out_returns_the_given_state_and_leaves_input():
-    state = uniform_feasible_state(4)
-    state.amps *= np.exp(1j * np.arange(state.amps.size))
+    state = phased_uniform_state(4)
     before = bits(state)
     action = involution_action(transposition(4, 1, 2), "right")
-    spare, _ = spare_buffers(state)
+    spare = spare_like(state)
     assert apply_involution_exp(state, action, 0.7, out=spare) is spare
-    assert bits(spare) == bits(apply_involution_exp(state, action, 0.7))
+    assert bits(spare) == bits(reference_gate(state, action, 0.7))
     cost = np.linspace(1.0, 2.0, state.amps.size)
     assert apply_phase(state, 0.7, cost, out=spare) is spare
-    assert bits(spare) == bits(apply_phase(state, 0.7, cost))
+    assert bits(spare) == bits(reference_phase(state, 0.7, cost))
+    assert bits(apply_phase(state, 0.7, cost)) == bits(spare)
     assert bits(state) == before

@@ -65,7 +65,6 @@ def test_size_caps_refuse_at_once(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("permcirc: size cap: ")
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ("solve-exact", "--n", "1"),
     ("run", "--n", "1"),
@@ -73,7 +72,10 @@ def test_size_caps_refuse_at_once(argv, tmp_path, capsys):
     ("run", "--n", "2", "--method", "binary-insertion"),
     ("run", "--n", "2", "--method", "qaoa"),
     ("reach", "--n", "2"),
-    ("run", "--n", "4", "--lo", "1e308", "--hi", "1.7e308"),  # tour costs overflow: NaN objective
+    # the weights are finite, but tour costs would overflow
+    ("run", "--n", "4", "--lo", "1e308", "--hi", "1.7e308"),
+    ("reach", "--n", "4", "--lo", "1e308", "--hi", "1.7e308"),
+    ("solve-exact", "--n", "4", "--lo", "1e308", "--hi", "1.7e308"),
 ])
 def test_degenerate_sizes_are_usage_errors(argv, tmp_path, capsys):
     out = ("--out", str(tmp_path / "t.csv")) if argv[0] == "run" else ()
@@ -81,6 +83,8 @@ def test_degenerate_sizes_are_usage_errors(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("permcirc: error:")
     assert "Traceback" not in err
+    if "--lo" in argv:
+        assert "weights too large" in err
 
 
 def test_solve_exact_one_city(capsys):
@@ -135,7 +139,7 @@ def test_run_first_row_ratio_matches_independent_computation(tmp_path):
     ) == 0
     first = out.read_text().splitlines()[1].split(",")
     inst = random_instance(8, seed=5)
-    cost = TourCost(inst, reduced=True)
+    cost = TourCost(inst, reduced=True).vector()
     start_cost = expectation(basis_state(identity(7)), cost)
     _, opt_cost = optimum(inst, reduced=True)
     assert float(first[1]) == pytest.approx(start_cost, rel=1e-12)
@@ -146,7 +150,7 @@ def test_run_first_row_ratio_matches_independent_computation(tmp_path):
 
 def test_first_row_ratio_every_method():
     inst = random_instance(7, seed=2)
-    cost = TourCost(inst, reduced=True)
+    cost = TourCost(inst, reduced=True).vector()
     _, opt_cost = optimum(inst, reduced=True)
     from permcirc.feasible import uniform_feasible_state
 
@@ -222,6 +226,8 @@ def test_runspec_validation():
     with pytest.raises(ValueError, match="at least 2 cities with reduced=False"):
         RunSpec(random_instance(1, seed=0), reduced=False)
     RunSpec(random_instance(2, seed=0), reduced=False)
+    with pytest.raises(ValueError, match="unknown ratio mode 'max_gap'; use opt-over-exp or max-gap"):
+        RunSpec(inst, ratio_mode="max_gap")
 
 
 def test_run_experiment_summary_consistency():

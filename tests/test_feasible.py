@@ -35,7 +35,7 @@ def test_basis_state():
 
 def test_basis_state_expectation_is_tour_cost():
     inst = random_instance(5, seed=1)
-    cost = TourCost(inst)
+    cost = TourCost(inst).vector()
     for p in [identity(5), (4, 2, 0, 1, 3)]:
         assert expectation(basis_state(p), cost) == pytest.approx(tour_cost(inst, p))
 
@@ -46,7 +46,7 @@ def test_uniform_state():
     assert np.allclose(state.amps, 1 / np.sqrt(6))
     assert state.norm() == pytest.approx(1.0)
     inst = random_instance(3, seed=2)
-    cost = TourCost(inst)
+    cost = TourCost(inst).vector()
     mean = np.mean([tour_cost(inst, p) for p in all_perms(3)])
     assert expectation(state, cost) == pytest.approx(mean)
 
@@ -136,7 +136,7 @@ def test_pi_shift_gives_unit_fidelity():
 
 def test_apply_phase():
     inst = random_instance(4, seed=3)
-    cost = TourCost(inst)
+    cost = TourCost(inst).vector()
     state = uniform_feasible_state(4)
     unchanged = apply_phase(state, 0.0, cost)
     assert np.allclose(unchanged.amps, state.amps)
@@ -236,6 +236,6 @@ def test_expectation_constant_cost():
     np.fill_diagonal(inst_w, 0.0)
     from permcirc.tsp import TspInstance
 
-    cost = TourCost(TspInstance(inst_w))
+    cost = TourCost(TspInstance(inst_w)).vector()
     state = uniform_feasible_state(4)
     assert expectation(state, cost) == pytest.approx(4 * 2.5)

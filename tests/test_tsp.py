@@ -157,6 +157,20 @@ def test_instance_validation():
             TspInstance(w)
 
 
+def test_instance_refuses_overflowing_tour_costs():
+    w = np.full((3, 3), 1e308)
+    np.fill_diagonal(w, 0.0)
+    with pytest.raises(ValueError, match="^weights too large"):
+        TspInstance(w)
+    # the bound is the largest weight out of each city, summed; a tour
+    # never takes the diagonal
+    w = np.full((3, 3), 5e307)
+    np.fill_diagonal(w, 1.7e308)
+    inst = TspInstance(w)
+    assert np.isfinite(TourCost(inst).vector()).all()
+    assert TourCost(inst, reduced=True).vector().max() == pytest.approx(1.5e308)
+
+
 def test_cost_vector_matches_scalar():
     for reduced in (False, True):
         inst = random_instance(6, seed=8)
