@@ -32,6 +32,7 @@ from .perms import (
 from .sequences import (
     BINARY_INSERTION,
     BUBBLE,
+    GeneratingSequence,
     _insertion_block,
     binary_insertion_sequence,
     bubble_sequence,
@@ -40,7 +41,7 @@ from .sequences import (
     recompose,
     verify_generating,
 )
-from .tsp import optimum, random_instance, tour_cost
+from .tsp import TourCost, optimum, random_instance, tour_cost
 
 
 @dataclass
@@ -224,15 +225,18 @@ def check_norm_preservation() -> tuple[bool, str]:
 
 def check_optimizer() -> tuple[bool, str]:
     target = 0.3
-    trace = minimize(
-        lambda x: float(np.sum((x - target) ** 2)), np.zeros(4), OptConfig()
-    )
+
+    def bowl(x):
+        return float(np.sum((x - target) ** 2))
+
+    def bowl_gradient(x):
+        return 2 * (x - target)
+
+    trace = minimize(bowl, np.zeros(4), OptConfig(), gradient=bowl_gradient)
     err = float(np.max(np.abs(trace.best_params - target)))
     if err > 1e-4:
         return False, f"quadratic bowl missed by {err:.2e}"
-    repeat = minimize(
-        lambda x: float(np.sum((x - target) ** 2)), np.zeros(4), OptConfig()
-    )
+    repeat = minimize(bowl, np.zeros(4), OptConfig(), gradient=bowl_gradient)
     same = len(trace.points) == len(repeat.points) and all(
         a.value == b.value and (a.params == b.params).all()
         for a, b in zip(trace.points, repeat.points)
@@ -330,6 +334,56 @@ def check_mixing_condition() -> tuple[bool, str]:
     return True, "every basis pair connected by some mixer power r <= 6"
 
 
+def _central_difference(f, x: np.ndarray, step: float = 3e-6) -> np.ndarray:
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = step
+        grad[i] = (f(x + e) - f(x - e)) / (2 * step)
+    return grad
+
+
+def gradient_cases(cost: TourCost, start):
+    """(name, angle count, initial-state factory, steps, circuit) for every
+    circuit kind at the degree of `start`: bubble and binary-insertion
+    acting on the right, bubble elements acting on the left, and QAOA from
+    both starts with and without the wraparound slot."""
+    n, vec = len(start), cost.vector()
+    for seq in (bubble_sequence(n), binary_insertion_sequence(n),
+                GeneratingSequence(n, bubble_sequence(n).elements, action_side="left")):
+        yield (f"{seq.kind} {seq.action_side}-action", len(seq),
+               lambda: fs.basis_state(start), fs.circuit_steps(seq),
+               lambda x, seq=seq: fs.run_exhaustive_circuit(seq, x, start))
+    for initial in ("basis", "uniform"):
+        for wrap in (True, False):
+            cfg = qa.QaoaConfig(qa.default_layers(n), initial, wrap)
+            p = cfg.layers
+            yield (f"qaoa {initial} wraparound={wrap}", 2 * p,
+                   lambda cfg=cfg: qa.initial_state(cfg, n, start), qa.qaoa_steps(vec, cfg, n),
+                   lambda x, cfg=cfg, p=p: qa.run_qaoa(cost, cfg, x[:p], x[p:], start))
+
+
+def check_gradient(tol: float = 1e-7) -> tuple[bool, str]:
+    """The reverse-sweep gradient of every circuit kind against central
+    differences of the circuit functions themselves, so the step lists
+    must match the circuits too."""
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for n in range(4, 7):
+        cost = TourCost(random_instance(n + 1, seed=n), reduced=True)
+        vec = cost.vector()
+        start = tuple(rng.permutation(n).tolist())
+        for name, d, initial, steps, circuit in gradient_cases(cost, start):
+            x = rng.uniform(0, np.pi, d)
+            want = _central_difference(lambda y: fs.expectation(circuit(y), vec), x)
+            err = float(np.max(np.abs(fs.expectation_gradient(initial(), steps, x, vec) - want)))
+            if err > tol:
+                return False, f"{name} n={n}: gradient off central differences by {err:.1e}"
+            worst = max(worst, err)
+    return True, (f"reverse sweep within {worst:.1e} of central differences "
+                  "(sequences both sides, QAOA both starts and slot sets, n = 4..6)")
+
+
 QUICK_CHECKS = [
     ("perm-core", check_perm_core),
     ("sequence-shapes", check_sequence_shapes),
@@ -342,6 +396,7 @@ QUICK_CHECKS = [
     ("reachability", check_reachability),
     ("norm-preservation", check_norm_preservation),
     ("optimizer", check_optimizer),
+    ("gradient", check_gradient),
 ]
 
 FULL_CHECKS = QUICK_CHECKS + [

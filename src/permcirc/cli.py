@@ -119,6 +119,8 @@ def cmd_solve_exact(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.top_k < 0:
+        raise ValueError(f"--top-k must be >= 0, got {args.top_k}")
     inst = _resolve_instance(args)
     qaoa_cfg = None
     if args.method == "qaoa":
@@ -146,7 +148,7 @@ def cmd_run(args) -> int:
     write_trace_csv(trace, args.out, dump_params=args.dump_params)
     for key in (
         "method", "encoding", "reduced", "effective_degree", "parameters",
-        "iterations", "evaluations", "status", "initial_ratio", "final_ratio",
+        "iterations", "evaluations", "gradients", "status", "initial_ratio", "final_ratio",
         "optimal_cost",
     ):
         print(f"{key:17s} {summary[key]}")

@@ -6,7 +6,9 @@ parametrised sequence circuit (one angle per sequence element, all-zero
 start so the first trace row is the start tour itself); method "qaoa"
 uses the sequential swap mixer with 2p angles.  Sequence angles and
 mixer angles live on [0, pi) tori and are reduced periodically before
-evaluation; phase-separator angles are unconstrained.
+evaluation; phase-separator angles are unconstrained.  The optimiser's
+stop rule reads the exact gradient of the expectation from one reverse
+sweep over the same circuit (`feasible.expectation_gradient`).
 """
 
 import time
@@ -16,10 +18,18 @@ import numpy as np
 
 from . import limits
 from .encoding import COMPACT, ONEHOT, EncodingSpec
-from .feasible import expectation, fidelity, reachability_params, run_exhaustive_circuit
+from .feasible import (
+    basis_state,
+    circuit_steps,
+    expectation,
+    expectation_gradient,
+    fidelity,
+    reachability_params,
+    run_exhaustive_circuit,
+)
 from .optimize import OptConfig, OptTrace, approximation_ratio, minimize
 from .perms import identity, unrank
-from .qaoa import QaoaConfig, default_layers, run_qaoa
+from .qaoa import QaoaConfig, default_layers, initial_state, qaoa_steps, run_qaoa
 from .sequences import (
     BINARY_INSERTION,
     BUBBLE,
@@ -103,6 +113,10 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
         p = cfg.layers
         num_params = 2 * p
         periods = [np.pi] * p + [None] * p
+        steps = qaoa_steps(vec, cfg, degree)
+
+        def initial():
+            return initial_state(cfg, degree, start)
 
         def prepare(x):
             return run_qaoa(cost, cfg, x[:p], x[p:], start)
@@ -110,12 +124,19 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
         seq = build_sequence(spec.method, degree)
         num_params = len(seq)
         periods = [np.pi] * num_params
+        steps = circuit_steps(seq)
+
+        def initial():
+            return basis_state(start)
 
         def prepare(x):
             return run_exhaustive_circuit(seq, x, start)
 
     def objective(x):
         return expectation(prepare(x), vec)
+
+    def gradient(x):
+        return expectation_gradient(initial(), steps, x, vec)
 
     if spec.random_init_seed is None:
         x0 = np.zeros(num_params)
@@ -125,7 +146,7 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
 
     began = time.perf_counter()
     trace = minimize(objective, x0, spec.opt, periods=periods,
-                     ratio_fn=_ratio_fn(spec, cost, opt_cost))
+                     ratio_fn=_ratio_fn(spec, cost, opt_cost), gradient=gradient)
     elapsed = time.perf_counter() - began
 
     final_state = prepare(trace.best_params)
@@ -137,6 +158,7 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
         "parameters": num_params,
         "iterations": trace.iterations,
         "evaluations": trace.evaluations,
+        "gradients": trace.gradients,
         "status": trace.status,
         "initial_objective": trace.points[0].value,
         "initial_ratio": trace.points[0].ratio,

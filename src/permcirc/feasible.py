@@ -10,10 +10,13 @@ An element acting on the right that moves only positions s..e changes
 only rank digits s..e, so its table comes from re-ranking the
 arrangements of those e-s+1 digits and broadcasting them over the
 untouched high and low digits; left actions rank every permuted tour.
-Circuits alternate their gates between two states through the `out`
-argument of the gate and phase functions.  A gate gathers large states
-block by block, each gather bounds-checked by numpy indexing, and gives
-the same amplitudes, bit for bit, whether or not `out` is given.
+A circuit is a list of steps, each a generator (an action table or a
+diagonal cost vector) tied to an angle; `run_steps` alternates its gates
+between two states through the `out` argument of the gate and phase
+functions.  A gate gathers large states block by block, each gather
+bounds-checked by numpy indexing, and gives the same amplitudes, bit for
+bit, whether or not `out` is given.  `expectation_gradient` differentiates
+a circuit's expected cost over all its angles by one reverse sweep.
 """
 
 from dataclasses import dataclass
@@ -178,17 +181,99 @@ def apply_phase(state: FeasibleState, gamma: float, cost: np.ndarray,
     return out
 
 
+def _apply_step(state: FeasibleState, generator: np.ndarray, theta: float,
+                out: FeasibleState | None) -> FeasibleState:
+    # a float generator is a diagonal (a cost vector), an integer one an
+    # involution's action table
+    if generator.dtype.kind == "f":
+        return apply_phase(state, theta, generator, out=out)
+    return apply_involution_exp(state, generator, theta, out=out)
+
+
+def run_steps(state: FeasibleState, steps, thetas) -> FeasibleState:
+    """Apply exp(-i thetas[k] G) for every step (G, k) in order.
+
+    A step's generator G is an involution's action table (an integer
+    array, applied by `apply_involution_exp`) or a rank-indexed cost
+    vector (a float array, applied by `apply_phase`); k indexes `thetas`,
+    and steps may share an angle.  The gates alternate between `state`,
+    which is overwritten, and one state the first step allocates.
+    """
+    return _run(state, None, steps, thetas)[0]
+
+
+def _run(state: FeasibleState, spare: FeasibleState | None, steps, thetas):
+    """`run_steps` that returns the other buffer too."""
+    for generator, k in steps:
+        state, spare = _apply_step(state, generator, thetas[k], spare), state
+    return state, spare
+
+
+def circuit_steps(seq: GeneratingSequence) -> list:
+    """One step per sequence element, each with its own angle."""
+    return [(involution_action(h, seq.action_side), k) for k, h in enumerate(seq.elements)]
+
+
 def run_exhaustive_circuit(seq: GeneratingSequence, thetas, start: Perm) -> FeasibleState:
     """Apply the parametrised exponential of every sequence element in
     order to the basis state of `start`."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.shape != (len(seq.elements),):
         raise ValueError(f"need {len(seq.elements)} angles, got shape {thetas.shape}")
-    state, spare = basis_state(start), None
-    for h, theta in zip(seq.elements, thetas):
-        action = involution_action(h, seq.action_side)
-        state, spare = apply_involution_exp(state, action, theta, out=spare), state
-    return state
+    return run_steps(basis_state(start), circuit_steps(seq), thetas)
+
+
+def expectation_gradient(state: FeasibleState, steps, thetas, cost: np.ndarray) -> np.ndarray:
+    """Gradient over `thetas` of expectation(run_steps(state, steps,
+    thetas), cost), from one reverse sweep.
+
+    A step U = exp(-i theta G) has dU/dtheta = -i G U.  With psi the state
+    just after a step and lam the costate, the later steps undone on
+    C psi_final, the step's term is 2 Im <lam|G psi>; steps that share an
+    angle add their terms.  The sweep runs forward to psi_final, sets
+    lam = C psi_final and walks back, undoing each step on psi (for an
+    involution from the G psi it gathered for the term) and on lam
+    (Jones & Gacon, arXiv:2009.02823).  It costs about three circuits and
+    alternates four states; `state` is overwritten.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    psi, psi_spare = _run(state, FeasibleState(state.n, np.empty_like(state.amps)),
+                          steps, thetas)
+    lam = FeasibleState(psi.n, cost * psi.amps)
+    lam_spare = FeasibleState(psi.n, np.empty_like(psi.amps))
+    grad = np.zeros(thetas.shape)
+    for generator, k in reversed(steps):
+        theta = thetas[k]
+        if generator.dtype.kind == "f":
+            np.multiply(generator, psi.amps, out=psi_spare.amps)
+            overlap = np.vdot(lam.amps, psi_spare.amps)
+            apply_phase(psi, -theta, generator, out=psi_spare)
+        else:
+            overlap = _undo_gate(psi, lam, generator, theta, psi_spare)
+        grad[k] += 2 * overlap.imag
+        psi, psi_spare = psi_spare, psi
+        lam, lam_spare = _apply_step(lam, generator, -theta, lam_spare), lam
+    return grad
+
+
+def _undo_gate(psi: FeasibleState, lam: FeasibleState, action: np.ndarray, theta: float,
+               out: FeasibleState) -> complex:
+    """Write exp(+i theta P) psi to `out` and return <lam|P psi>, with one
+    bounds-checked gather of psi per `GATE_BLOCK` amplitudes."""
+    amps, size = psi.amps, len(psi.amps)
+    if len(action) != size:
+        raise ValueError(f"action table has {len(action)} entries for {size} amplitudes")
+    c, s = np.cos(-theta), 1j * np.sin(-theta)
+    blocks = [slice(i, i + GATE_BLOCK) for i in range(0, size, GATE_BLOCK)]
+    return sum(_undo_block(c, amps[b], s, amps[action[b]], lam.amps[b], out.amps[b])
+               for b in blocks)
+
+
+def _undo_block(c, block, s, gathered, lam_block, dest) -> complex:
+    # `gathered` dies with this frame, so one block is held at a time
+    overlap = np.vdot(lam_block, gathered)
+    _mix(c, block, s, gathered, dest)
+    return overlap
 
 
 def reachability_params(seq: GeneratingSequence, start: Perm, target: Perm) -> np.ndarray:

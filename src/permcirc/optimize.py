@@ -3,11 +3,12 @@ COBYLA family, plus the gradient-window termination rule.
 
 The optimiser keeps a simplex of d+1 points, fits a linear model to the
 objective over it, and steps steepest-descent on that model within the
-trust radius; the radius halves after repeated non-improvement.  After
-every iteration the forward-difference gradient at the incumbent is
-measured, and the run stops once its norm stays below a threshold for a
-window of consecutive iterations.  Everything is deterministic: the same
-configuration always produces the same trace.
+trust radius; the radius halves after repeated non-improvement.  The
+steps use objective values only.  The stop rule reads the caller's
+gradient at the incumbent after every iteration (re-read only when the
+incumbent moved), and the run stops once its norm stays below a
+threshold for a window of consecutive iterations.  Everything is
+deterministic: the same configuration always produces the same trace.
 """
 
 from dataclasses import dataclass, field
@@ -26,9 +27,13 @@ class OptConfig:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.init_step <= 0 or self.grad_threshold <= 0 or self.grad_window < 1:
-            raise ValueError("steps, thresholds, and window must be positive")
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.grad_window < 1:
+            raise ValueError(f"grad_window must be >= 1, got {self.grad_window}")
+        for name in ("init_step", "grad_threshold"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -42,11 +47,13 @@ class TracePoint:
 @dataclass
 class OptTrace:
     """Best-so-far record per iteration plus the terminal status, one of
-    "gradient-window" or "max-iters"."""
+    "gradient-window" or "max-iters".  `evaluations` counts objective
+    calls and `gradients` gradient calls."""
 
     points: list[TracePoint] = field(default_factory=list)
     status: str = "max-iters"
     evaluations: int = 0
+    gradients: int = 0
 
     @property
     def best_params(self) -> np.ndarray:
@@ -66,7 +73,6 @@ class ObjectiveError(RuntimeError):
     the iteration context."""
 
 
-_GRAD_STEP = 1e-6
 _MIN_RADIUS = 1e-7
 _SHRINK_AFTER = 2
 
@@ -82,14 +88,17 @@ def reduce_periodic(x: np.ndarray, periods) -> np.ndarray:
     return out
 
 
-def minimize(objective, x0, cfg: OptConfig, periods=None, ratio_fn=None) -> OptTrace:
+def minimize(objective, x0, cfg: OptConfig, periods=None, ratio_fn=None, *,
+             gradient) -> OptTrace:
     """Minimise a deterministic objective over R^d.
 
-    `periods` optionally declares a period per coordinate (None entries
-    are unconstrained); every evaluation happens at the periodically
-    reduced point, so the objective never sees values outside its
-    declared range.  `ratio_fn` maps an objective value to the reported
-    approximation ratio (NaN when absent).
+    `gradient` maps a point to the objective's gradient there; only the
+    stop rule reads it.  `periods` optionally declares a period per
+    coordinate (None entries are unconstrained); every evaluation of the
+    objective and its gradient happens at the periodically reduced point,
+    so neither sees values outside its declared range.  `ratio_fn` maps
+    an objective value to the reported approximation ratio (NaN when
+    absent).
     """
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
@@ -105,6 +114,22 @@ def minimize(objective, x0, cfg: OptConfig, periods=None, ratio_fn=None) -> OptT
             raise ObjectiveError(f"objective returned {value} at {context}")
         trace.evaluations += 1
         return value
+
+    def gradient_norm(x, iteration):
+        xr = reduce_periodic(x, periods)
+        context = f"iteration {iteration}"
+        try:
+            g = np.asarray(gradient(xr), dtype=float)
+        except Exception as e:
+            raise ObjectiveError(f"gradient failed at {context}: {e}") from e
+        if g.shape != (d,):
+            raise ObjectiveError(f"gradient returned shape {g.shape} at {context}, "
+                                 f"expected ({d},)")
+        bad = g[~np.isfinite(g)]
+        if bad.size:
+            raise ObjectiveError(f"gradient returned {bad[0]} at {context}")
+        trace.gradients += 1
+        return float(np.linalg.norm(g))
 
     def record(iteration, x, value):
         ratio = float(ratio_fn(value)) if ratio_fn is not None else float("nan")
@@ -136,19 +161,20 @@ def minimize(objective, x0, cfg: OptConfig, periods=None, ratio_fn=None) -> OptT
     pts, vals = fresh_simplex()
     stale = 0
     low_grad = 0
+    norm_at, grad_norm = None, 0.0  # the stop rule's last incumbent and norm
 
     for iteration in range(1, cfg.max_iters + 1):
         # linear model through the simplex offsets
         offsets = pts - x_best
         try:
-            gradient = np.linalg.solve(offsets, vals - f_best)
+            model_grad = np.linalg.solve(offsets, vals - f_best)
         except np.linalg.LinAlgError:
             pts, vals = fresh_simplex()
             offsets = pts - x_best
-            gradient = np.linalg.solve(offsets, vals - f_best)
-        slope = float(np.linalg.norm(gradient))
+            model_grad = np.linalg.solve(offsets, vals - f_best)
+        slope = float(np.linalg.norm(model_grad))
         if slope > 0:
-            x_new = x_best - rho / slope * gradient
+            x_new = x_best - rho / slope * model_grad
             f_new = evaluate(x_new, f"iteration {iteration}")
             worst = int(np.argmax(vals))
             if f_new < f_best:
@@ -167,15 +193,11 @@ def minimize(objective, x0, cfg: OptConfig, periods=None, ratio_fn=None) -> OptT
             pts, vals = fresh_simplex()
             stale = 0
 
-        # termination rule: forward-difference gradient at the incumbent
-        fd = np.array(
-            [
-                (evaluate(x_best + _GRAD_STEP * e, f"gradient probe {i}") - f_best)
-                / _GRAD_STEP
-                for i, e in enumerate(np.eye(d))
-            ]
-        )
-        low_grad = low_grad + 1 if np.linalg.norm(fd) < cfg.grad_threshold else 0
+        # termination rule: gradient norm at the incumbent, which is
+        # deterministic, so an incumbent that did not move keeps its norm
+        if norm_at is None or not np.array_equal(norm_at, x_best):
+            norm_at, grad_norm = x_best.copy(), gradient_norm(x_best, iteration)
+        low_grad = low_grad + 1 if grad_norm < cfg.grad_threshold else 0
         record(iteration, x_best, f_best)
         if low_grad >= cfg.grad_window:
             trace.status = "gradient-window"

@@ -15,9 +15,9 @@ import numpy as np
 from .feasible import (
     FeasibleState,
     apply_involution_exp,
-    apply_phase,
     basis_state,
     involution_action,
+    run_steps,
     uniform_feasible_state,
 )
 from .perms import Perm, identity, transposition
@@ -87,6 +87,19 @@ def initial_state(cfg: QaoaConfig, degree: int, start: Perm | None = None) -> Fe
     return basis_state(start if start is not None else identity(degree))
 
 
+def qaoa_steps(cost: np.ndarray, cfg: QaoaConfig, degree: int) -> list:
+    """The circuit as `feasible.run_steps` steps over the angles
+    (betas, gammas): per layer the phase separator of the rank-indexed
+    cost vector `cost` on gamma, then every mixer slot on beta."""
+    last = degree if cfg.slot_wraparound else degree - 1
+    slots = [mixer_slot_action(t, degree, cfg.slot_wraparound) for t in range(last)]
+    steps = []
+    for layer in range(cfg.layers):
+        steps.append((cost, cfg.layers + layer))
+        steps.extend((action, layer) for action in slots)
+    return steps
+
+
 def run_qaoa(cost: TourCost, cfg: QaoaConfig, betas, gammas,
              start: Perm | None = None) -> FeasibleState:
     """Alternate phase separator and sequential mixer for cfg.layers
@@ -96,10 +109,6 @@ def run_qaoa(cost: TourCost, cfg: QaoaConfig, betas, gammas,
         raise ValueError(
             f"need {cfg.layers} betas and gammas, got {betas.shape} and {gammas.shape}"
         )
-    state, spare = initial_state(cfg, cost.degree, start), None
-    vec = cost.vector()
-    for beta, gamma in zip(betas, gammas):
-        phased = apply_phase(state, gamma, vec, out=spare)
-        mixed = apply_seq_mixer(phased, beta, cfg.slot_wraparound, spare=state)
-        state, spare = mixed, (state if mixed is phased else phased)
-    return state
+    state = initial_state(cfg, cost.degree, start)
+    steps = qaoa_steps(cost.vector(), cfg, cost.degree)
+    return run_steps(state, steps, np.concatenate([betas, gammas]))

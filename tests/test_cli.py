@@ -87,6 +87,23 @@ def test_degenerate_sizes_are_usage_errors(argv, tmp_path, capsys):
         assert "weights too large" in err
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--grad-threshold", "nan", "grad_threshold"),
+    ("--grad-threshold", "inf", "grad_threshold"),
+    ("--init-step", "nan", "init_step"),
+    ("--init-step", "inf", "init_step"),
+    ("--init-step", "-inf", "init_step"),
+    ("--top-k", "-1", "--top-k"),
+])
+def test_run_refuses_bad_settings(flag, value, name, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run_cli("run", "--n", "5", f"{flag}={value}", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"permcirc: error: {name} must be")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_solve_exact_one_city(capsys):
     assert run_cli("solve-exact", "--n", "1", "--no-reduced") == 0
     assert capsys.readouterr().out == "0.0 1\n"
@@ -116,6 +133,8 @@ def test_run_parameter_counts(tmp_path, capsys):
         stdout = capsys.readouterr().out
         line = next(ln for ln in stdout.splitlines() if ln.startswith("parameters"))
         assert line.split()[1] == expected
+        line = next(ln for ln in stdout.splitlines() if ln.startswith("gradients"))
+        assert 1 <= int(line.split()[1]) <= 2
 
 
 def test_run_traces_are_byte_identical(tmp_path):
@@ -240,6 +259,8 @@ def test_run_experiment_summary_consistency():
     assert trace.points[0].ratio == pytest.approx(
         summary["optimal_cost"] / summary["initial_objective"]
     )
+    assert summary["evaluations"] == trace.evaluations
+    assert 1 <= summary["gradients"] == trace.gradients <= trace.iterations
 
 
 def test_run_experiment_random_init_and_ratio_mode():

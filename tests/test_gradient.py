@@ -1,0 +1,63 @@
+import tracemalloc
+from math import factorial
+
+import numpy as np
+import pytest
+
+import permcirc.feasible as feasible
+from permcirc.checks import check_gradient, gradient_cases
+from permcirc.feasible import expectation, expectation_gradient
+from permcirc.tsp import TourCost, random_instance
+
+
+def forward_difference(f, x, step=1e-6):
+    """The stop rule's former gradient: one probe per coordinate."""
+    fx = f(x)
+    return np.array([(f(x + step * e) - fx) / step for e in np.eye(x.size)])
+
+
+def test_gradient_check():
+    ok, detail = check_gradient()
+    assert ok, detail
+
+
+def test_forward_differences_agree_at_degree_7():
+    # sequence circuits only: their forward differences land within about
+    # 2e-6 of the exact gradient here.  A phase angle's second derivative
+    # grows with the squared cost spread, which puts QAOA's up to 2e-5
+    # off; check_gradient covers QAOA with central differences.
+    n = 7
+    cost = TourCost(random_instance(n + 1, seed=3), reduced=True)
+    vec = cost.vector()
+    rng = np.random.default_rng(11)
+    start = tuple(rng.permutation(n).tolist())
+    for name, d, initial, steps, circuit in gradient_cases(cost, start):
+        if name.startswith("qaoa"):
+            continue
+        x = rng.uniform(0, np.pi, d)
+        fd = forward_difference(lambda y: expectation(circuit(y), vec), x)
+        exact = expectation_gradient(initial(), steps, x, vec)
+        assert np.max(np.abs(exact - fd)) < 5e-6, name
+
+
+@pytest.mark.parametrize("case", ["binary-insertion right-action", "qaoa uniform wraparound=True"])
+def test_gradient_allocates_no_per_gate_state(case):
+    # with its tables built, a sweep holds the state, the costate, a spare
+    # of each and one gathered block at a time; the allowance covers the
+    # interpreter's small objects
+    n = 8
+    cost = TourCost(random_instance(n + 1, seed=4), reduced=True)
+    vec = cost.vector()
+    start = (3, 1, 7, 0, 2, 6, 4, 5)
+    _, d, initial, steps, _ = next(c for c in gradient_cases(cost, start) if c[0] == case)
+    thetas = np.random.default_rng(4).uniform(0, 2 * np.pi, d)
+    expectation_gradient(initial(), steps, thetas, vec)
+    state_bytes = factorial(n) * 16
+    block_bytes = feasible.GATE_BLOCK * 16
+    tracemalloc.start()
+    try:
+        expectation_gradient(initial(), steps, thetas, vec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * state_bytes + block_bytes + 16384
