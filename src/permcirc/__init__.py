@@ -32,7 +32,7 @@ from .perms import (
     transposition,
     unrank,
 )
-from .qaoa import QaoaConfig, apply_seq_mixer, default_layers, mixer_slot_action, run_qaoa
+from .qaoa import QaoaConfig, default_layers, mixer_slot_action, run_qaoa
 from .sequences import (
     BINARY_INSERTION,
     BUBBLE,

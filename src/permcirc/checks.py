@@ -1,15 +1,18 @@
-"""Self-contained invariant checks behind the `verify` subcommand.
+"""Self-contained invariant checks behind the `verify` subcommand and
+the test suite.
 
 Each check re-derives an expected result from an independent angle
 (exhaustive enumeration, closed forms, Taylor-series exponentials) and
-compares it against the production code path.  The quick level covers
+compares it against the production code path.  Its parameters set the
+sizes, seeds and counts; the defaults are what `verify` runs, and the
+tests call the same checks at their own values.  The quick level covers
 the combinatorial core in a few seconds; the full level adds the
 full-statevector cross-validation at small sizes.
 """
 
 import time
 from dataclasses import dataclass
-from math import factorial
+from math import ceil, factorial, log2
 
 import numpy as np
 
@@ -43,6 +46,8 @@ from .sequences import (
 )
 from .tsp import TourCost, optimum, random_instance, tour_cost
 
+BUILDS = (bubble_sequence, binary_insertion_sequence)
+
 
 @dataclass
 class CheckResult:
@@ -52,74 +57,94 @@ class CheckResult:
     seconds: float
 
 
+def _degrees(degrees) -> str:
+    """A run of consecutive degrees as text, for details."""
+    d = list(degrees)
+    return f"n = {d[0]}..{d[-1]}" if len(d) > 1 else f"n = {d[0]}" if d else "no n"
+
+
 def _mult_table(n: int) -> np.ndarray:
     table = perm_table(n)
-    out = np.empty((factorial(n), factorial(n)), dtype=np.int64)
-    for a in range(factorial(n)):
-        rows = table[a][table]
-        out[a] = rank_rows(rows)
-    return out
+    return np.stack([rank_rows(table[a][table]) for a in range(factorial(n))])
 
 
-def check_perm_core() -> tuple[bool, str]:
-    # associativity over all of S_4 via the multiplication table
-    m = _mult_table(4)
-    if not np.array_equal(m[m][:, :, :], m[:, m][:, :, :]):
-        return False, "composition is not associative on S_4"
-    for n in range(1, 7):
+def check_perm_core(associative=(4,), ranked=range(1, 7),
+                    stepped=range(2, 6)) -> tuple[bool, str]:
+    """Composition is associative on all of S_n for n in `associative`;
+    rank is a bijection onto 0..n!-1 inverted by unrank for n in `ranked`;
+    every adjacent swap changes the inversion number by one for n in
+    `stepped`."""
+    for n in associative:
+        m = _mult_table(n)
+        if not np.array_equal(m[m], m[:, m]):
+            return False, f"composition is not associative on S_{n}"
+    for n in ranked:
         ranks = {rank(p) for p in all_perms(n)}
         if ranks != set(range(factorial(n))):
             return False, f"rank is not a bijection on S_{n}"
         if any(unrank(rank(p), n) != p for p in all_perms(n)):
             return False, f"unrank(rank(.)) != id on S_{n}"
-    for n in range(2, 6):
+    for n in stepped:
         for p in all_perms(n):
             for j in range(n - 1):
                 delta = inversion_number(compose(p, transposition(n, j, j + 1)))
                 if abs(delta - inversion_number(p)) != 1:
                     return False, "adjacent swap changed inversions by != 1"
-    return True, "associativity, rank bijection, inversion steps"
+    return True, (f"associativity ({_degrees(associative)}), rank bijection "
+                  f"({_degrees(ranked)}), inversion steps ({_degrees(stepped)})")
 
 
-def check_sequence_shapes() -> tuple[bool, str]:
-    for n in range(1, 13):
-        for build, kind in ((bubble_sequence, BUBBLE),
-                            (binary_insertion_sequence, BINARY_INSERTION)):
-            problems = check_sequence(build(n))
+def check_sequence_shapes(degrees=range(1, 13)) -> tuple[bool, str]:
+    """Every element an involution of the sequence's degree, and the
+    lengths n(n-1)/2 and sum of ceil(log2 k) for k = 2..n."""
+    for n in degrees:
+        lengths = {BUBBLE: n * (n - 1) // 2,
+                   BINARY_INSERTION: sum(ceil(log2(k)) for k in range(2, n + 1))}
+        for build in BUILDS:
+            seq = build(n)
+            problems = check_sequence(seq)
+            if len(seq) != lengths[seq.kind]:
+                problems.append(f"length {len(seq)}, closed form {lengths[seq.kind]}")
             if problems:
-                return False, f"{kind} n={n}: {problems[0]}"
-    return True, "lengths and involutions for n <= 12"
+                return False, f"{seq.kind} n={n}: {problems[0]}"
+    return True, f"lengths and involutions for {_degrees(degrees)}"
 
 
-def check_generating(n_max: int = 5) -> tuple[bool, str]:
-    for n in range(2, n_max + 1):
-        for build in (bubble_sequence, binary_insertion_sequence):
+def check_generating(degrees=range(2, 6), builds=BUILDS) -> tuple[bool, str]:
+    for n in degrees:
+        for build in builds:
             seq = build(n)
             report = verify_generating(seq)
-            if not report:
+            if not report or report.reached != factorial(n) or report.unreachable:
                 return False, (
                     f"{seq.kind} n={n}: {len(report.unreachable)} of "
                     f"{report.group_order} unreachable"
                 )
-    return True, f"exhaustive product enumeration for n <= {n_max}"
+    return True, f"exhaustive product enumeration for {_degrees(degrees)}"
 
 
-def check_decompose_roundtrip() -> tuple[bool, str]:
-    for n in range(1, 6):
-        for build in (bubble_sequence, binary_insertion_sequence):
+def check_decompose_roundtrip(exhaustive=range(1, 6), sampled=range(6, 10),
+                              samples: int = 1000, seed: int = 7,
+                              builds=BUILDS) -> tuple[bool, str]:
+    """recompose(decompose(g)) == g for every g in S_n, n in `exhaustive`,
+    and for `samples` random g a degree in `sampled`, drawn from one
+    generator seeded `seed`."""
+    for n in exhaustive:
+        for build in builds:
             seq = build(n)
             for g in all_perms(n):
                 if recompose(seq, decompose(seq, g)) != g:
                     return False, f"{seq.kind} n={n}: roundtrip failed at {g}"
-    rng = np.random.default_rng(7)
-    for n in range(6, 10):
-        seqs = (bubble_sequence(n), binary_insertion_sequence(n))
-        for _ in range(1000):
+    rng = np.random.default_rng(seed)
+    for n in sampled:
+        seqs = [build(n) for build in builds]
+        for _ in range(samples):
             g = tuple(rng.permutation(n).tolist())
             for seq in seqs:
                 if recompose(seq, decompose(seq, g)) != g:
                     return False, f"{seq.kind} n={n}: roundtrip failed at {g}"
-    return True, "exhaustive n <= 5, 1000 random samples for 6 <= n <= 9"
+    return True, (f"exhaustive for {_degrees(exhaustive)}, "
+                  f"{samples} random samples for {_degrees(sampled)}")
 
 
 def check_prefix_products(n_max: int = 16) -> tuple[bool, str]:
@@ -141,8 +166,14 @@ def check_prefix_products(n_max: int = 16) -> tuple[bool, str]:
     return True, f"first-image prefix identity for n <= {n_max}"
 
 
-def check_encoding_roundtrip() -> tuple[bool, str]:
-    for n in range(1, 6):
+def check_encoding_roundtrip(degrees=range(1, 6),
+                             counted=(enc.EncodingSpec(3, enc.ONEHOT),
+                                      enc.EncodingSpec(4, enc.COMPACT),
+                                      enc.EncodingSpec(3, enc.COMPACT))) -> tuple[bool, str]:
+    """Every tour encodes feasibly and decodes back, for n cities in
+    `degrees`, both kinds, reduced or not; and exactly degree! of all
+    bit strings are feasible for each spec in `counted`."""
+    for n in degrees:
         for kind in (enc.ONEHOT, enc.COMPACT):
             for reduced in (False, True):
                 if reduced and n < 2:
@@ -154,16 +185,12 @@ def check_encoding_roundtrip() -> tuple[bool, str]:
                         return False, f"{spec}: encode({p}) infeasible"
                     if enc.decode(bits, spec) != p:
                         return False, f"{spec}: decode(encode({p})) mismatch"
-    counts = [
-        (enc.EncodingSpec(3, enc.ONEHOT), 6),
-        (enc.EncodingSpec(4, enc.COMPACT), 24),
-        (enc.EncodingSpec(3, enc.COMPACT), 6),
-    ]
-    for spec, want in counts:
+    for spec in counted:
         got = sum(enc.is_feasible(b, spec) for b in enc.all_bitstrings(spec.num_bits))
-        if got != want:
-            return False, f"{spec}: {got} feasible strings, expected {want}"
-    return True, "round trips for n <= 5 and exhaustive feasible counts"
+        if got != factorial(spec.degree):
+            return False, f"{spec}: {got} feasible strings, expected {factorial(spec.degree)}"
+    return True, (f"round trips for {_degrees(degrees)} and exhaustive feasible "
+                  f"counts for {len(counted)} specs")
 
 
 def check_subregister_action() -> tuple[bool, str]:
@@ -181,46 +208,67 @@ def check_subregister_action() -> tuple[bool, str]:
     return True, "bit-level swap equals right action through the encoding, n <= 4"
 
 
-def check_tour_costs() -> tuple[bool, str]:
-    inst = random_instance(5, seed=11)
-    for p in all_perms(5):
-        c = tour_cost(inst, p)
-        rotated = p[1:] + p[:1]
-        if abs(tour_cost(inst, rotated) - c) > 1e-9:
-            return False, f"cyclic rotation changed the cost of {p}"
-    for n in range(3, 7):
+def check_tour_costs(rotation_seeds=(11,), optimum_degrees=range(3, 7)) -> tuple[bool, str]:
+    """Every rotation of every 5-city tour costs the same, on one random
+    instance per seed in `rotation_seeds`; the reduced and full optima
+    agree on the random instance seeded n, for n in `optimum_degrees`."""
+    for seed in rotation_seeds:
+        inst = random_instance(5, seed=seed)
+        for p in all_perms(5):
+            c = tour_cost(inst, p)
+            for shift in range(1, 5):
+                if abs(tour_cost(inst, p[shift:] + p[:shift]) - c) > 1e-9:
+                    return False, f"cyclic rotation changed the cost of {p}"
+    for n in optimum_degrees:
         inst = random_instance(n, seed=n)
         if abs(optimum(inst, False)[1] - optimum(inst, True)[1]) > 1e-9:
             return False, f"reduced and full optimum differ at n={n}"
-    return True, "cyclic invariance and reduced/full optimum agreement"
+    return True, ("cyclic invariance of 5-city tours, reduced/full optimum "
+                  f"agreement for {_degrees(optimum_degrees)}")
 
 
-def check_reachability() -> tuple[bool, str]:
-    for n, starts in ((4, list(all_perms(4))), (5, [identity(5), (2, 0, 4, 1, 3)])):
-        for build in (bubble_sequence, binary_insertion_sequence):
+def check_reachability(degrees=(4, 5), all_starts=(4,), extra_starts=((2, 0, 4, 1, 3),),
+                       samples: int = 100, seed: int = 2024,
+                       builds=BUILDS) -> tuple[bool, str]:
+    """The angles of `reachability_params` reach the target with unit
+    fidelity.  Starts are every tour for a degree in `all_starts`, else
+    the identity and the tours of that degree in `extra_starts`; targets
+    are every tour up to degree 5, else `samples` tours drawn from one
+    generator seeded `seed`."""
+    rng = np.random.default_rng(seed)
+    for n in degrees:
+        if n <= 5:
+            targets = list(all_perms(n))
+        else:
+            targets = [tuple(rng.permutation(n).tolist()) for _ in range(samples)]
+        if n in all_starts:
+            starts = list(all_perms(n))
+        else:
+            starts = [identity(n)] + [s for s in extra_starts if len(s) == n]
+        for build in builds:
             seq = build(n)
             for start in starts:
-                for target in all_perms(n):
+                for target in targets:
                     thetas = fs.reachability_params(seq, start, target)
                     state = fs.run_exhaustive_circuit(seq, thetas, start)
                     if abs(fs.fidelity(state, target) - 1) > 1e-10:
                         return False, f"{seq.kind} n={n}: fidelity < 1 for {target}"
-    return True, "unit fidelity for every target (n=4 all starts, n=5 sampled)"
+    return True, f"unit fidelity for every sampled (start, target), {_degrees(degrees)}"
 
 
-def check_norm_preservation() -> tuple[bool, str]:
-    rng = np.random.default_rng(3)
+def check_norm_preservation(seed: int = 3, gates: int = 1000) -> tuple[bool, str]:
+    rng = np.random.default_rng(seed)
     n = 5
     seq = bubble_sequence(n)
     state = fs.uniform_feasible_state(n)
-    for k in range(1000):
+    for k in range(gates):
         h = seq.elements[rng.integers(len(seq.elements))]
         state = fs.apply_involution_exp(
             state, fs.involution_action(h, "right"), rng.uniform(0, 2 * np.pi)
         )
         if abs(state.norm() - 1) > 1e-10:
             return False, f"norm drifted after {k + 1} gates"
-    return True, "norm 1 within 1e-10 through 1000 random gates"
+    return True, f"norm 1 within 1e-10 through {gates} random gates"
 
 
 def check_optimizer() -> tuple[bool, str]:
@@ -246,40 +294,46 @@ def check_optimizer() -> tuple[bool, str]:
     return True, f"bowl recovered to {err:.1e}; traces reproducible"
 
 
-def check_cross_simulator(circuits: int = 20) -> tuple[bool, str]:
-    rng = np.random.default_rng(17)
-    for n in (3, 4):
+def check_cross_simulator(circuits: int = 20, seed: int = 17,
+                          specs=(enc.EncodingSpec(3, enc.ONEHOT), enc.EncodingSpec(3, enc.COMPACT),
+                                 enc.EncodingSpec(4, enc.ONEHOT), enc.EncodingSpec(4, enc.COMPACT)),
+                          ) -> tuple[bool, str]:
+    """`circuits` random 20-gate circuits per encoding in `specs` agree
+    with the full statevector, which keeps no infeasible mass."""
+    rng = np.random.default_rng(seed)
+    for spec in specs:
+        n, kind = spec.n, spec.kind
         pool = list(
             set(bubble_sequence(n).elements)
             | set(binary_insertion_sequence(n).elements)
         )
-        for kind in (enc.ONEHOT, enc.COMPACT):
-            spec = enc.EncodingSpec(n, kind)
-            for _ in range(circuits):
-                start = tuple(rng.permutation(n).tolist())
-                feas = fs.basis_state(start)
-                sv = full.basis_statevector(enc.encode(start, spec))
-                for _ in range(20):
-                    h = pool[rng.integers(len(pool))]
-                    theta = rng.uniform(0, 2 * np.pi)
-                    feas = fs.apply_involution_exp(
-                        feas, fs.involution_action(h, "right"), theta
-                    )
-                    sv = full.apply_swap_involution_exp(sv, h, spec, theta)
-                projected, mass = full.project_feasible(sv, spec)
-                if mass > 1e-12:
-                    return False, f"{kind} n={n}: infeasible mass {mass:.2e}"
-                if np.max(np.abs(projected.amps - feas.amps)) > 1e-10:
-                    return False, f"{kind} n={n}: amplitude mismatch"
+        for _ in range(circuits):
+            start = tuple(rng.permutation(n).tolist())
+            feas = fs.basis_state(start)
+            sv = full.basis_statevector(enc.encode(start, spec))
+            for _ in range(20):
+                h = pool[rng.integers(len(pool))]
+                theta = rng.uniform(0, 2 * np.pi)
+                feas = fs.apply_involution_exp(
+                    feas, fs.involution_action(h, "right"), theta
+                )
+                sv = full.apply_swap_involution_exp(sv, h, spec, theta)
+            projected, mass = full.project_feasible(sv, spec)
+            if mass > 1e-12:
+                return False, f"{kind} n={n}: infeasible mass {mass:.2e}"
+            if np.max(np.abs(projected.amps - feas.amps)) > 1e-10:
+                return False, f"{kind} n={n}: amplitude mismatch"
     return True, f"{circuits} random 20-gate circuits per size and encoding"
 
 
-def check_ancilla_circuit(trials: int = 50) -> tuple[bool, str]:
+def check_ancilla_circuit(trials: int = 50, seed: int = 23) -> tuple[bool, str]:
+    """The one-ancilla circuit matches exp(-i theta U) at `trials` random
+    angles and leaves at most 1e-12 on ancilla |1> at theta = 0.83."""
     spec = enc.EncodingSpec(3, enc.COMPACT)
     elements = list(
         set(bubble_sequence(3).elements) | set(binary_insertion_sequence(3).elements)
     )
-    rng = np.random.default_rng(23)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(trials):
         theta = rng.uniform(0, 2 * np.pi)
@@ -291,16 +345,29 @@ def check_ancilla_circuit(trials: int = 50) -> tuple[bool, str]:
         )
     if worst > 1e-10:
         return False, f"ancilla construction deviates by {worst:.2e}"
+    dim = 1 << spec.num_bits
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amps /= np.linalg.norm(amps)
+    joint = full.ancilla_exponential_circuit(full.StateVector(spec.num_bits, amps),
+                                             elements[0], spec, 0.83)
+    residual = float(np.sum(np.abs(joint[:, 1]) ** 2))
+    if residual > 1e-12:
+        return False, f"ancilla |1> keeps {residual:.2e} at theta = 0.83"
     return True, f"max deviation {worst:.1e} over {trials} trials"
 
 
-def check_mixer_oracle() -> tuple[bool, str]:
+def check_mixer_oracle(slots=range(3), betas=(0.3, np.pi / 4, 1.2)) -> tuple[bool, str]:
+    """The raw one-hot mixer Hamiltonian of each slot in `slots` is
+    Hermitian, and its Taylor exponential at each beta in `betas` matches
+    the slot-swap action on every feasible 3-city state."""
     spec = enc.EncodingSpec(3, enc.ONEHOT)
     n = 3
-    for slot in range(n):
+    for slot in slots:
         H = full.swap_partial_hamiltonian(slot, spec)
+        if (H != H.getH()).nnz:
+            return False, f"slot {slot}: mixer Hamiltonian is not Hermitian"
         action = qa.mixer_slot_action(slot, n)
-        for beta in (0.3, np.pi / 4, 1.2):
+        for beta in betas:
             for p in all_perms(n):
                 sv = full.basis_statevector(enc.encode(p, spec))
                 out = full.taylor_expm_apply(H, beta, sv)
@@ -316,12 +383,13 @@ def check_mixer_oracle() -> tuple[bool, str]:
 def check_mixing_condition() -> tuple[bool, str]:
     n = 4
     size = factorial(n)
+    sweep = [(action, 0) for action in qa.mixer_slots(n)]
     beta = np.pi / 4
     columns = []
     for r0 in range(size):
         state = fs.FeasibleState(n, np.zeros(size, dtype=complex))
         state.amps[r0] = 1.0
-        columns.append(qa.apply_seq_mixer(state, beta).amps)
+        columns.append(fs.run_steps(state, sweep, [beta]).amps)
     mixer = np.column_stack(columns)
     power = np.eye(size, dtype=complex)
     connected = np.zeros((size, size), dtype=bool)
@@ -400,7 +468,7 @@ QUICK_CHECKS = [
 ]
 
 FULL_CHECKS = QUICK_CHECKS + [
-    ("generating-property-n6", lambda: check_generating(6)),
+    ("generating-property-n6", lambda: check_generating(range(2, 7))),
     ("cross-simulator", check_cross_simulator),
     ("ancilla-circuit", check_ancilla_circuit),
     ("mixer-oracle", check_mixer_oracle),

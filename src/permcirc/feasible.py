@@ -57,9 +57,6 @@ class FeasibleState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def copy(self) -> "FeasibleState":
-        return FeasibleState(self.n, self.amps.copy())
-
 
 def basis_state(p: Perm) -> FeasibleState:
     """Unit amplitude on one tour."""
@@ -220,6 +217,8 @@ def run_exhaustive_circuit(seq: GeneratingSequence, thetas, start: Perm) -> Feas
     thetas = np.asarray(thetas, dtype=float)
     if thetas.shape != (len(seq.elements),):
         raise ValueError(f"need {len(seq.elements)} angles, got shape {thetas.shape}")
+    if len(start) != seq.n:
+        raise ValueError(f"start tour has degree {len(start)}, sequence degree {seq.n}")
     return run_steps(basis_state(start), circuit_steps(seq), thetas)
 
 
@@ -315,4 +314,6 @@ def sample(state: FeasibleState, seed: int, k: int) -> list[Perm]:
 
 def fidelity(state: FeasibleState, target: Perm) -> float:
     """|<target|state>| for a basis target."""
+    if len(target) != state.n:
+        raise ValueError(f"target tour has degree {len(target)}, state degree {state.n}")
     return float(np.abs(state.amps[rank(target)]))

@@ -32,6 +32,8 @@ CAPS = {
     # degree 10 peaks at about 1 GB with its cached index tables; at 11 one
     # binary-insertion circuit's 320-MB tables alone come to 9.3 GB
     "state": Cap("state", "degree {}", 10, factorial, 16, "a copy"),
+    # n^2 float64 weights, drawn before any other size is known
+    "instance": Cap("instance", "{} cities", 4096, lambda n: n * n, 8),
     # an int8 row and a float64 cost per tour: degree 11 takes about 1.1 GB
     "permutations": Cap("permutation table", "degree {}", 11, factorial, 12 + 8),
     "statevector": Cap("statevector", "{} qubits", 17, lambda m: 1 << m, 16, "a copy"),

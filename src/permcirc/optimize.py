@@ -23,7 +23,6 @@ class OptConfig:
     init_step: float = 0.1 * pi
     grad_threshold: float = 1e-4
     grad_window: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:

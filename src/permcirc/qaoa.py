@@ -14,7 +14,6 @@ import numpy as np
 
 from .feasible import (
     FeasibleState,
-    apply_involution_exp,
     basis_state,
     involution_action,
     run_steps,
@@ -63,25 +62,15 @@ def mixer_slot_action(t: int, n: int, wraparound: bool = True) -> np.ndarray:
     return involution_action(swap, "right")
 
 
-def apply_seq_mixer(state: FeasibleState, beta: float, wraparound: bool = True,
-                    spare: FeasibleState | None = None) -> FeasibleState:
-    """One sweep of exponentiated slot swaps, slots ascending.
-
-    Given `spare`, the gates alternate between `state` itself and `spare`:
-    `state` is overwritten, and the result is whichever of the two the
-    last slot wrote.  Without it they alternate between a copy of `state`
-    and a state the first gate allocates, and `state` is left as it was.
-    """
-    if spare is None:
-        state = state.copy()
-    last = state.n if wraparound else state.n - 1
-    for t in range(last):
-        action = mixer_slot_action(t, state.n, wraparound)
-        state, spare = apply_involution_exp(state, action, beta, out=spare), state
-    return state
+def mixer_slots(degree: int, wraparound: bool = True) -> list[np.ndarray]:
+    """Action tables of one mixer sweep's factors, slots ascending."""
+    last = degree if wraparound else degree - 1
+    return [mixer_slot_action(t, degree, wraparound) for t in range(last)]
 
 
 def initial_state(cfg: QaoaConfig, degree: int, start: Perm | None = None) -> FeasibleState:
+    if start is not None and len(start) != degree:
+        raise ValueError(f"start tour has degree {len(start)}, circuit degree {degree}")
     if cfg.initial == "uniform":
         return uniform_feasible_state(degree)
     return basis_state(start if start is not None else identity(degree))
@@ -91,8 +80,7 @@ def qaoa_steps(cost: np.ndarray, cfg: QaoaConfig, degree: int) -> list:
     """The circuit as `feasible.run_steps` steps over the angles
     (betas, gammas): per layer the phase separator of the rank-indexed
     cost vector `cost` on gamma, then every mixer slot on beta."""
-    last = degree if cfg.slot_wraparound else degree - 1
-    slots = [mixer_slot_action(t, degree, cfg.slot_wraparound) for t in range(last)]
+    slots = mixer_slots(degree, cfg.slot_wraparound)
     steps = []
     for layer in range(cfg.layers):
         steps.append((cost, cfg.layers + layer))

@@ -288,9 +288,9 @@ def min_adjacency_length(n: int) -> int:
     return upper
 
 
-def check_sequence(seq: GeneratingSequence, exhaustive: bool = False) -> list[str]:
-    """Structural problems with a sequence: non-involutions, wrong
-    closed-form length, and (optionally) a failed generating check."""
+def check_sequence(seq: GeneratingSequence) -> list[str]:
+    """Structural problems with a sequence: elements of another degree,
+    non-involutions and a wrong closed-form length."""
     problems = []
     for i, h in enumerate(seq.elements):
         if len(h) != seq.n:
@@ -302,12 +302,5 @@ def check_sequence(seq: GeneratingSequence, exhaustive: bool = False) -> list[st
         if len(seq.elements) != want:
             problems.append(
                 f"{seq.kind} length is {len(seq.elements)}, expected {want}"
-            )
-    if exhaustive and not problems:
-        report = verify_generating(seq)
-        if not report:
-            problems.append(
-                f"not generating: {len(report.unreachable)} of "
-                f"{report.group_order} elements unreachable"
             )
     return problems

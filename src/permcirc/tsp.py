@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import limits
 from .perms import Perm, check_perm, perm_table, unrank
 
 
@@ -121,6 +122,7 @@ def optimum(inst: TspInstance, reduced: bool = False) -> tuple[Perm, float]:
 
 def random_instance(n: int, seed: int, lo: float = 1.0, hi: float = 10.0) -> TspInstance:
     """Weights drawn i.i.d. uniform from [lo, hi); same seed, same matrix."""
+    limits.check("instance", n)
     if not 0 < lo <= hi:
         raise ValueError(f"need 0 < lo <= hi, got lo={lo}, hi={hi}")
     rng = np.random.default_rng(seed)

@@ -4,37 +4,26 @@ line (run with `pytest -s tests/test_acceptance.py` to see them live).
 
 import functools
 import time
-from math import ceil, log2
 
 import numpy as np
 import pytest
 
 from permcirc.checks import (
+    check_ancilla_circuit,
+    check_cross_simulator,
+    check_generating,
     check_mixer_oracle,
     check_mixing_condition,
     check_optimizer,
     check_prefix_products,
+    check_reachability,
+    check_sequence_shapes,
 )
-from permcirc.encoding import COMPACT, ONEHOT, EncodingSpec, encode
 from permcirc.experiment import RunSpec, reach_report, run_experiment
-from permcirc.feasible import (
-    apply_involution_exp,
-    basis_state,
-    fidelity,
-    involution_action,
-    reachability_params,
-    run_exhaustive_circuit,
-)
-from permcirc.fullstate import (
-    ancilla_exponential_check,
-    apply_swap_involution_exp,
-    basis_statevector,
-    project_feasible,
-)
 from permcirc.optimize import OptConfig
-from permcirc.perms import all_perms, identity, rank
+from permcirc.perms import rank
 from permcirc.qaoa import QaoaConfig
-from permcirc.sequences import binary_insertion_sequence, bubble_sequence, verify_generating
+from permcirc.sequences import binary_insertion_sequence, bubble_sequence
 from permcirc.tsp import random_instance
 
 
@@ -56,30 +45,18 @@ def criterion(name):
 
 @criterion("exact reachability, n = 4..8, both sequences, < 30 s")
 def test_exact_reachability():
+    # from the identity to every tour up to n = 5, else 100 sampled tours
     began = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    for n in range(4, 9):
-        if n <= 5:
-            targets = list(all_perms(n))
-        else:
-            targets = [tuple(rng.permutation(n).tolist()) for _ in range(100)]
-        for build in (bubble_sequence, binary_insertion_sequence):
-            seq = build(n)
-            start = identity(n)
-            for target in targets:
-                thetas = reachability_params(seq, start, target)
-                state = run_exhaustive_circuit(seq, thetas, start)
-                assert abs(fidelity(state, target) - 1.0) <= 1e-10
+    ok, detail = check_reachability(range(4, 9), all_starts=(), extra_starts=(),
+                                    samples=100, seed=2024)
+    assert ok, detail
     assert time.perf_counter() - began < 30.0
 
 
 @criterion("sequence lengths for n <= 12; 28 and 17 parameters at n = 8")
 def test_sequence_lengths():
-    for n in range(1, 13):
-        assert len(bubble_sequence(n)) == n * (n - 1) // 2
-        assert len(binary_insertion_sequence(n)) == sum(
-            ceil(log2(i)) for i in range(2, n + 1)
-        )
+    ok, detail = check_sequence_shapes(range(1, 13))
+    assert ok, detail
     assert len(bubble_sequence(8)) == 28
     assert len(binary_insertion_sequence(8)) == 17
 
@@ -87,10 +64,8 @@ def test_sequence_lengths():
 @criterion("generating property for n = 2..6 by exhaustive enumeration, < 60 s")
 def test_generating_property():
     began = time.perf_counter()
-    for n in range(2, 7):
-        for build in (bubble_sequence, binary_insertion_sequence):
-            report = verify_generating(build(n))
-            assert report.generating, f"{build.__name__} n={n}: {report}"
+    ok, detail = check_generating(range(2, 7))
+    assert ok, detail
     assert time.perf_counter() - began < 60.0
 
 
@@ -102,54 +77,14 @@ def test_prefix_product_identity():
 
 @criterion("cross-simulator agreement and zero infeasible mass, n = 3..4")
 def test_cross_simulator_oracle():
-    rng = np.random.default_rng(99)
-    for n in (3, 4):
-        pool = list(
-            set(bubble_sequence(n).elements)
-            | set(binary_insertion_sequence(n).elements)
-        )
-        for kind in (ONEHOT, COMPACT):
-            spec = EncodingSpec(n, kind)
-            for _ in range(100):
-                start = tuple(rng.permutation(n).tolist())
-                feas = basis_state(start)
-                sv = basis_statevector(encode(start, spec))
-                for _ in range(20):
-                    h = pool[rng.integers(len(pool))]
-                    theta = rng.uniform(0, 2 * np.pi)
-                    feas = apply_involution_exp(
-                        feas, involution_action(h, "right"), theta
-                    )
-                    sv = apply_swap_involution_exp(sv, h, spec, theta)
-                projected, mass = project_feasible(sv, spec)
-                assert mass <= 1e-12
-                assert np.max(np.abs(projected.amps - feas.amps)) <= 1e-10
+    ok, detail = check_cross_simulator(circuits=100, seed=99)
+    assert ok, detail
 
 
 @criterion("one-ancilla exponential circuit, 50 random trials at n = 3")
 def test_ancilla_construction():
-    spec = EncodingSpec(3, COMPACT)
-    elements = list(
-        set(bubble_sequence(3).elements) | set(binary_insertion_sequence(3).elements)
-    )
-    rng = np.random.default_rng(7)
-    for k in range(50):
-        theta = rng.uniform(0, 2 * np.pi)
-        element = elements[k % len(elements)]
-        # includes the ancilla |1> residual, capped tighter below
-        deviation = ancilla_exponential_check(
-            element, spec, theta, trials=1, seed=int(rng.integers(2**31))
-        )
-        assert deviation <= 1e-10
-    # residual check at a fixed angle on a fresh state
-    from permcirc.fullstate import StateVector, ancilla_exponential_circuit
-
-    amps = rng.normal(size=64) + 1j * rng.normal(size=64)
-    amps /= np.linalg.norm(amps)
-    joint = ancilla_exponential_circuit(
-        StateVector(6, amps), elements[0], spec, 0.83
-    )
-    assert float(np.sum(np.abs(joint[:, 1]) ** 2)) <= 1e-12
+    ok, detail = check_ancilla_circuit(trials=50, seed=7)
+    assert ok, detail
 
 
 @criterion("Taylor exponential of the raw mixer matches the slot swap, n = 3")

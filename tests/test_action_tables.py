@@ -20,7 +20,7 @@ from permcirc.feasible import (
 )
 from permcirc.limits import TooLarge
 from permcirc.perms import compose, perm_table, rank, rank_rows, transposition, unrank
-from permcirc.qaoa import QaoaConfig, apply_seq_mixer, initial_state, mixer_slot_action, run_qaoa
+from permcirc.qaoa import QaoaConfig, initial_state, mixer_slot_action, run_qaoa
 from permcirc.sequences import binary_insertion_sequence, bubble_sequence
 from permcirc.tsp import TourCost, random_instance
 
@@ -198,21 +198,6 @@ def test_buffered_qaoa_is_bit_identical(initial, wraparound, n):
         for t in range(n if wraparound else n - 1):
             state = reference_gate(state, mixer_slot_action(t, n, wraparound), beta)
     assert bits(run_qaoa(cost, cfg, betas, gammas)) == bits(state)
-
-
-def test_seq_mixer_is_bit_identical_with_and_without_spare():
-    for wraparound in (True, False):
-        state = phased_uniform_state(5)
-        expected = state
-        for t in range(5 if wraparound else 4):
-            expected = reference_gate(expected, mixer_slot_action(t, 5, wraparound), 0.4)
-        before = bits(state)
-        assert bits(apply_seq_mixer(state, 0.4, wraparound)) == bits(expected)
-        assert bits(state) == before
-        spare = spare_like(state)
-        got = apply_seq_mixer(state, 0.4, wraparound, spare=spare)
-        assert got is (spare if wraparound else state)  # 5 slots or 4
-        assert bits(got) == bits(expected)
 
 
 @pytest.mark.parametrize("block", [2, 16384])

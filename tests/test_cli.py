@@ -55,14 +55,19 @@ def test_solve_exact_size_cap():
     ("run", "--n", "12"),
     ("reach", "--n", "12"),
     ("solve-exact", "--n", "13"),
+    ("gen-instance", "--n", "1000000"),
+    ("run", "--n", "1000000"),
 ])
 def test_size_caps_refuse_at_once(argv, tmp_path, capsys):
     import time
 
+    out = tmp_path / "out"
     began = time.perf_counter()
-    assert run_cli(*argv, "--seed", "0") == 3
+    flags = ("--out", str(out)) if argv[0] in ("run", "gen-instance") else ()
+    assert run_cli(*argv, "--seed", "0", *flags) == 3
     assert time.perf_counter() - began < 1.0
     assert capsys.readouterr().err.startswith("permcirc: size cap: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -305,6 +310,11 @@ def test_verify_quick_passes():
     began = time.perf_counter()
     assert run_cli("verify", "--level", "quick") == 0
     assert time.perf_counter() - began < 10.0
+
+
+def test_verify_full_passes(capsys):
+    assert run_cli("verify", "--level", "full") == 0
+    assert capsys.readouterr().out.endswith("17/17 checks passed (full)\n")
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

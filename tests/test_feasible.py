@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from permcirc.checks import check_norm_preservation, check_reachability
 from permcirc.feasible import (
     FeasibleState,
     apply_involution_exp,
@@ -157,16 +158,16 @@ def test_run_exhaustive_circuit_zero_angles():
         run_exhaustive_circuit(seq, np.zeros(len(seq) - 1), start)
 
 
+def test_degree_mismatches_are_refused():
+    with pytest.raises(ValueError, match="^target tour has degree 3, state degree 4$"):
+        fidelity(basis_state((0, 1, 2, 3)), (0, 1, 2))
+    with pytest.raises(ValueError, match="^start tour has degree 3, sequence degree 1$"):
+        run_exhaustive_circuit(bubble_sequence(1), [], (1, 0, 2))
+
+
 def test_norm_preserved_through_long_circuits():
-    rng = np.random.default_rng(6)
-    seq = bubble_sequence(5)
-    state = uniform_feasible_state(5)
-    for _ in range(1000):
-        h = seq.elements[rng.integers(len(seq.elements))]
-        state = apply_involution_exp(
-            state, involution_action(h, "right"), rng.uniform(0, 2 * np.pi)
-        )
-        assert abs(state.norm() - 1.0) <= 1e-10
+    ok, detail = check_norm_preservation(seed=6, gates=1000)
+    assert ok, detail
 
 
 def test_reachability_target_equals_start():
@@ -178,12 +179,8 @@ def test_reachability_target_equals_start():
 
 @pytest.mark.parametrize("build", [bubble_sequence, binary_insertion_sequence])
 def test_reachability_exhaustive_n4(build):
-    seq = build(4)
-    for start in all_perms(4):
-        for target in all_perms(4):
-            thetas = reachability_params(seq, start, target)
-            state = run_exhaustive_circuit(seq, thetas, start)
-            assert fidelity(state, target) == pytest.approx(1.0, abs=1e-10)
+    ok, detail = check_reachability((4,), all_starts=(4,), builds=(build,))
+    assert ok, detail
 
 
 @pytest.mark.parametrize("build", [bubble_sequence, binary_insertion_sequence])

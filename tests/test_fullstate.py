@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from permcirc.checks import check_cross_simulator, check_mixer_oracle
 from permcirc.encoding import COMPACT, ONEHOT, EncodingSpec, encode
-from permcirc.feasible import apply_involution_exp, basis_state, involution_action
 from permcirc.fullstate import (
     StateVector,
     ancilla_exponential_check,
@@ -12,13 +12,11 @@ from permcirc.fullstate import (
     bits_to_index,
     index_to_bits,
     infeasible_mass,
-    project_feasible,
     swap_index_table,
     swap_partial_hamiltonian,
     taylor_expm_apply,
 )
-from permcirc.perms import all_perms, identity, rank, transposition, unrank
-from permcirc.qaoa import mixer_slot_action
+from permcirc.perms import identity, transposition
 from permcirc.sequences import binary_insertion_sequence, bubble_sequence
 
 
@@ -60,23 +58,9 @@ def test_infeasible_amplitude_stays_zero():
 
 
 def test_cross_simulator_agreement_small():
-    rng = np.random.default_rng(1)
-    for n, kind in [(3, ONEHOT), (3, COMPACT), (4, COMPACT)]:
-        spec = EncodingSpec(n, kind)
-        pool = list(
-            set(bubble_sequence(n).elements) | set(binary_insertion_sequence(n).elements)
-        )
-        start = tuple(rng.permutation(n).tolist())
-        feas = basis_state(start)
-        sv = basis_statevector(encode(start, spec))
-        for _ in range(20):
-            h = pool[rng.integers(len(pool))]
-            theta = rng.uniform(0, 2 * np.pi)
-            feas = apply_involution_exp(feas, involution_action(h, "right"), theta)
-            sv = apply_swap_involution_exp(sv, h, spec, theta)
-        projected, mass = project_feasible(sv, spec)
-        assert mass <= 1e-12
-        assert np.max(np.abs(projected.amps - feas.amps)) <= 1e-10
+    specs = (EncodingSpec(3, ONEHOT), EncodingSpec(3, COMPACT), EncodingSpec(4, COMPACT))
+    ok, detail = check_cross_simulator(circuits=1, seed=1, specs=specs)
+    assert ok, detail
 
 
 def test_ancilla_circuit_identity_and_quarter_turn():
@@ -141,18 +125,8 @@ def test_taylor_on_involutory_permutation_operator():
 @pytest.mark.parametrize("slot", [0, 1, 2])
 @pytest.mark.parametrize("beta", [0.3, np.pi / 4, 1.2])
 def test_mixer_hamiltonian_matches_slot_swap_on_feasible_states(slot, beta):
-    spec = EncodingSpec(3, ONEHOT)
-    H = swap_partial_hamiltonian(slot, spec)
-    assert (H != H.getH()).nnz == 0  # Hermitian
-    action = mixer_slot_action(slot, 3)
-    for p in all_perms(3):
-        sv = basis_statevector(encode(p, spec))
-        out = taylor_expm_apply(H, beta, sv)
-        swapped = unrank(int(action[rank(p)]), 3)
-        want = np.zeros_like(out.amps)
-        want[bits_to_index(encode(p, spec))] = np.cos(beta)
-        want[bits_to_index(encode(swapped, spec))] += -1j * np.sin(beta)
-        assert np.max(np.abs(out.amps - want)) <= 1e-8
+    ok, detail = check_mixer_oracle(slots=(slot,), betas=(beta,))
+    assert ok, detail
 
 
 def test_mixer_hamiltonian_requires_onehot():

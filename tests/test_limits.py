@@ -46,6 +46,7 @@ REFUSALS = [
     ("generating check", lambda: verify_generating(TWENTY_FIVE)),
     ("decompose sweep", lambda: decompose(DEGREE_10, identity(10))),
     ("adjacency search", lambda: min_adjacency_length(6)),
+    ("instance", lambda: random_instance(4097, seed=0)),
 ]
 
 
@@ -76,6 +77,7 @@ def test_one_past_the_cap_is_refused_before_allocating(row, call):
 
 def test_messages_state_what_the_request_needs():
     expected = {
+        "instance": "instance of 4097 cities needs 0.1 GiB; cap is 4096 cities",
         "state": "state of degree 11 needs 0.6 GiB a copy; cap is degree 10",
         "permutations": "permutation table of degree 12 needs 8.9 GiB; cap is degree 11",
         "statevector": "statevector of 18 qubits needs 4.0 MiB a copy; cap is 17 qubits",

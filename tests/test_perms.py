@@ -1,5 +1,4 @@
 import doctest
-from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -8,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permcirc.perms as perms
+from permcirc.checks import check_perm_core
 from permcirc.limits import TooLarge
 from permcirc.perms import (
-    all_perms,
     compose,
     format_perm,
     identity,
@@ -77,15 +76,13 @@ def test_rank_identity_and_reversal():
 
 
 def test_rank_roundtrip_exhaustive():
-    for n in range(1, 5):
-        for p in all_perms(n):
-            assert unrank(rank(p), n) == p
+    ok, detail = check_perm_core(associative=(), ranked=range(1, 5), stepped=())
+    assert ok, detail
 
 
 def test_rank_injective_up_to_6():
-    for n in range(1, 7):
-        seen = {rank(p) for p in all_perms(n)}
-        assert seen == set(range(factorial(n)))
+    ok, detail = check_perm_core(associative=(), ranked=range(1, 7), stepped=())
+    assert ok, detail
 
 
 def test_rank_degree_cap():
@@ -104,23 +101,14 @@ def test_inversion_number():
 
 
 def test_adjacent_swap_changes_inversions_by_one():
-    for n in range(2, 6):
-        for p in all_perms(n):
-            base = inversion_number(p)
-            for j in range(n - 1):
-                stepped = inversion_number(compose(p, transposition(n, j, j + 1)))
-                assert abs(stepped - base) == 1
-
-
-def _mult_table(n):
-    table = perm_table(n)
-    return np.stack([rank_rows(table[a][table]) for a in range(factorial(n))])
+    ok, detail = check_perm_core(associative=(), ranked=(), stepped=range(2, 6))
+    assert ok, detail
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_associativity_exhaustive(n):
-    m = _mult_table(n)
-    assert np.array_equal(m[m], m[:, m])
+    ok, detail = check_perm_core(associative=(n,), ranked=(), stepped=())
+    assert ok, detail
 
 
 def test_perm_table_matches_rank_order():

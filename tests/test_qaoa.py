@@ -7,18 +7,25 @@ from permcirc.checks import check_mixing_condition
 from permcirc.feasible import (
     basis_state,
     probabilities,
+    run_steps,
     uniform_feasible_state,
 )
 from permcirc.perms import compose, identity, rank, transposition, unrank
 from permcirc.qaoa import (
     QaoaConfig,
-    apply_seq_mixer,
     default_layers,
     initial_state,
     mixer_slot_action,
+    mixer_slots,
     run_qaoa,
 )
 from permcirc.tsp import TourCost, random_instance
+
+
+def sweep(state, beta, slots):
+    """One mixer sweep over the slot action tables `slots`, in order, on
+    angle `beta`; `state` is overwritten."""
+    return run_steps(state, [(action, 0) for action in slots], [beta])
 
 
 def test_config_validation():
@@ -55,9 +62,8 @@ def test_mixer_wraparound_slot():
 
 
 def test_seq_mixer_zero_angle():
-    state = uniform_feasible_state(4)
-    out = apply_seq_mixer(state, 0.0)
-    assert np.allclose(out.amps, state.amps)
+    out = sweep(uniform_feasible_state(4), 0.0, mixer_slots(4))
+    assert np.allclose(out.amps, uniform_feasible_state(4).amps)
 
 
 def test_seq_mixer_half_pi_permutes_basis():
@@ -65,7 +71,7 @@ def test_seq_mixer_half_pi_permutes_basis():
     # state lands on the ordered-product image with unit probability
     n = 4
     start = (2, 0, 3, 1)
-    state = apply_seq_mixer(basis_state(start), np.pi / 2)
+    state = sweep(basis_state(start), np.pi / 2, mixer_slots(n))
     r = rank(start)
     for t in range(n):
         r = int(mixer_slot_action(t, n)[r])
@@ -76,13 +82,8 @@ def test_seq_mixer_half_pi_permutes_basis():
 def test_seq_mixer_order_matters():
     # ascending and descending slot orders differ at generic beta
     n, beta = 3, 0.6
-    start = basis_state(identity(n))
-    ascending = apply_seq_mixer(start, beta)
-    descending = start
-    for t in reversed(range(n)):
-        from permcirc.feasible import apply_involution_exp
-
-        descending = apply_involution_exp(descending, mixer_slot_action(t, n), beta)
+    ascending = sweep(basis_state(identity(n)), beta, mixer_slots(n))
+    descending = sweep(basis_state(identity(n)), beta, mixer_slots(n)[::-1])
     overlap = abs(np.vdot(ascending.amps, descending.amps))
     assert overlap < 1 - 1e-6
 
@@ -95,6 +96,13 @@ def test_run_qaoa_zero_angles_is_initial():
     assert np.allclose(out.amps, basis_state(identity(4)).amps)
     with pytest.raises(ValueError):
         run_qaoa(cost, cfg, [0.0, 0.0], [0.0], identity(4))
+
+
+def test_start_of_another_degree_is_refused():
+    cost = TourCost(random_instance(4, seed=1), reduced=True)
+    for initial in ("basis", "uniform"):
+        with pytest.raises(ValueError, match="^start tour has degree 4, circuit degree 3$"):
+            run_qaoa(cost, QaoaConfig(1, initial), [0.1], [0.2], identity(4))
 
 
 def test_run_qaoa_preserves_norm():

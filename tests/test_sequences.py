@@ -1,22 +1,20 @@
-from math import ceil, factorial, log2
+from math import ceil, log2
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permcirc.checks import check_decompose_roundtrip, check_generating, check_sequence_shapes
 from permcirc.limits import TooLarge
-from permcirc.perms import all_perms, compose, identity, is_involution, transposition
+from permcirc.perms import compose, identity, transposition
 from permcirc.sequences import (
     BINARY_INSERTION,
-    BUBBLE,
     GeneratingSequence,
     NotDecomposable,
     binary_insertion_sequence,
     bubble_sequence,
     check_sequence,
     decompose,
-    expected_length,
     min_adjacency_length,
     recompose,
     verify_generating,
@@ -45,22 +43,15 @@ def test_binary_insertion_small_cases():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_lengths_and_involutions(n):
-    bubble = bubble_sequence(n)
-    binary = binary_insertion_sequence(n)
-    assert len(bubble) == n * (n - 1) // 2 == expected_length(BUBBLE, n)
-    assert len(binary) == sum(ceil(log2(i)) for i in range(2, n + 1))
-    assert len(binary) == expected_length(BINARY_INSERTION, n)
-    for h in bubble.elements + binary.elements:
-        assert is_involution(h)
+    ok, detail = check_sequence_shapes((n,))
+    assert ok, detail
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("build", [bubble_sequence, binary_insertion_sequence])
 def test_generating_property(n, build):
-    report = verify_generating(build(n))
-    assert report.generating
-    assert report.reached == factorial(n)
-    assert report.unreachable == ()
+    ok, detail = check_generating((n,), builds=(build,))
+    assert ok, detail
 
 
 def test_non_generating_sequence_reported():
@@ -100,19 +91,14 @@ def test_decompose_top_block_is_binary_of_first_image():
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("build", [bubble_sequence, binary_insertion_sequence])
 def test_decompose_roundtrip_exhaustive(n, build):
-    seq = build(n)
-    for g in all_perms(n):
-        assert recompose(seq, decompose(seq, g)) == g
+    ok, detail = check_decompose_roundtrip(exhaustive=(n,), sampled=(), builds=(build,))
+    assert ok, detail
 
 
 @pytest.mark.parametrize("n", range(6, 10))
 def test_decompose_roundtrip_random(n):
-    rng = np.random.default_rng(n)
-    seqs = (bubble_sequence(n), binary_insertion_sequence(n))
-    for _ in range(1000):
-        g = tuple(rng.permutation(n).tolist())
-        for seq in seqs:
-            assert recompose(seq, decompose(seq, g)) == g
+    ok, detail = check_decompose_roundtrip(exhaustive=(), sampled=(n,), samples=1000, seed=n)
+    assert ok, detail
 
 
 def test_recompose_cases():
@@ -150,7 +136,8 @@ def test_min_adjacency_length():
 
 def test_check_sequence_flags_tampering():
     seq = binary_insertion_sequence(4)
-    assert check_sequence(seq, exhaustive=True) == []
+    assert check_sequence(seq) == []
+    assert verify_generating(seq)
     tampered = GeneratingSequence(
         4, seq.elements[:-1] + ((1, 2, 0, 3),), kind=BINARY_INSERTION
     )
@@ -159,7 +146,7 @@ def test_check_sequence_flags_tampering():
     short = GeneratingSequence(4, seq.elements[:-1], kind=BINARY_INSERTION)
     assert any("length" in p for p in check_sequence(short))
     weak = GeneratingSequence(3, (transposition(3, 0, 1),) * 3, kind="custom")
-    assert any("not generating" in p for p in check_sequence(weak, exhaustive=True))
+    assert not verify_generating(weak)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,6 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from permcirc.checks import check_tour_costs
 from permcirc.limits import TooLarge
 from permcirc.perms import all_perms, identity, unrank
 from permcirc.tsp import (
@@ -182,15 +183,11 @@ def test_cost_vector_matches_scalar():
 
 
 def test_cyclic_rotation_invariance():
-    inst = random_instance(5, seed=13)
-    for p in all_perms(5):
-        c = tour_cost(inst, p)
-        for shift in range(1, 5):
-            rotated = p[shift:] + p[:shift]
-            assert tour_cost(inst, rotated) == pytest.approx(c, abs=1e-9)
+    ok, detail = check_tour_costs(rotation_seeds=(13,), optimum_degrees=())
+    assert ok, detail
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_reduced_equals_full_optimum(n):
-    inst = random_instance(n, seed=n)
-    assert optimum(inst, False)[1] == pytest.approx(optimum(inst, True)[1], abs=1e-9)
+    ok, detail = check_tour_costs(rotation_seeds=(), optimum_degrees=(n,))
+    assert ok, detail
