@@ -125,7 +125,7 @@ def cmd_run(args) -> int:
     qaoa_cfg = None
     if args.method == "qaoa":
         degree = EncodingSpec(inst.n, args.encoding, args.reduced).degree
-        layers = args.qaoa_layers or default_layers(degree)
+        layers = default_layers(degree) if args.qaoa_layers is None else args.qaoa_layers
         qaoa_cfg = QaoaConfig(layers, initial=args.qaoa_init)
     elif args.qaoa_layers is not None:
         raise ValueError("--qaoa-layers requires --method qaoa")

@@ -16,7 +16,8 @@ between two states through the `out` argument of the gate and phase
 functions.  A gate gathers large states block by block, each gather
 bounds-checked by numpy indexing, and gives the same amplitudes, bit for
 bit, whether or not `out` is given.  `expectation_gradient` differentiates
-a circuit's expected cost over all its angles by one reverse sweep.
+a circuit's expected cost over all its angles by one reverse sweep, which
+undoes each gate through the same block loop.
 """
 
 from dataclasses import dataclass
@@ -135,31 +136,50 @@ def apply_involution_exp(state: FeasibleState, action: np.ndarray, theta: float,
     `GATE_BLOCK` amplitudes are gathered and mixed a block at a time; an
     index out of range raises IndexError either way.
     """
-    amps = state.amps
-    size = len(amps)
-    if len(action) != size:
-        raise ValueError(f"action table has {len(action)} entries for {size} amplitudes")
-    if out is None:
-        out = FeasibleState(state.n, np.empty_like(amps))
-    elif out is state or out.amps is amps:
-        raise ValueError("out must not be the input state")
-    dest = out.amps
-    c, s = np.cos(theta), 1j * np.sin(theta)
-    if size <= GATE_BLOCK:
-        _mix(c, amps, s, amps[action], dest)
-        return out
-    for i in range(0, size, GATE_BLOCK):
-        block = slice(i, i + GATE_BLOCK)
-        _mix(c, amps[block], s, amps[action[block]], dest[block])
+    out = _target(state, action, out)
+    _gate(state.amps, action, theta, out.amps)
     return out
 
 
-def _mix(c, block: np.ndarray, s, gathered: np.ndarray, dest: np.ndarray) -> None:
+def _target(state: FeasibleState, generator, out: FeasibleState | None = None) -> FeasibleState:
+    """`out`, or a new state when it is None, for a step whose generator
+    (an action table or a cost vector) must have one entry per amplitude."""
+    size = len(state.amps)
+    if len(generator) != size:
+        raise ValueError(f"generator has {len(generator)} entries for {size} amplitudes")
+    if out is None:
+        return FeasibleState(state.n, np.empty_like(state.amps))
+    if out is state or out.amps is state.amps:
+        raise ValueError("out must not be the input state")
+    return out
+
+
+def _gate(amps: np.ndarray, action: np.ndarray, theta: float, dest: np.ndarray,
+          lam: np.ndarray | None = None) -> complex:
+    """Write cos(theta) amps - i sin(theta) amps[action] to `dest`, with one
+    gather, or one bounds-checked gather per `GATE_BLOCK` amplitudes, and
+    return <lam|amps[action]> for a costate `lam` (0 without one)."""
+    c, s = np.cos(theta), 1j * np.sin(theta)
+    size = len(amps)
+    if size <= GATE_BLOCK:
+        return _mix(c, amps, s, amps[action], dest, lam)
+    overlap = 0
+    for i in range(0, size, GATE_BLOCK):
+        b = slice(i, i + GATE_BLOCK)
+        overlap += _mix(c, amps[b], s, amps[action[b]], dest[b], None if lam is None else lam[b])
+    return overlap
+
+
+def _mix(c, block: np.ndarray, s, gathered: np.ndarray, dest: np.ndarray, lam) -> complex:
     """dest = c * block - s * gathered, overwriting `gathered`, with the
-    same roundings as the allocating expression."""
+    same roundings as the allocating expression; returns <lam|gathered>
+    (0 when `lam` is None).  `gathered` dies with this frame, so a blocked
+    gate holds one gathered block at a time."""
+    overlap = 0 if lam is None else np.vdot(lam, gathered)
     np.multiply(c, block, out=dest)
     np.multiply(s, gathered, out=gathered)
     np.subtract(dest, gathered, out=dest)
+    return overlap
 
 
 def apply_phase(state: FeasibleState, gamma: float, cost: np.ndarray,
@@ -168,10 +188,7 @@ def apply_phase(state: FeasibleState, gamma: float, cost: np.ndarray,
     cost vector `cost`; probabilities untouched.  The result is written to
     `out` (a state other than `state`), or to a new state when `out` is
     omitted, and returned."""
-    if out is None:
-        out = FeasibleState(state.n, np.empty_like(state.amps))
-    elif out is state or out.amps is state.amps:
-        raise ValueError("out must not be the input state")
+    out = _target(state, cost, out)
     np.multiply(-1j * gamma, cost, out=out.amps)
     np.exp(out.amps, out=out.amps)
     np.multiply(out.amps, state.amps, out=out.amps)
@@ -236,10 +253,9 @@ def expectation_gradient(state: FeasibleState, steps, thetas, cost: np.ndarray) 
     alternates four states; `state` is overwritten.
     """
     thetas = np.asarray(thetas, dtype=float)
-    psi, psi_spare = _run(state, FeasibleState(state.n, np.empty_like(state.amps)),
-                          steps, thetas)
+    psi, psi_spare = _run(state, _target(state, cost), steps, thetas)
     lam = FeasibleState(psi.n, cost * psi.amps)
-    lam_spare = FeasibleState(psi.n, np.empty_like(psi.amps))
+    lam_spare = _target(psi, cost)
     grad = np.zeros(thetas.shape)
     for generator, k in reversed(steps):
         theta = thetas[k]
@@ -248,31 +264,11 @@ def expectation_gradient(state: FeasibleState, steps, thetas, cost: np.ndarray) 
             overlap = np.vdot(lam.amps, psi_spare.amps)
             apply_phase(psi, -theta, generator, out=psi_spare)
         else:
-            overlap = _undo_gate(psi, lam, generator, theta, psi_spare)
+            overlap = _gate(psi.amps, generator, -theta, psi_spare.amps, lam.amps)
         grad[k] += 2 * overlap.imag
         psi, psi_spare = psi_spare, psi
         lam, lam_spare = _apply_step(lam, generator, -theta, lam_spare), lam
     return grad
-
-
-def _undo_gate(psi: FeasibleState, lam: FeasibleState, action: np.ndarray, theta: float,
-               out: FeasibleState) -> complex:
-    """Write exp(+i theta P) psi to `out` and return <lam|P psi>, with one
-    bounds-checked gather of psi per `GATE_BLOCK` amplitudes."""
-    amps, size = psi.amps, len(psi.amps)
-    if len(action) != size:
-        raise ValueError(f"action table has {len(action)} entries for {size} amplitudes")
-    c, s = np.cos(-theta), 1j * np.sin(-theta)
-    blocks = [slice(i, i + GATE_BLOCK) for i in range(0, size, GATE_BLOCK)]
-    return sum(_undo_block(c, amps[b], s, amps[action[b]], lam.amps[b], out.amps[b])
-               for b in blocks)
-
-
-def _undo_block(c, block, s, gathered, lam_block, dest) -> complex:
-    # `gathered` dies with this frame, so one block is held at a time
-    overlap = np.vdot(lam_block, gathered)
-    _mix(c, block, s, gathered, dest)
-    return overlap
 
 
 def reachability_params(seq: GeneratingSequence, start: Perm, target: Perm) -> np.ndarray:
@@ -296,7 +292,9 @@ def reachability_params(seq: GeneratingSequence, start: Perm, target: Perm) -> n
 def expectation(state: FeasibleState, cost: np.ndarray) -> float:
     """Sum of |amp|^2 times tour cost, for the rank-indexed cost vector
     `cost`; lies between min and max cost."""
-    return float(np.real(np.vdot(state.amps, cost * state.amps)))
+    weighted = _target(state, cost).amps
+    np.multiply(cost, state.amps, out=weighted)
+    return float(np.real(np.vdot(state.amps, weighted)))
 
 
 def probabilities(state: FeasibleState) -> np.ndarray:

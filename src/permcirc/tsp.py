@@ -51,25 +51,21 @@ def tour_cost(inst: TspInstance, p: Perm, reduced: bool = False) -> float:
     """Total weight of the cyclic tour p; with reduced=True, p permutes
     the first n-1 cities and city n is the implicit start and end."""
     check_perm(p)
-    w = inst.w
-    if reduced:
-        if len(p) != inst.n - 1:
-            raise ValueError(f"reduced tour degree {len(p)} != n-1 = {inst.n - 1}")
-        last = inst.n - 1
-        total = w[last, p[0]]
-        for t in range(len(p) - 1):
-            total += w[p[t], p[t + 1]]
-        total += w[p[-1], last]
-        return float(total)
-    if len(p) != inst.n:
-        raise ValueError(f"tour degree {len(p)} != n = {inst.n}")
-    if len(p) == 1:
-        return 0.0
-    total = w[p[0], p[1]]
-    for t in range(1, len(p) - 1):
-        total += w[p[t], p[t + 1]]
-    total += w[p[-1], p[0]]
+    want = inst.n - reduced
+    if len(p) != want:
+        raise ValueError(f"tour degree {len(p)} != {'n-1' if reduced else 'n'} = {want}")
+    total = 0.0
+    for u, v in _edges(p, inst.n, reduced):
+        total += inst.w[u, v]
     return float(total)
+
+
+def _edges(cities, n: int, reduced: bool) -> list:
+    """(from, to) pairs of the cyclic tour through `cities` in order, the
+    closing edge last.  A reduced tour is the cyclic tour that starts at
+    city n-1; a lone city has no edges.  Cities may be columns of tours."""
+    tour = [n - 1] * reduced + list(cities)
+    return list(zip(tour, tour[1:] + tour[:1])) if len(tour) > 1 else []
 
 
 class TourCost:
@@ -92,20 +88,9 @@ class TourCost:
         cached = self.instance._cost_vectors
         if self.reduced not in cached:
             table = perm_table(self.degree)
-            w = self.instance.w
-            if self.reduced:
-                last = self.instance.n - 1
-                costs = w[last, table[:, 0]].copy()
-                for t in range(self.degree - 1):
-                    costs += w[table[:, t], table[:, t + 1]]
-                costs += w[table[:, -1], last]
-            elif self.degree == 1:
-                costs = np.zeros(1)
-            else:
-                costs = w[table[:, 0], table[:, 1]].copy()
-                for t in range(1, self.degree - 1):
-                    costs += w[table[:, t], table[:, t + 1]]
-                costs += w[table[:, -1], table[:, 0]]
+            costs = np.zeros(len(table))
+            for u, v in _edges(table.T, self.instance.n, self.reduced):
+                costs += self.instance.w[u, v]
             costs.setflags(write=False)
             cached[self.reduced] = costs
         return cached[self.reduced]
@@ -122,6 +107,7 @@ def optimum(inst: TspInstance, reduced: bool = False) -> tuple[Perm, float]:
 
 def random_instance(n: int, seed: int, lo: float = 1.0, hi: float = 10.0) -> TspInstance:
     """Weights drawn i.i.d. uniform from [lo, hi); same seed, same matrix."""
+    _check_city_count(n)
     limits.check("instance", n)
     if not 0 < lo <= hi:
         raise ValueError(f"need 0 < lo <= hi, got lo={lo}, hi={hi}")
@@ -129,6 +115,11 @@ def random_instance(n: int, seed: int, lo: float = 1.0, hi: float = 10.0) -> Tsp
     w = rng.uniform(lo, hi, size=(n, n))
     np.fill_diagonal(w, 0.0)
     return TspInstance(w)
+
+
+def _check_city_count(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need at least 1 city, got {n}")
 
 
 def save_instance(inst: TspInstance, path) -> None:
@@ -162,6 +153,7 @@ def load_instance(path) -> TspInstance:
 
     try:
         n = int(header(0, "n"))
+        _check_city_count(n)
     except ValueError as e:
         raise ValueError(f"{path}: bad city count: {e}") from None
     if header(1, "directed") not in ("0", "1"):

@@ -81,15 +81,23 @@ def test_size_caps_refuse_at_once(argv, tmp_path, capsys):
     ("run", "--n", "4", "--lo", "1e308", "--hi", "1.7e308"),
     ("reach", "--n", "4", "--lo", "1e308", "--hi", "1.7e308"),
     ("solve-exact", "--n", "4", "--lo", "1e308", "--hi", "1.7e308"),
+    ("gen-instance", "--n", "0"),
+    ("gen-instance", "--n", "-3"),
+    ("solve-exact", "--n", "-3", "--no-reduced"),
+    ("run", "--n", "0"),
 ])
 def test_degenerate_sizes_are_usage_errors(argv, tmp_path, capsys):
-    out = ("--out", str(tmp_path / "t.csv")) if argv[0] == "run" else ()
+    path = tmp_path / "t.csv"
+    out = ("--out", str(path)) if argv[0] in ("run", "gen-instance") else ()
     assert run_cli(*argv, *out) == 1
     err = capsys.readouterr().err
     assert err.startswith("permcirc: error:")
     assert "Traceback" not in err
+    assert not path.exists()
     if "--lo" in argv:
         assert "weights too large" in err
+    if int(argv[2]) < 1:
+        assert err.startswith(f"permcirc: error: need at least 1 city, got {argv[2]}")
 
 
 @pytest.mark.parametrize("flag, value, name", [
@@ -105,6 +113,17 @@ def test_run_refuses_bad_settings(flag, value, name, tmp_path, capsys):
     assert run_cli("run", "--n", "5", f"{flag}={value}", "--out", str(out)) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"permcirc: error: {name} must be")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layers", ["0", "-1"])
+def test_qaoa_layers_below_one_are_usage_errors(layers, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run_cli("run", "--n", "5", "--method", "qaoa", "--qaoa-layers", layers,
+                   "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "permcirc: error: layer count must be >= 1\n"
     assert captured.out == ""
     assert not out.exists()
 

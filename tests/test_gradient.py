@@ -6,7 +6,14 @@ import pytest
 
 import permcirc.feasible as feasible
 from permcirc.checks import check_gradient, gradient_cases
-from permcirc.feasible import expectation, expectation_gradient
+from permcirc.feasible import (
+    apply_phase,
+    circuit_steps,
+    expectation,
+    expectation_gradient,
+    uniform_feasible_state,
+)
+from permcirc.sequences import bubble_sequence
 from permcirc.tsp import TourCost, random_instance
 
 
@@ -61,3 +68,47 @@ def test_gradient_allocates_no_per_gate_state(case):
     finally:
         tracemalloc.stop()
     assert peak < 4 * state_bytes + block_bytes + 16384
+
+
+@pytest.mark.parametrize("block", [7, 40])
+def test_gradient_is_independent_of_the_block_size(monkeypatch, block):
+    # 120 amplitudes: blocks of 7 leave a partial last block, 40 divides
+    n = 5
+    cost = TourCost(random_instance(n + 1, seed=5), reduced=True)
+    vec = cost.vector()
+    rng = np.random.default_rng(block)
+    cases = [(name, initial, steps, rng.uniform(0, 2 * np.pi, d))
+             for name, d, initial, steps, _ in gradient_cases(cost, (2, 4, 0, 3, 1))]
+    want = [expectation_gradient(initial(), steps, x, vec) for _, initial, steps, x in cases]
+    monkeypatch.setattr(feasible, "GATE_BLOCK", block)
+    for (name, initial, steps, x), expected in zip(cases, want):
+        got = expectation_gradient(initial(), steps, x, vec)
+        assert np.max(np.abs(got - expected)) < 1e-12, name
+
+
+@pytest.mark.parametrize("block", [7, 16384])
+def test_gradient_refuses_an_out_of_range_table(monkeypatch, block):
+    monkeypatch.setattr(feasible, "GATE_BLOCK", block)
+    steps = circuit_steps(bubble_sequence(5))
+    bad = steps[2][0].copy()
+    bad[-1] = factorial(5)
+    steps[2] = (bad, steps[2][1])
+    vec = TourCost(random_instance(6, seed=1), reduced=True).vector()
+    with pytest.raises(IndexError):
+        expectation_gradient(uniform_feasible_state(5), steps, np.full(len(steps), 0.4), vec)
+
+
+@pytest.mark.parametrize("length", [1, 23, 25])
+def test_cost_length_must_match_the_state(length):
+    # a one-entry cost would broadcast over every amplitude
+    state = uniform_feasible_state(4)
+    bad = np.full(length, 5.0)
+    good = np.linspace(1.0, 2.0, 24)
+    with pytest.raises(ValueError, match=f"generator has {length} entries for 24 amplitudes"):
+        apply_phase(state, 0.3, bad)
+    with pytest.raises(ValueError, match="entries for 24 amplitudes"):
+        expectation(state, bad)
+    with pytest.raises(ValueError, match="entries for 24 amplitudes"):
+        expectation_gradient(state, [(bad, 0)], [0.3], good)
+    with pytest.raises(ValueError, match="entries for 24 amplitudes"):
+        expectation_gradient(state, [(good, 0)], [0.3], bad)

@@ -3,7 +3,6 @@ from math import factorial
 import numpy as np
 import pytest
 
-from permcirc.checks import check_mixing_condition
 from permcirc.feasible import (
     basis_state,
     probabilities,
@@ -130,9 +129,3 @@ def test_initial_state_variants():
     cfg = QaoaConfig(1)
     start = (1, 2, 0)
     assert initial_state(cfg, 3, start).amps[rank(start)] == 1.0
-
-
-def test_mixing_condition_witness():
-    # every basis pair connected by some mixer power r <= 6 at beta = pi/4
-    ok, detail = check_mixing_condition()
-    assert ok, detail

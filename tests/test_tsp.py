@@ -105,6 +105,17 @@ def test_random_instance_range_validation():
         random_instance(4, seed=0, lo=5.0, hi=2.0)
 
 
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_city_counts_below_one_are_refused(n, tmp_path):
+    with pytest.raises(ValueError, match=f"need at least 1 city, got {n}$"):
+        random_instance(n, seed=0)
+    path = tmp_path / "inst.txt"
+    path.write_text(f"n {n}\ndirected 1\n")
+    message = f"{path}: bad city count: need at least 1 city, got {n}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_instance(path)
+
+
 def test_save_load_roundtrip_exact(tmp_path):
     inst = random_instance(9, seed=11)
     path = tmp_path / "inst.txt"
