@@ -17,7 +17,7 @@ from .experiment import (
     reach_report,
     run_experiment,
     top_k_rows,
-    write_trace_csv,
+    trace_csv,
 )
 from .limits import TooLarge
 from .optimize import ObjectiveError, OptConfig
@@ -80,7 +80,8 @@ def build_parser() -> _Parser:
     _add_shared_flags(p)
     p.add_argument("--qaoa-layers", type=int, metavar="P",
                    help="QAOA depth (default: matched circuit length)")
-    p.add_argument("--qaoa-init", choices=["basis", "uniform"], default="basis")
+    p.add_argument("--qaoa-init", choices=["basis", "uniform"],
+                   help="QAOA initial state (default: basis)")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--grad-threshold", type=float, default=1e-4)
     p.add_argument("--grad-window", type=int, default=10)
@@ -121,14 +122,16 @@ def cmd_solve_exact(args) -> int:
 def cmd_run(args) -> int:
     if args.top_k < 0:
         raise ValueError(f"--top-k must be >= 0, got {args.top_k}")
+    if args.method != "qaoa":
+        for flag, value in (("--qaoa-layers", args.qaoa_layers), ("--qaoa-init", args.qaoa_init)):
+            if value is not None:
+                raise ValueError(f"{flag} requires --method qaoa")
     inst = _resolve_instance(args)
     qaoa_cfg = None
     if args.method == "qaoa":
         degree = EncodingSpec(inst.n, args.encoding, args.reduced).degree
         layers = default_layers(degree) if args.qaoa_layers is None else args.qaoa_layers
-        qaoa_cfg = QaoaConfig(layers, initial=args.qaoa_init)
-    elif args.qaoa_layers is not None:
-        raise ValueError("--qaoa-layers requires --method qaoa")
+        qaoa_cfg = QaoaConfig(layers, initial=args.qaoa_init or "basis")
     spec = RunSpec(
         inst,
         method=args.method,
@@ -144,8 +147,10 @@ def cmd_run(args) -> int:
         ratio_mode=args.ratio_mode,
         random_init_seed=args.random_init,
     )
-    trace, summary = run_experiment(spec)
-    write_trace_csv(trace, args.out, dump_params=args.dump_params)
+    # opened first, so that an unwritable path fails before any circuit runs
+    with open(args.out, "w") as trace_file:
+        trace, summary = run_experiment(spec)
+        trace_file.write(trace_csv(trace, dump_params=args.dump_params))
     for key in (
         "method", "encoding", "reduced", "effective_degree", "parameters",
         "iterations", "evaluations", "gradients", "status", "initial_ratio", "final_ratio",

@@ -26,10 +26,11 @@ from .feasible import (
     fidelity,
     reachability_params,
     run_exhaustive_circuit,
+    run_steps,
 )
 from .optimize import OptConfig, OptTrace, approximation_ratio, minimize
 from .perms import identity, unrank
-from .qaoa import QaoaConfig, default_layers, initial_state, qaoa_steps, run_qaoa
+from .qaoa import QaoaConfig, default_layers, initial_state, qaoa_steps
 from .sequences import (
     BINARY_INSERTION,
     BUBBLE,
@@ -99,41 +100,32 @@ def _ratio_fn(spec: RunSpec, cost: TourCost, opt_cost: float):
     return lambda v: approximation_ratio(v, opt_cost)
 
 
-def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
-    """Optimise the configured preparation; returns the trace and a
-    summary with the quantities the CLI prints."""
-    cost = TourCost(spec.instance, spec.reduced)
-    vec = cost.vector()
+def _circuit(spec: RunSpec, vec: np.ndarray):
+    """The run's state preparation: a factory for its initial state, the
+    steps `run_steps` applies to that state, and each angle's period (None
+    for an unconstrained phase angle).  The start tour is the identity."""
     degree = spec.degree
-    opt_perm, opt_cost = optimum(spec.instance, spec.reduced)
     start = identity(degree)
-
     if spec.method == "qaoa":
         cfg = spec.qaoa or QaoaConfig(default_layers(degree))
-        p = cfg.layers
-        num_params = 2 * p
-        periods = [np.pi] * p + [None] * p
-        steps = qaoa_steps(vec, cfg, degree)
+        return (lambda: initial_state(cfg, degree, start), qaoa_steps(vec, cfg, degree),
+                [np.pi] * cfg.layers + [None] * cfg.layers)
+    seq = build_sequence(spec.method, degree)
+    return lambda: basis_state(start), circuit_steps(seq), [np.pi] * len(seq)
 
-        def initial():
-            return initial_state(cfg, degree, start)
 
-        def prepare(x):
-            return run_qaoa(cost, cfg, x[:p], x[p:], start)
-    else:
-        seq = build_sequence(spec.method, degree)
-        num_params = len(seq)
-        periods = [np.pi] * num_params
-        steps = circuit_steps(seq)
-
-        def initial():
-            return basis_state(start)
-
-        def prepare(x):
-            return run_exhaustive_circuit(seq, x, start)
+def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
+    """Optimise the configured preparation; returns the trace and a
+    summary with the quantities the CLI prints.  The objective, the
+    stop-rule gradient and the final state all run one step list."""
+    cost = TourCost(spec.instance, spec.reduced)
+    vec = cost.vector()
+    opt_perm, opt_cost = optimum(spec.instance, spec.reduced)
+    initial, steps, periods = _circuit(spec, vec)
+    num_params = len(periods)
 
     def objective(x):
-        return expectation(prepare(x), vec)
+        return expectation(run_steps(initial(), steps, x), vec)
 
     def gradient(x):
         return expectation_gradient(initial(), steps, x, vec)
@@ -149,12 +141,12 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
                      ratio_fn=_ratio_fn(spec, cost, opt_cost), gradient=gradient)
     elapsed = time.perf_counter() - began
 
-    final_state = prepare(trace.best_params)
+    final_state = run_steps(initial(), steps, trace.best_params)
     summary = {
         "method": spec.method,
         "encoding": spec.encoding_kind,
         "reduced": spec.reduced,
-        "effective_degree": degree,
+        "effective_degree": spec.degree,
         "parameters": num_params,
         "iterations": trace.iterations,
         "evaluations": trace.evaluations,
@@ -202,9 +194,9 @@ def top_k_rows(state, k: int) -> list[tuple[float, tuple[int, ...]]]:
     return [(float(probs[r]), unrank(int(r), state.n)) for r in order]
 
 
-def write_trace_csv(trace: OptTrace, path, dump_params: bool = False) -> None:
-    """iteration,objective,ratio CSV; --dump-params appends one theta
-    column per parameter.  Formatting is fixed, so identical runs write
+def trace_csv(trace: OptTrace, dump_params: bool = False) -> str:
+    """iteration,objective,ratio CSV text; --dump-params appends one theta
+    column per parameter.  Formatting is fixed, so identical runs give
     identical bytes."""
     lines = []
     header = "iteration,objective,ratio"
@@ -217,5 +209,10 @@ def write_trace_csv(trace: OptTrace, path, dump_params: bool = False) -> None:
         if dump_params:
             row += "," + ",".join(repr(float(v)) for v in pt.params)
         lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+def write_trace_csv(trace: OptTrace, path, dump_params: bool = False) -> None:
+    """Write `trace_csv(trace, dump_params)` to `path`."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(trace_csv(trace, dump_params))

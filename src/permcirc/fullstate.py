@@ -138,6 +138,7 @@ def ancilla_exponential_check(element: Perm, spec: EncodingSpec, theta: float,
     """Max deviation between the ancilla circuit and the closed-form
     exp(-i theta U) over random input states, including any residual
     ancilla |1> population."""
+    limits.check("statevector", spec.num_bits)
     rng = np.random.default_rng(seed)
     dim = 1 << spec.num_bits
     worst = 0.0
@@ -161,6 +162,7 @@ def swap_partial_hamiltonian(slot: int, spec: EncodingSpec,
     the four-factor raising/lowering products summed over unordered city
     pairs.  Slot n-1 pairs with slot 0 when wraparound is on.
     """
+    limits.check("statevector", spec.num_bits)
     if spec.kind != ONEHOT:
         raise ValueError("explicit swap Hamiltonian is built for the one-hot encoding")
     n = spec.degree

@@ -79,7 +79,10 @@ def initial_state(cfg: QaoaConfig, degree: int, start: Perm | None = None) -> Fe
 def qaoa_steps(cost: np.ndarray, cfg: QaoaConfig, degree: int) -> list:
     """The circuit as `feasible.run_steps` steps over the angles
     (betas, gammas): per layer the phase separator of the rank-indexed
-    cost vector `cost` on gamma, then every mixer slot on beta."""
+    cost vector `cost` on gamma, then every mixer slot on beta.  The phase
+    step holds `cost` as float64, since an integer generator would be
+    taken for an action table."""
+    cost = np.asarray(cost, dtype=float)
     slots = mixer_slots(degree, cfg.slot_wraparound)
     steps = []
     for layer in range(cfg.layers):

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 
 from permcirc.cli import main
-from permcirc.experiment import RunSpec, reach_report, run_experiment, top_k_rows, write_trace_csv
-from permcirc.feasible import basis_state, expectation
+from permcirc.experiment import (
+    RunSpec,
+    build_sequence,
+    reach_report,
+    run_experiment,
+    top_k_rows,
+    write_trace_csv,
+)
+from permcirc.feasible import basis_state, expectation, run_exhaustive_circuit
 from permcirc.optimize import OptConfig, approximation_ratio
 from permcirc.perms import identity
-from permcirc.qaoa import QaoaConfig
+from permcirc.qaoa import QaoaConfig, run_qaoa
 from permcirc.tsp import TourCost, load_instance, optimum, random_instance
 
 FAST = OptConfig(max_iters=10, grad_window=3)
@@ -126,6 +133,34 @@ def test_qaoa_layers_below_one_are_usage_errors(layers, tmp_path, capsys):
     assert captured.err == "permcirc: error: layer count must be >= 1\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["bubble", "binary-insertion"])
+@pytest.mark.parametrize("flag, value", [("--qaoa-layers", "2"), ("--qaoa-init", "uniform"),
+                                         ("--qaoa-init", "basis")])
+def test_qaoa_flags_require_the_qaoa_method(method, flag, value, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run_cli("run", "--n", "5", "--method", method, flag, value, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"permcirc: error: {flag} requires --method qaoa\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing/t.csv", "."])
+def test_unwritable_trace_path_fails_before_the_run(where, tmp_path, monkeypatch, capsys):
+    import permcirc.cli as cli
+
+    def no_run(spec):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    assert run_cli("run", "--n", "9", "--seed", "7", "--method", "binary-insertion",
+                   "--out", str(tmp_path / where)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("permcirc: error: ")
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 def test_solve_exact_one_city(capsys):
@@ -285,6 +320,23 @@ def test_run_experiment_summary_consistency():
     )
     assert summary["evaluations"] == trace.evaluations
     assert 1 <= summary["gradients"] == trace.gradients <= trace.iterations
+
+
+@pytest.mark.parametrize("method, initial", [
+    ("bubble", None), ("binary-insertion", None), ("qaoa", "basis"), ("qaoa", "uniform"),
+])
+def test_final_state_is_the_circuit_at_the_best_params(method, initial):
+    inst = random_instance(6, seed=4)
+    cfg = None if initial is None else QaoaConfig(2, initial=initial)
+    trace, summary = run_experiment(RunSpec(inst, method=method, qaoa=cfg, opt=FAST,
+                                            random_init_seed=1))
+    x, start, cost = trace.best_params, identity(5), TourCost(inst, reduced=True)
+    if cfg is None:
+        expected = run_exhaustive_circuit(build_sequence(method, 5), x, start)
+    else:
+        expected = run_qaoa(cost, cfg, x[:2], x[2:], start)
+    assert summary["final_state"].amps.tobytes() == expected.amps.tobytes()
+    assert summary["final_objective"] == expectation(expected, cost.vector())
 
 
 def test_run_experiment_random_init_and_ratio_mode():

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from permcirc import limits
-from permcirc.encoding import COMPACT, EncodingSpec
+from permcirc.encoding import COMPACT, ONEHOT, EncodingSpec
 from permcirc.feasible import basis_state, involution_action, uniform_feasible_state
-from permcirc.fullstate import basis_statevector, swap_index_table, zero_state
+from permcirc.fullstate import (
+    ancilla_exponential_check,
+    basis_statevector,
+    swap_index_table,
+    swap_partial_hamiltonian,
+    zero_state,
+)
 from permcirc.limits import CAPS, TooLarge
 from permcirc.perms import identity, perm_table, rank, rank_rows, transposition, unrank
 from permcirc.sequences import (
@@ -47,6 +53,7 @@ REFUSALS = [
     ("decompose sweep", lambda: decompose(DEGREE_10, identity(10))),
     ("adjacency search", lambda: min_adjacency_length(6)),
     ("instance", lambda: random_instance(4097, seed=0)),
+    ("statevector", lambda: ancilla_exponential_check(identity(6), QUBITS_18, 0.3, 1)),
 ]
 
 
@@ -73,6 +80,18 @@ def test_one_past_the_cap_is_refused_before_allocating(row, call):
     message = str(refused.value)
     assert message.startswith(f"{cap.what} of {cap.size.format(cap.limit + 1)} needs ")
     assert message.endswith(f"; cap is {cap.size.format(cap.limit)}")
+
+
+def test_swap_hamiltonian_is_refused_before_its_loop():
+    # one-hot sizes jump from 16 to 25 qubits, so none sits one past the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="^statevector of 25 qubits needs "):
+            swap_partial_hamiltonian(0, EncodingSpec(5, ONEHOT))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_messages_state_what_the_request_needs():

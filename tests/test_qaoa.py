@@ -5,6 +5,7 @@ import pytest
 
 from permcirc.feasible import (
     basis_state,
+    expectation_gradient,
     probabilities,
     run_steps,
     uniform_feasible_state,
@@ -16,6 +17,7 @@ from permcirc.qaoa import (
     initial_state,
     mixer_slot_action,
     mixer_slots,
+    qaoa_steps,
     run_qaoa,
 )
 from permcirc.tsp import TourCost, random_instance
@@ -129,3 +131,24 @@ def test_initial_state_variants():
     cfg = QaoaConfig(1)
     start = (1, 2, 0)
     assert initial_state(cfg, 3, start).amps[rank(start)] == 1.0
+
+
+def test_integer_costs_run_as_their_float_copy():
+    # an integer phase generator must not be taken for an action table
+    cfg = QaoaConfig(1, initial="uniform")
+    angles = np.array([0.3, 0.7])
+    runs = []
+    for cost in (np.arange(24), np.arange(24.0)):
+        steps = qaoa_steps(cost, cfg, 4)
+        state = run_steps(initial_state(cfg, 4), steps, angles)
+        grad = expectation_gradient(initial_state(cfg, 4), steps, angles, np.arange(24.0))
+        runs.append((state.amps, grad))
+    (ints, int_grad), (floats, float_grad) = runs
+    assert np.array_equal(ints, floats)
+    assert np.array_equal(int_grad, float_grad)
+    assert float_grad[1] != 0  # the phase step acts
+
+
+def test_float_costs_are_not_copied():
+    cost = np.arange(24.0)
+    assert qaoa_steps(cost, QaoaConfig(1), 4)[0][0] is cost
