@@ -12,7 +12,7 @@ full-statevector cross-validation at small sizes.
 
 import time
 from dataclasses import dataclass
-from math import ceil, factorial, log2
+from math import factorial
 
 import numpy as np
 
@@ -33,8 +33,6 @@ from .perms import (
     unrank,
 )
 from .sequences import (
-    BINARY_INSERTION,
-    BUBBLE,
     GeneratingSequence,
     _insertion_block,
     binary_insertion_sequence,
@@ -96,15 +94,11 @@ def check_perm_core(associative=(4,), ranked=range(1, 7),
 
 def check_sequence_shapes(degrees=range(1, 13)) -> tuple[bool, str]:
     """Every element an involution of the sequence's degree, and the
-    lengths n(n-1)/2 and sum of ceil(log2 k) for k = 2..n."""
+    closed-form lengths of `sequences.expected_length`."""
     for n in degrees:
-        lengths = {BUBBLE: n * (n - 1) // 2,
-                   BINARY_INSERTION: sum(ceil(log2(k)) for k in range(2, n + 1))}
         for build in BUILDS:
             seq = build(n)
             problems = check_sequence(seq)
-            if len(seq) != lengths[seq.kind]:
-                problems.append(f"length {len(seq)}, closed form {lengths[seq.kind]}")
             if problems:
                 return False, f"{seq.kind} n={n}: {problems[0]}"
     return True, f"lengths and involutions for {_degrees(degrees)}"
@@ -120,7 +114,7 @@ def check_generating(degrees=range(2, 6), builds=BUILDS) -> tuple[bool, str]:
                     f"{seq.kind} n={n}: {len(report.unreachable)} of "
                     f"{report.group_order} unreachable"
                 )
-    return True, f"exhaustive product enumeration for {_degrees(degrees)}"
+    return True, f"every ordered product reached for {_degrees(degrees)}"
 
 
 def check_decompose_roundtrip(exhaustive=range(1, 6), sampled=range(6, 10),
@@ -468,7 +462,7 @@ QUICK_CHECKS = [
 ]
 
 FULL_CHECKS = QUICK_CHECKS + [
-    ("generating-property-n6", lambda: check_generating(range(2, 7))),
+    ("generating-property-n8", lambda: check_generating(range(2, 9))),
     ("cross-simulator", check_cross_simulator),
     ("ancilla-circuit", check_ancilla_circuit),
     ("mixer-oracle", check_mixer_oracle),

@@ -24,6 +24,7 @@ from .feasible import (
     expectation,
     expectation_gradient,
     fidelity,
+    probabilities,
     reachability_params,
     run_exhaustive_circuit,
     run_steps,
@@ -67,12 +68,17 @@ class RunSpec:
         if self.ratio_mode not in RATIO_MODES:
             raise ValueError(f"unknown ratio mode {self.ratio_mode!r}; "
                              f"use {' or '.join(RATIO_MODES)}")
-        # refused before any n!-sized array exists, the cost vector included
+        # refused before any n!-sized array or step list exists, the cost
+        # vector included
         degree = self.instance.n - 1 if self.reduced else self.instance.n
         if degree < 2:
             raise ValueError(f"a run needs at least {3 if self.reduced else 2} cities with "
                              f"reduced={self.reduced}, got {self.instance.n}")
         limits.check("state", degree)
+        # within the state cap a sequence has at most 45 angles and QAOA
+        # at its default depth 10; only a given layer count can go past
+        if self.qaoa is not None:
+            limits.check("parameters", 2 * self.qaoa.layers)
 
     @property
     def encoding(self) -> EncodingSpec:
@@ -189,7 +195,7 @@ def reach_report(spec: RunSpec, target=None) -> dict:
 def top_k_rows(state, k: int) -> list[tuple[float, tuple[int, ...]]]:
     """The k most probable tours as (probability, permutation) rows,
     ordered by probability then rank."""
-    probs = np.abs(state.amps) ** 2
+    probs = probabilities(state)
     order = np.argsort(-probs, kind="stable")[:k]
     return [(float(probs[r]), unrank(int(r), state.n)) for r in order]
 

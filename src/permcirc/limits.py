@@ -37,9 +37,11 @@ CAPS = {
     # an int8 row and a float64 cost per tour: degree 11 takes about 1.1 GB
     "permutations": Cap("permutation table", "degree {}", 11, factorial, 12 + 8),
     "statevector": Cap("statevector", "{} qubits", 17, lambda m: 1 << m, 16, "a copy"),
-    "generating check": Cap("generating check", "{} elements", 24, lambda d: 1 << d,
-                            note="products"),
-    "decompose sweep": Cap("decompose sweep", "degree {}", 9, factorial, note="tours a layer"),
+    # the layered products of `verify_generating` and a custom `decompose`
+    "product sweep": Cap("product sweep", "degree {}", 9, factorial, note="tours a layer"),
+    # the optimiser's d x d simplex: 4096 parameters peak at 256 MiB traced
+    # (427 MB RSS) in `minimize`; real circuits have at most 45 at degree 10
+    "parameters": Cap("simplex", "{} parameters", 4096, lambda d: d * d, 8, "a copy"),
     # (n-1)^L sequences up to the bubble length L = n(n-1)/2
     "adjacency search": Cap("adjacency search", "degree {}", 5,
                             lambda n: max(1, n - 1) ** (n * (n - 1) // 2),

@@ -16,6 +16,8 @@ from math import pi
 
 import numpy as np
 
+from . import limits
+
 
 @dataclass(frozen=True)
 class OptConfig:
@@ -101,6 +103,7 @@ def minimize(objective, x0, cfg: OptConfig, periods=None, ratio_fn=None, *,
     """
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
+    limits.check("parameters", d)
     trace = OptTrace()
 
     def evaluate(x, context):

@@ -186,8 +186,3 @@ def parse_perm(text: str) -> Perm:
         raise ValueError(f"malformed permutation {text!r}") from None
     return check_perm(values)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

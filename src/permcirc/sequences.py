@@ -11,8 +11,8 @@ first.  Two constructions are provided:
   d = sum of ceil(log2(k)) for k = 2..n.
 
 `decompose` finds a bit mask whose `recompose` product equals a given
-permutation; `verify_generating` certifies a sequence by exhaustive
-enumeration of all 2^d masks.
+permutation; `verify_generating` certifies a sequence by sweeping its
+products layer by layer, the set of all 2^d masks in d * n! steps.
 """
 
 from dataclasses import dataclass
@@ -141,8 +141,9 @@ def decompose(seq: GeneratingSequence, g: Perm) -> tuple[int, ...]:
 
     Masks are not unique; the deterministic procedure per kind is:
     bubble-sort swap recording for `bubble`, the recursive first-image
-    binary digits for `binary-insertion`, and a reachability sweep for
-    `custom` (which raises NotDecomposable when g is not a product).
+    binary digits for `binary-insertion`, and a walk back through the
+    layers of the product sweep for `custom` (which raises
+    NotDecomposable when g is not a product).
     """
     check_perm(g)
     if len(g) != seq.n:
@@ -193,27 +194,30 @@ def _decompose_binary_insertion(g: Perm) -> tuple[int, ...]:
     return tuple(reversed(bits_reversed))
 
 
-def _decompose_sweep(seq: GeneratingSequence, g: Perm) -> tuple[int, ...]:
-    # Layered reachability with parent pointers: layer k holds every
-    # product of h_k^{b_k}..h_1^{b_1}.  Memory is O(d * n!).
-    limits.check("decompose sweep", seq.n)
-    layer: dict[Perm, tuple[Perm, int] | None] = {identity(seq.n): None}
-    layers = [layer]
+def _product_layers(seq: GeneratingSequence) -> list[set[Perm]]:
+    """Layer k holds every ordered product of h_1..h_k, each element
+    included or skipped: layer k-1 and h_k applied after each of its
+    members.  Memory is O(d * n!), within the "product sweep" row of
+    `limits.CAPS`."""
+    limits.check("product sweep", seq.n)
+    layers = [{identity(seq.n)}]
     for h in seq.elements:
-        nxt: dict[Perm, tuple[Perm, int] | None] = {}
-        for p in layer:
-            nxt.setdefault(p, (p, 0))
-            nxt.setdefault(compose(h, p), (p, 1))
-        layers.append(nxt)
-        layer = nxt
-    if g not in layer:
+        layers.append(layers[-1].union(compose(h, p) for p in layers[-1]))
+    return layers
+
+
+def _decompose_sweep(seq: GeneratingSequence, g: Perm) -> tuple[int, ...]:
+    # Walk the layers back: a target already in layer k-1 skips h_k;
+    # otherwise it is h_k . p for some p in layer k-1, and p = h_k^-1 . g
+    # (the elements of a custom sequence need not be involutions).
+    layers = _product_layers(seq)
+    if g not in layers[-1]:
         raise NotDecomposable(f"{g} is not an ordered product of the sequence")
     bits = []
-    cur = g
-    for k in range(len(seq.elements), 0, -1):
-        prev, bit = layers[k][cur]
-        bits.append(bit)
-        cur = prev
+    for h, layer in zip(reversed(seq.elements), reversed(layers[:-1])):
+        bits.append(int(g not in layer))
+        if bits[-1]:
+            g = compose(inverse(h), g)
     return tuple(reversed(bits))
 
 
@@ -231,23 +235,10 @@ class GeneratingReport:
 
 
 def verify_generating(seq: GeneratingSequence) -> GeneratingReport:
-    """Certify the generating property by enumerating all 2^d ordered
-    products, within the "generating check" row of `limits.CAPS`."""
-    d = len(seq.elements)
-    limits.check("generating check", d)
+    """Certify the generating property from the last layer of the
+    product sweep: the set of all 2^d ordered products."""
+    reached = _product_layers(seq)[-1]
     order = factorial(seq.n)
-    reached: set[Perm] = set()
-
-    def visit(k: int, g: Perm):
-        if len(reached) == order:
-            return
-        if k == d:
-            reached.add(g)
-            return
-        visit(k + 1, g)
-        visit(k + 1, compose(seq.elements[k], g))
-
-    visit(0, identity(seq.n))
     missing = tuple(p for p in all_perms(seq.n) if p not in reached)
     return GeneratingReport(not missing, order, len(reached), missing)
 

@@ -109,8 +109,8 @@ def random_instance(n: int, seed: int, lo: float = 1.0, hi: float = 10.0) -> Tsp
     """Weights drawn i.i.d. uniform from [lo, hi); same seed, same matrix."""
     _check_city_count(n)
     limits.check("instance", n)
-    if not 0 < lo <= hi:
-        raise ValueError(f"need 0 < lo <= hi, got lo={lo}, hi={hi}")
+    if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo <= hi):
+        raise ValueError(f"need finite 0 < lo <= hi, got lo={lo}, hi={hi}")
     rng = np.random.default_rng(seed)
     w = rng.uniform(lo, hi, size=(n, n))
     np.fill_diagonal(w, 0.0)

@@ -11,6 +11,7 @@ from permcirc.experiment import (
     write_trace_csv,
 )
 from permcirc.feasible import basis_state, expectation, run_exhaustive_circuit
+from permcirc.limits import TooLarge
 from permcirc.optimize import OptConfig, approximation_ratio
 from permcirc.perms import identity
 from permcirc.qaoa import QaoaConfig, run_qaoa
@@ -64,6 +65,8 @@ def test_solve_exact_size_cap():
     ("solve-exact", "--n", "13"),
     ("gen-instance", "--n", "1000000"),
     ("run", "--n", "1000000"),
+    ("run", "--n", "4", "--method", "qaoa", "--qaoa-layers", "200000"),
+    ("run", "--n", "4", "--method", "qaoa", "--qaoa-layers", "100000000"),
 ])
 def test_size_caps_refuse_at_once(argv, tmp_path, capsys):
     import time
@@ -105,6 +108,20 @@ def test_degenerate_sizes_are_usage_errors(argv, tmp_path, capsys):
         assert "weights too large" in err
     if int(argv[2]) < 1:
         assert err.startswith(f"permcirc: error: need at least 1 city, got {argv[2]}")
+
+
+@pytest.mark.parametrize("argv, bounds", [
+    (("gen-instance", "--n", "5", "--hi", "inf"), "lo=1.0, hi=inf"),
+    (("run", "--n", "5", "--lo", "inf", "--hi", "inf"), "lo=inf, hi=inf"),
+    (("solve-exact", "--n", "5", "--lo", "inf", "--hi", "inf"), "lo=inf, hi=inf"),
+    (("reach", "--n", "5", "--hi", "nan"), "lo=1.0, hi=nan"),
+])
+def test_non_finite_weight_bounds_are_usage_errors(argv, bounds, tmp_path, capsys):
+    path = tmp_path / "out"
+    out = ("--out", str(path)) if argv[0] in ("run", "gen-instance") else ()
+    assert run_cli(*argv, *out) == 1
+    assert capsys.readouterr().err == f"permcirc: error: need finite 0 < lo <= hi, got {bounds}\n"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("flag, value, name", [
@@ -306,6 +323,10 @@ def test_runspec_validation():
     RunSpec(random_instance(2, seed=0), reduced=False)
     with pytest.raises(ValueError, match="unknown ratio mode 'max_gap'; use opt-over-exp or max-gap"):
         RunSpec(inst, ratio_mode="max_gap")
+    # the parameter count is refused before any step list exists
+    RunSpec(inst, method="qaoa", qaoa=QaoaConfig(2048))
+    with pytest.raises(TooLarge, match="^simplex of 4098 parameters needs "):
+        RunSpec(inst, method="qaoa", qaoa=QaoaConfig(2049))
 
 
 def test_run_experiment_summary_consistency():

@@ -18,10 +18,10 @@ from permcirc.fullstate import (
     zero_state,
 )
 from permcirc.limits import CAPS, TooLarge
+from permcirc.optimize import OptConfig, minimize
 from permcirc.perms import identity, perm_table, rank, rank_rows, transposition, unrank
 from permcirc.sequences import (
     GeneratingSequence,
-    bubble_sequence,
     decompose,
     min_adjacency_length,
     verify_generating,
@@ -32,8 +32,8 @@ from permcirc.tsp import TourCost, optimum, random_instance
 THIRTEEN = random_instance(13, seed=0)
 ROWS = np.zeros((1, 2), dtype=np.int8)
 QUBITS_18 = EncodingSpec(6, COMPACT)  # 6 slots of 3 bits
-TWENTY_FIVE = GeneratingSequence(8, bubble_sequence(8).elements[:25])
 DEGREE_10 = GeneratingSequence(10, (transposition(10, 0, 1),))
+PAST_PARAMETERS = np.zeros(CAPS["parameters"].limit + 1)
 
 # (row, one call per structure the row covers, each one past the cap)
 REFUSALS = [
@@ -49,11 +49,12 @@ REFUSALS = [
     ("statevector", lambda: zero_state(18)),
     ("statevector", lambda: basis_statevector((0,) * 18)),
     ("statevector", lambda: swap_index_table(identity(6), QUBITS_18)),
-    ("generating check", lambda: verify_generating(TWENTY_FIVE)),
-    ("decompose sweep", lambda: decompose(DEGREE_10, identity(10))),
+    ("product sweep", lambda: verify_generating(DEGREE_10)),
+    ("product sweep", lambda: decompose(DEGREE_10, identity(10))),
     ("adjacency search", lambda: min_adjacency_length(6)),
     ("instance", lambda: random_instance(4097, seed=0)),
     ("statevector", lambda: ancilla_exponential_check(identity(6), QUBITS_18, 0.3, 1)),
+    ("parameters", lambda: minimize(None, PAST_PARAMETERS, OptConfig(), gradient=None)),
 ]
 
 
@@ -100,8 +101,8 @@ def test_messages_state_what_the_request_needs():
         "state": "state of degree 11 needs 0.6 GiB a copy; cap is degree 10",
         "permutations": "permutation table of degree 12 needs 8.9 GiB; cap is degree 11",
         "statevector": "statevector of 18 qubits needs 4.0 MiB a copy; cap is 17 qubits",
-        "generating check": "generating check of 25 elements needs 33,554,432 products; cap is 24 elements",
-        "decompose sweep": "decompose sweep of degree 10 needs 3,628,800 tours a layer; cap is degree 9",
+        "product sweep": "product sweep of degree 10 needs 3,628,800 tours a layer; cap is degree 9",
+        "parameters": "simplex of 4097 parameters needs 0.1 GiB a copy; cap is 4096 parameters",
         "adjacency search": "adjacency search of degree 6 needs 30,517,578,125 candidate sequences; "
                             "cap is degree 5",
     }

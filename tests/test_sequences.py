@@ -1,3 +1,4 @@
+import tracemalloc
 from math import ceil, log2
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from permcirc.checks import check_decompose_roundtrip, check_generating, check_sequence_shapes
 from permcirc.limits import TooLarge
-from permcirc.perms import compose, identity, transposition
+from permcirc.perms import all_perms, compose, identity, transposition
 from permcirc.sequences import (
     BINARY_INSERTION,
     GeneratingSequence,
@@ -61,10 +62,27 @@ def test_non_generating_sequence_reported():
     assert len(report.unreachable) == 4
 
 
+def test_verify_certifies_the_paper_size():
+    # the 9-city protocol runs at effective degree 8: 28 and 17 elements
+    for build in (bubble_sequence, binary_insertion_sequence):
+        report = verify_generating(build(8))
+        assert report.generating
+        assert report.reached == report.group_order == 40320
+        assert report.unreachable == ()
+
+
 def test_verify_refuses_long_sequences():
-    with pytest.raises(TooLarge, match="^generating check of 28 elements needs 268,435,456 products; "
-                                       "cap is 24 elements$"):
-        verify_generating(bubble_sequence(8))
+    # the degree-10 bubble sequence has 45 elements; the sweep refuses its degree
+    seq = bubble_sequence(10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="^product sweep of degree 10 needs 3,628,800 tours "
+                                           "a layer; cap is degree 9$"):
+            verify_generating(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_decompose_identity_is_zero_mask():
@@ -124,6 +142,23 @@ def test_custom_decompose_and_not_decomposable():
     assert recompose(seq, decompose(seq, transposition(3, 0, 1))) == transposition(3, 0, 1)
     with pytest.raises(NotDecomposable):
         decompose(seq, transposition(3, 1, 2))
+
+
+def test_custom_decompose_divides_by_the_inverse():
+    # a 3-cycle is not an involution, so walking back by h instead of
+    # h^-1 would give masks that do not recompose
+    cycle = (1, 2, 0)
+    seq = GeneratingSequence(3, (cycle, transposition(3, 0, 1), cycle), kind="custom")
+    reached = set()
+    for g in all_perms(3):
+        try:
+            mask = decompose(seq, g)
+        except NotDecomposable:
+            continue
+        assert recompose(seq, mask) == g
+        reached.add(g)
+    assert (2, 1, 0) in reached
+    assert len(reached) == verify_generating(seq).reached
 
 
 def test_min_adjacency_length():

@@ -103,6 +103,10 @@ def test_random_instance_range_validation():
         random_instance(4, seed=0, lo=0.0)
     with pytest.raises(ValueError):
         random_instance(4, seed=0, lo=5.0, hi=2.0)
+    inf = float("inf")
+    for lo, hi in ((1.0, inf), (inf, inf), (-inf, 1.0)):
+        with pytest.raises(ValueError, match=f"^need finite 0 < lo <= hi, got lo={lo}, hi={hi}$"):
+            random_instance(4, seed=0, lo=lo, hi=hi)
 
 
 @pytest.mark.parametrize("n", [0, -1, -3])
