@@ -12,7 +12,7 @@ full-statevector cross-validation at small sizes.
 
 import time
 from dataclasses import dataclass
-from math import factorial
+from math import ceil, factorial, log2
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from .perms import (
     unrank,
 )
 from .sequences import (
+    BINARY_INSERTION,
+    BUBBLE,
+    CONSTRUCTIONS,
     GeneratingSequence,
     _insertion_block,
     binary_insertion_sequence,
@@ -44,7 +47,10 @@ from .sequences import (
 )
 from .tsp import TourCost, optimum, random_instance, tour_cost
 
-BUILDS = (bubble_sequence, binary_insertion_sequence)
+BUILDS = tuple(CONSTRUCTIONS.values())
+# the closed-form lengths d of the constructions at degree n
+LENGTHS = {BUBBLE: lambda n: n * (n - 1) // 2,
+           BINARY_INSERTION: lambda n: sum(ceil(log2(k)) for k in range(2, n + 1))}
 
 
 @dataclass
@@ -70,8 +76,9 @@ def check_perm_core(associative=(4,), ranked=range(1, 7),
                     stepped=range(2, 6)) -> tuple[bool, str]:
     """Composition is associative on all of S_n for n in `associative`;
     rank is a bijection onto 0..n!-1 inverted by unrank for n in `ranked`;
-    every adjacent swap changes the inversion number by one for n in
-    `stepped`."""
+    for n in `stepped`, an adjacency transposition multiplied on either
+    side changes the inversion number by one, and the reversal has
+    n(n-1)/2 inversions: the two lemmas of `min_adjacency_length`."""
     for n in associative:
         m = _mult_table(n)
         if not np.array_equal(m[m], m[:, m]):
@@ -85,22 +92,27 @@ def check_perm_core(associative=(4,), ranked=range(1, 7),
     for n in stepped:
         for p in all_perms(n):
             for j in range(n - 1):
-                delta = inversion_number(compose(p, transposition(n, j, j + 1)))
-                if abs(delta - inversion_number(p)) != 1:
-                    return False, "adjacent swap changed inversions by != 1"
-    return True, (f"associativity ({_degrees(associative)}), rank bijection "
-                  f"({_degrees(ranked)}), inversion steps ({_degrees(stepped)})")
+                tau = transposition(n, j, j + 1)
+                for side, q in (("right", compose(p, tau)), ("left", compose(tau, p))):
+                    if abs(inversion_number(q) - inversion_number(p)) != 1:
+                        return False, f"{side} adjacent swap changed inversions by != 1"
+        if inversion_number(tuple(range(n - 1, -1, -1))) != n * (n - 1) // 2:
+            return False, f"the reversal of degree {n} does not have n(n-1)/2 inversions"
+    return True, (f"associativity ({_degrees(associative)}), rank bijection ({_degrees(ranked)}), "
+                  f"inversion steps and the reversal ({_degrees(stepped)})")
 
 
 def check_sequence_shapes(degrees=range(1, 13)) -> tuple[bool, str]:
     """Every element an involution of the sequence's degree, and the
-    closed-form lengths of `sequences.expected_length`."""
+    closed-form lengths of `LENGTHS`."""
     for n in degrees:
-        for build in BUILDS:
+        for kind, build in CONSTRUCTIONS.items():
             seq = build(n)
             problems = check_sequence(seq)
+            if len(seq) != LENGTHS[kind](n):
+                problems.append(f"length is {len(seq)}, expected {LENGTHS[kind](n)}")
             if problems:
-                return False, f"{seq.kind} n={n}: {problems[0]}"
+                return False, f"{kind} n={n}: {problems[0]}"
     return True, f"lengths and involutions for {_degrees(degrees)}"
 
 

@@ -12,6 +12,7 @@ import numpy as np
 from .checks import run_checks
 from .encoding import COMPACT, ONEHOT, EncodingSpec
 from .experiment import (
+    METHODS,
     RATIO_MODES,
     RunSpec,
     reach_report,
@@ -23,7 +24,7 @@ from .limits import TooLarge
 from .optimize import ObjectiveError, OptConfig
 from .perms import format_perm, parse_perm
 from .qaoa import QaoaConfig, default_layers
-from .sequences import BINARY_INSERTION, BUBBLE
+from .sequences import BUBBLE
 from .tsp import load_instance, optimum, random_instance, save_instance
 
 EXIT_OK = 0
@@ -52,8 +53,7 @@ def _add_shared_flags(p):
     p.add_argument("--encoding", choices=[ONEHOT, COMPACT], default=COMPACT)
     p.add_argument("--reduced", action=argparse.BooleanOptionalAction, default=True,
                    help="fix the last city as tour start (effective degree n-1)")
-    p.add_argument("--method", choices=[BUBBLE, BINARY_INSERTION, "qaoa"],
-                   default=BUBBLE)
+    p.add_argument("--method", choices=METHODS, default=BUBBLE)
 
 
 def _resolve_instance(args):

@@ -32,16 +32,10 @@ from .feasible import (
 from .optimize import OptConfig, OptTrace, approximation_ratio, minimize
 from .perms import identity, unrank
 from .qaoa import QaoaConfig, default_layers, initial_state, qaoa_steps
-from .sequences import (
-    BINARY_INSERTION,
-    BUBBLE,
-    GeneratingSequence,
-    binary_insertion_sequence,
-    bubble_sequence,
-)
+from .sequences import BUBBLE, CONSTRUCTIONS, GeneratingSequence
 from .tsp import TourCost, TspInstance, optimum
 
-METHODS = (BUBBLE, BINARY_INSERTION, "qaoa")
+METHODS = (*CONSTRUCTIONS, "qaoa")
 RATIO_MODES = ("opt-over-exp", "max-gap")
 
 
@@ -65,6 +59,8 @@ class RunSpec:
             raise ValueError("qaoa settings given but method is not qaoa")
         if self.encoding_kind not in (ONEHOT, COMPACT):
             raise ValueError(f"unknown encoding {self.encoding_kind!r}")
+        if self.random_init_seed is not None and self.random_init_seed < 0:
+            raise ValueError(f"random-init seed must be >= 0, got {self.random_init_seed}")
         if self.ratio_mode not in RATIO_MODES:
             raise ValueError(f"unknown ratio mode {self.ratio_mode!r}; "
                              f"use {' or '.join(RATIO_MODES)}")
@@ -90,11 +86,9 @@ class RunSpec:
 
 
 def build_sequence(method: str, degree: int) -> GeneratingSequence:
-    if method == BUBBLE:
-        return bubble_sequence(degree)
-    if method == BINARY_INSERTION:
-        return binary_insertion_sequence(degree)
-    raise ValueError(f"no generating sequence for method {method!r}")
+    if method not in CONSTRUCTIONS:
+        raise ValueError(f"no generating sequence for method {method!r}")
+    return CONSTRUCTIONS[method](degree)
 
 
 def _ratio_fn(spec: RunSpec, cost: TourCost, opt_cost: float):

@@ -210,10 +210,20 @@ def run_steps(state: FeasibleState, steps, thetas) -> FeasibleState:
     A step's generator G is an involution's action table (an integer
     array, applied by `apply_involution_exp`) or a rank-indexed cost
     vector (a float array, applied by `apply_phase`); k indexes `thetas`,
-    and steps may share an angle.  The gates alternate between `state`,
-    which is overwritten, and one state the first step allocates.
+    which needs one entry per index up to the largest, as steps may share
+    an angle.  The gates alternate between `state`, which is overwritten,
+    and one state the first step allocates.
     """
-    return _run(state, None, steps, thetas)[0]
+    return _run(state, None, steps, _angles(steps, thetas))[0]
+
+
+def _angles(steps, thetas) -> np.ndarray:
+    """`thetas` as floats, with one entry per angle index up to the largest."""
+    thetas = np.asarray(thetas, dtype=float)
+    need = 1 + max((k for _, k in steps), default=-1)
+    if thetas.shape != (need,):
+        raise ValueError(f"need {need} angles, got shape {thetas.shape}")
+    return thetas
 
 
 def _run(state: FeasibleState, spare: FeasibleState | None, steps, thetas):
@@ -231,9 +241,6 @@ def circuit_steps(seq: GeneratingSequence) -> list:
 def run_exhaustive_circuit(seq: GeneratingSequence, thetas, start: Perm) -> FeasibleState:
     """Apply the parametrised exponential of every sequence element in
     order to the basis state of `start`."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.shape != (len(seq.elements),):
-        raise ValueError(f"need {len(seq.elements)} angles, got shape {thetas.shape}")
     if len(start) != seq.n:
         raise ValueError(f"start tour has degree {len(start)}, sequence degree {seq.n}")
     return run_steps(basis_state(start), circuit_steps(seq), thetas)
@@ -252,7 +259,7 @@ def expectation_gradient(state: FeasibleState, steps, thetas, cost: np.ndarray) 
     (Jones & Gacon, arXiv:2009.02823).  It costs about three circuits and
     alternates four states; `state` is overwritten.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = _angles(steps, thetas)
     psi, psi_spare = _run(state, _target(state, cost), steps, thetas)
     lam = FeasibleState(psi.n, cost * psi.amps)
     lam_spare = _target(psi, cost)

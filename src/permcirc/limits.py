@@ -1,7 +1,7 @@
 """The one table of size caps.  The simulator keeps one amplitude per
-tour, so most structures hold n! entries; the oracles and exhaustive
-searches grow as 2^m or worse.  `check` runs before anything is
-allocated, and a refusal says what the request would need.
+tour, so most structures hold n! entries; the statevector oracle grows
+as 2^m.  `check` runs before anything is allocated, and a refusal says
+what the request would need.
 """
 
 from dataclasses import dataclass
@@ -39,13 +39,10 @@ CAPS = {
     "statevector": Cap("statevector", "{} qubits", 17, lambda m: 1 << m, 16, "a copy"),
     # the layered products of `verify_generating` and a custom `decompose`
     "product sweep": Cap("product sweep", "degree {}", 9, factorial, note="tours a layer"),
-    # the optimiser's d x d simplex: 4096 parameters peak at 256 MiB traced
-    # (427 MB RSS) in `minimize`; real circuits have at most 45 at degree 10
+    # the d x d simplex of `minimize`: 4096 parameters peak at 427 MB RSS, and
+    # real circuits have at most 45.  It bounds memory, not time: a fresh
+    # simplex runs d circuits, 14.5 s at 512 QAOA layers on 4 cities (2 CPUs)
     "parameters": Cap("simplex", "{} parameters", 4096, lambda d: d * d, 8, "a copy"),
-    # (n-1)^L sequences up to the bubble length L = n(n-1)/2
-    "adjacency search": Cap("adjacency search", "degree {}", 5,
-                            lambda n: max(1, n - 1) ** (n * (n - 1) // 2),
-                            note="candidate sequences"),
 }
 
 

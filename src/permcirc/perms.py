@@ -184,5 +184,7 @@ def parse_perm(text: str) -> Perm:
         values = tuple(int(tok) - 1 for tok in text.split(","))
     except ValueError:
         raise ValueError(f"malformed permutation {text!r}") from None
-    return check_perm(values)
+    if not is_perm(values):
+        raise ValueError(f"not a permutation of 1..{len(values)} in one-line notation: {text!r}")
+    return values
 

@@ -10,12 +10,15 @@ first.  Two constructions are provided:
   degree k the block involutions that move position 1 by powers of two;
   d = sum of ceil(log2(k)) for k = 2..n.
 
-`decompose` finds a bit mask whose `recompose` product equals a given
-permutation; `verify_generating` certifies a sequence by sweeping its
-products layer by layer, the set of all 2^d masks in d * n! steps.
+A sequence's `kind` is read from its elements, "custom" unless they are
+exactly one construction.  `decompose` finds a bit mask whose `recompose`
+product equals a given permutation; `verify_generating` certifies a
+sequence by sweeping its products layer by layer, the set of all 2^d
+masks in d * n! steps, which a custom `decompose` walks back.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, factorial, log2
 
 from . import limits
@@ -52,7 +55,6 @@ class GeneratingSequence:
 
     n: int
     elements: tuple[Perm, ...]
-    kind: str = CUSTOM
     action_side: str = "right"
 
     def __post_init__(self):
@@ -61,6 +63,16 @@ class GeneratingSequence:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def kind(self) -> str:
+        """The `CONSTRUCTIONS` key whose construction at this degree is exactly
+        these elements, else "custom"; "bubble" at degrees 1 and 2, where
+        the two constructions coincide."""
+        for kind, build in CONSTRUCTIONS.items():
+            if self.n >= 1 and build(self.n).elements == self.elements:
+                return kind
+        return CUSTOM
 
 
 def bubble_sequence(n: int) -> GeneratingSequence:
@@ -79,7 +91,7 @@ def bubble_sequence(n: int) -> GeneratingSequence:
         for length in range(n - 1, 0, -1)
         for j in range(length)
     )
-    return GeneratingSequence(n, elements, kind=BUBBLE)
+    return GeneratingSequence(n, elements)
 
 
 def _embed(p: Perm) -> Perm:
@@ -112,17 +124,10 @@ def binary_insertion_sequence(n: int) -> GeneratingSequence:
         elements += [
             _insertion_block(k, level) for level in range(1, ceil(log2(k)) + 1)
         ]
-    return GeneratingSequence(n, tuple(elements), kind=BINARY_INSERTION)
+    return GeneratingSequence(n, tuple(elements))
 
 
-def expected_length(kind: str, n: int) -> int:
-    """Closed-form sequence length: n(n-1)/2 for bubble, sum of
-    ceil(log2(k)) for binary insertion."""
-    if kind == BUBBLE:
-        return n * (n - 1) // 2
-    if kind == BINARY_INSERTION:
-        return sum(ceil(log2(k)) for k in range(2, n + 1))
-    raise ValueError(f"no closed-form length for kind {kind!r}")
+CONSTRUCTIONS = {BUBBLE: bubble_sequence, BINARY_INSERTION: binary_insertion_sequence}
 
 
 def recompose(seq: GeneratingSequence, bits) -> Perm:
@@ -245,53 +250,28 @@ def verify_generating(seq: GeneratingSequence) -> GeneratingReport:
 
 def min_adjacency_length(n: int) -> int:
     """Length of the shortest generating sequence built only from
-    adjacency transpositions, by iterative-deepening exhaustive search.
+    adjacency transpositions tau_j = (j, j+1): n(n-1)/2.
 
-    Search cost grows as (n-1)^L, within the "adjacency search" row of
-    `limits.CAPS`.  The bubble sequence attains the returned value.
+    Lower bound: left multiplication by tau_j swaps the values j and j+1,
+    which changes the inversion number by exactly one, so an ordered
+    product of L adjacency transpositions has at most L inversions.  The
+    reversal has n(n-1)/2 inversions, so a generating sequence needs at
+    least that many elements.  Upper bound: the bubble sequence has that
+    length and is generating (Knuth, TAOCP Vol. 3, Sec. 5.2.2).
+    `checks.check_perm_core` tests both lemmas.
     """
-    limits.check("adjacency search", n)
-    if n == 1:
-        return 0
-    taus = [transposition(n, j, j + 1) for j in range(n - 1)]
-    order = factorial(n)
-    upper = n * (n - 1) // 2
-
-    def search(depth: int, remaining: int, reach: set[Perm]) -> bool:
-        if len(reach) == order:
-            return True
-        # each further element at most doubles the reachable set
-        if len(reach) << remaining < order:
-            return False
-        if remaining == 0:
-            return False
-        for tau in taus:
-            grown = reach | {compose(tau, p) for p in reach}
-            if search(depth + 1, remaining - 1, grown):
-                return True
-        return False
-
-    for length in range(1, upper + 1):
-        if 2**length < order:
-            continue
-        if search(0, length, {identity(n)}):
-            return length
-    return upper
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    return n * (n - 1) // 2
 
 
 def check_sequence(seq: GeneratingSequence) -> list[str]:
-    """Structural problems with a sequence: elements of another degree,
-    non-involutions and a wrong closed-form length."""
+    """Structural problems with a sequence: elements of another degree
+    and non-involutions."""
     problems = []
     for i, h in enumerate(seq.elements):
         if len(h) != seq.n:
             problems.append(f"element {i + 1} has degree {len(h)}, expected {seq.n}")
         elif not is_involution(h):
             problems.append(f"element {i + 1} is not an involution")
-    if seq.kind in (BUBBLE, BINARY_INSERTION):
-        want = expected_length(seq.kind, seq.n)
-        if len(seq.elements) != want:
-            problems.append(
-                f"{seq.kind} length is {len(seq.elements)}, expected {want}"
-            )
     return problems

@@ -135,7 +135,8 @@ def save_instance(inst: TspInstance, path) -> None:
 
 
 def load_instance(path) -> TspInstance:
-    """Parse the `save_instance` format with line/field diagnostics."""
+    """Parse the `save_instance` format with line/field diagnostics.
+    Under `directed 0` the weights must be symmetric."""
     lines = [
         (i + 1, ln.strip())
         for i, ln in enumerate(Path(path).read_text().splitlines())
@@ -156,7 +157,8 @@ def load_instance(path) -> TspInstance:
         _check_city_count(n)
     except ValueError as e:
         raise ValueError(f"{path}: bad city count: {e}") from None
-    if header(1, "directed") not in ("0", "1"):
+    directed = header(1, "directed")
+    if directed not in ("0", "1"):
         raise ValueError(f"{path}:{lines[1][0]}: directed must be 0 or 1, got {lines[1][1]!r}")
     rows = lines[2:]
     if len(rows) != n:
@@ -175,4 +177,8 @@ def load_instance(path) -> TspInstance:
                 raise ValueError(f"{path}:{lineno}: field {v + 1}: weight must be finite")
             if u != v and w[u, v] <= 0:
                 raise ValueError(f"{path}:{lineno}: field {v + 1}: weight must be positive")
+            if directed == "0" and v < u and w[u, v] != w[v, u]:
+                raise ValueError(f"{path}:{lineno}: field {v + 1}: weight {float(w[u, v])!r} "
+                                 f"differs from {float(w[v, u])!r} in row {v + 1}, "
+                                 f"field {u + 1}, with directed 0")
     return TspInstance(w)

@@ -118,7 +118,7 @@ def test_buffered_circuit_is_bit_identical(build, side):
     rng = np.random.default_rng(11)
     for n in (1, 2, 5, 6):
         seq = build(n)
-        seq = type(seq)(seq.n, seq.elements, kind=seq.kind, action_side=side)
+        seq = type(seq)(seq.n, seq.elements, action_side=side)
         thetas = rng.uniform(0, 2 * np.pi, len(seq))
         start = tuple(rng.permutation(n).tolist())
         assert bits(run_exhaustive_circuit(seq, thetas, start)) == bits(functional_circuit(seq, thetas, start))

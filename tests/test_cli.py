@@ -296,6 +296,27 @@ def test_reach_target_and_optimum(tmp_path, capsys):
     assert "fidelity  1.000000000" in out
 
 
+@pytest.mark.parametrize("target", ["1,2,3,5", "0,1,2,3"])
+def test_reach_quotes_a_bad_target(target, capsys):
+    assert run_cli("reach", "--n", "5", "--seed", "0", "--target", target) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("permcirc: error: not a permutation of 1..4 in one-line "
+                            f"notation: '{target}'\n")
+    assert captured.out == ""
+
+
+def test_negative_random_init_is_refused_before_the_trace_opens(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run_cli("run", "--n", "5", "--random-init", "-1", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "permcirc: error: random-init seed must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
+    with pytest.raises(ValueError, match="^random-init seed must be >= 0, got -3$"):
+        RunSpec(random_instance(5, seed=0), random_init_seed=-3)
+    RunSpec(random_instance(5, seed=0), random_init_seed=0)
+
+
 def test_reach_rejects_qaoa():
     assert run_cli("reach", "--n", "6", "--seed", "0", "--method", "qaoa") == 1
 

@@ -10,12 +10,15 @@ from permcirc.feasible import (
     apply_involution_exp,
     apply_phase,
     basis_state,
+    circuit_steps,
     expectation,
+    expectation_gradient,
     fidelity,
     involution_action,
     probabilities,
     reachability_params,
     run_exhaustive_circuit,
+    run_steps,
     sample,
     uniform_feasible_state,
 )
@@ -158,6 +161,26 @@ def test_run_exhaustive_circuit_zero_angles():
         run_exhaustive_circuit(seq, np.zeros(len(seq) - 1), start)
 
 
+@pytest.mark.parametrize("count", [0, 3, 5, 7, 10])
+def test_step_runners_need_one_angle_per_index(count):
+    # the degree-4 bubble circuit has angle indices 0..5; too many angles
+    # would run silently and too few would fail mid-circuit
+    steps = circuit_steps(bubble_sequence(4))
+    vec = np.arange(24.0)
+    message = f"^need 6 angles, got shape \\({count},\\)$"
+    with pytest.raises(ValueError, match=message):
+        run_steps(basis_state((0, 1, 2, 3)), steps, np.zeros(count))
+    with pytest.raises(ValueError, match=message):
+        expectation_gradient(basis_state((0, 1, 2, 3)), steps, np.zeros(count), vec)
+    with pytest.raises(ValueError, match=message):
+        run_exhaustive_circuit(bubble_sequence(4), np.zeros(count), (0, 1, 2, 3))
+    with pytest.raises(ValueError, match="^need 6 angles, got shape \\(1, 6\\)$"):
+        run_steps(basis_state((0, 1, 2, 3)), steps, np.zeros((1, 6)))
+    # steps that share an angle need only the indices they use
+    shared = [(action, 0) for action, _ in steps]
+    assert run_steps(basis_state((0, 1, 2, 3)), shared, [0.0]).amps[0] == 1
+
+
 def test_degree_mismatches_are_refused():
     with pytest.raises(ValueError, match="^target tour has degree 3, state degree 4$"):
         fidelity(basis_state((0, 1, 2, 3)), (0, 1, 2))
@@ -206,7 +229,7 @@ def test_reachability_all_pairs_n5_batched(build):
 
 def test_reachability_left_action():
     seq = bubble_sequence(4)
-    left = type(seq)(seq.n, seq.elements, kind=seq.kind, action_side="left")
+    left = type(seq)(seq.n, seq.elements, action_side="left")
     for target in all_perms(4):
         thetas = reachability_params(left, identity(4), target)
         state = run_exhaustive_circuit(left, thetas, identity(4))

@@ -2,13 +2,16 @@
 cap, before allocating, with a message that states the cap."""
 
 import dataclasses
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from permcirc import limits
 from permcirc.encoding import COMPACT, ONEHOT, EncodingSpec
+from permcirc.experiment import RunSpec
 from permcirc.feasible import basis_state, involution_action, uniform_feasible_state
 from permcirc.fullstate import (
     ancilla_exponential_check,
@@ -20,16 +23,12 @@ from permcirc.fullstate import (
 from permcirc.limits import CAPS, TooLarge
 from permcirc.optimize import OptConfig, minimize
 from permcirc.perms import identity, perm_table, rank, rank_rows, transposition, unrank
-from permcirc.sequences import (
-    GeneratingSequence,
-    decompose,
-    min_adjacency_length,
-    verify_generating,
-)
+from permcirc.sequences import GeneratingSequence, decompose, verify_generating
 from permcirc.tsp import TourCost, optimum, random_instance
 
 # built outside the measured calls
 THIRTEEN = random_instance(13, seed=0)
+TWELVE = random_instance(12, seed=0)
 ROWS = np.zeros((1, 2), dtype=np.int8)
 QUBITS_18 = EncodingSpec(6, COMPACT)  # 6 slots of 3 bits
 DEGREE_10 = GeneratingSequence(10, (transposition(10, 0, 1),))
@@ -51,7 +50,7 @@ REFUSALS = [
     ("statevector", lambda: swap_index_table(identity(6), QUBITS_18)),
     ("product sweep", lambda: verify_generating(DEGREE_10)),
     ("product sweep", lambda: decompose(DEGREE_10, identity(10))),
-    ("adjacency search", lambda: min_adjacency_length(6)),
+    ("state", lambda: RunSpec(TWELVE)),
     ("instance", lambda: random_instance(4097, seed=0)),
     ("statevector", lambda: ancilla_exponential_check(identity(6), QUBITS_18, 0.3, 1)),
     ("parameters", lambda: minimize(None, PAST_PARAMETERS, OptConfig(), gradient=None)),
@@ -60,6 +59,13 @@ REFUSALS = [
 
 def test_every_row_is_exercised():
     assert {row for row, _ in REFUSALS} == set(CAPS)
+
+
+def test_readme_cap_table_lists_every_row():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| Row | Covers |"):].split("\n\n")[0]
+    rows = re.findall(r"^\s*\| `([^`]+)` \|", table, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(CAPS)
 
 
 @pytest.mark.parametrize("row", CAPS)
@@ -103,8 +109,6 @@ def test_messages_state_what_the_request_needs():
         "statevector": "statevector of 18 qubits needs 4.0 MiB a copy; cap is 17 qubits",
         "product sweep": "product sweep of degree 10 needs 3,628,800 tours a layer; cap is degree 9",
         "parameters": "simplex of 4097 parameters needs 0.1 GiB a copy; cap is 4096 parameters",
-        "adjacency search": "adjacency search of degree 6 needs 30,517,578,125 candidate sequences; "
-                            "cap is degree 5",
     }
     for row, text in expected.items():
         with pytest.raises(TooLarge) as refused:

@@ -125,6 +125,11 @@ def test_text_format():
         parse_perm("2,3,3")
     with pytest.raises(ValueError):
         parse_perm("a,b")
+    # refusals quote the 1-based text and the values it should hold
+    for text in ("1,2,3,5", "0,1,2,3", "2,3,3,1"):
+        with pytest.raises(ValueError) as refused:
+            parse_perm(text)
+        assert str(refused.value) == f"not a permutation of 1..4 in one-line notation: {text!r}"
 
 
 @settings(max_examples=200)

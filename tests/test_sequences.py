@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permcirc.checks import check_decompose_roundtrip, check_generating, check_sequence_shapes
+from permcirc.feasible import fidelity, reachability_params, run_exhaustive_circuit
 from permcirc.limits import TooLarge
 from permcirc.perms import all_perms, compose, identity, transposition
 from permcirc.sequences import (
-    BINARY_INSERTION,
+    BUBBLE,
+    CONSTRUCTIONS,
+    CUSTOM,
     GeneratingSequence,
     NotDecomposable,
     binary_insertion_sequence,
@@ -138,7 +141,7 @@ def test_recompose_length_mismatch():
 
 def test_custom_decompose_and_not_decomposable():
     # a stub of the bubble sequence is not generating for S_3
-    seq = GeneratingSequence(3, (transposition(3, 0, 1),), kind="custom")
+    seq = GeneratingSequence(3, (transposition(3, 0, 1),))
     assert recompose(seq, decompose(seq, transposition(3, 0, 1))) == transposition(3, 0, 1)
     with pytest.raises(NotDecomposable):
         decompose(seq, transposition(3, 1, 2))
@@ -148,7 +151,7 @@ def test_custom_decompose_divides_by_the_inverse():
     # a 3-cycle is not an involution, so walking back by h instead of
     # h^-1 would give masks that do not recompose
     cycle = (1, 2, 0)
-    seq = GeneratingSequence(3, (cycle, transposition(3, 0, 1), cycle), kind="custom")
+    seq = GeneratingSequence(3, (cycle, transposition(3, 0, 1), cycle))
     reached = set()
     for g in all_perms(3):
         try:
@@ -162,26 +165,65 @@ def test_custom_decompose_divides_by_the_inverse():
 
 
 def test_min_adjacency_length():
-    assert min_adjacency_length(2) == 1
-    assert min_adjacency_length(3) == 3
-    assert min_adjacency_length(4) == 6
-    with pytest.raises(TooLarge, match="cap is degree 5$"):
-        min_adjacency_length(6)
+    # the values the iterative-deepening search gave for n = 0..5, then
+    # the inversion bound where no search could reach
+    assert [min_adjacency_length(n) for n in range(6)] == [0, 0, 1, 3, 6, 10]
+    assert min_adjacency_length(6) == 15
+    assert min_adjacency_length(12) == 66
+    for n in range(1, 9):
+        assert min_adjacency_length(n) == len(bubble_sequence(n))
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        min_adjacency_length(-1)
 
 
 def test_check_sequence_flags_tampering():
     seq = binary_insertion_sequence(4)
     assert check_sequence(seq) == []
     assert verify_generating(seq)
-    tampered = GeneratingSequence(
-        4, seq.elements[:-1] + ((1, 2, 0, 3),), kind=BINARY_INSERTION
-    )
+    tampered = GeneratingSequence(4, seq.elements[:-1] + ((1, 2, 0, 3),))
     problems = check_sequence(tampered)
     assert any("not an involution" in p for p in problems)
-    short = GeneratingSequence(4, seq.elements[:-1], kind=BINARY_INSERTION)
-    assert any("length" in p for p in check_sequence(short))
-    weak = GeneratingSequence(3, (transposition(3, 0, 1),) * 3, kind="custom")
+    assert tampered.kind == CUSTOM
+    # a shortened copy is no longer the construction, only a custom sequence
+    short = GeneratingSequence(4, seq.elements[:-1])
+    assert short.kind == CUSTOM and check_sequence(short) == []
+    assert not verify_generating(short)
+    weak = GeneratingSequence(3, (transposition(3, 0, 1),) * 3)
     assert not verify_generating(weak)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_kind_is_read_from_the_elements(n, side):
+    for kind, build in CONSTRUCTIONS.items():
+        seq = build(n)
+        copy = GeneratingSequence(n, seq.elements, action_side=side)
+        # at degrees 1 and 2 both constructions are the same elements
+        assert copy.kind == (kind if n > 2 else BUBBLE)
+        assert seq.kind == copy.kind
+        # the degree-3 bubble sequence is a palindrome
+        if seq.elements[::-1] != seq.elements:
+            assert GeneratingSequence(n, seq.elements[::-1], action_side=side).kind == CUSTOM
+        if seq.elements:
+            assert GeneratingSequence(n, seq.elements[1:], action_side=side).kind == CUSTOM
+
+
+def test_kind_is_not_declared():
+    with pytest.raises(TypeError):
+        GeneratingSequence(2, ((1, 0),), kind=BUBBLE)
+    assert GeneratingSequence(0, ()).kind == CUSTOM
+    assert GeneratingSequence(3, (identity(3),) * 3).kind == CUSTOM
+
+
+def test_reversed_bubble_sequence_reaches_its_target():
+    # the reversed degree-4 bubble sequence is generating, but the bubble
+    # peel's masks do not recompose over it; read as custom, the sweep's do
+    seq = GeneratingSequence(4, bubble_sequence(4).elements[::-1])
+    assert seq.kind == CUSTOM and verify_generating(seq)
+    for target in all_perms(4):
+        thetas = reachability_params(seq, identity(4), target)
+        state = run_exhaustive_circuit(seq, thetas, identity(4))
+        assert fidelity(state, target) == pytest.approx(1.0, abs=1e-10)
 
 
 @settings(max_examples=100, deadline=None)

@@ -147,13 +147,24 @@ def test_load_rejects_bad_weight(tmp_path):
 
 def test_load_checks_directed_flag(tmp_path):
     path = tmp_path / "d.tsp"
-    for flag in ("0", "1"):
-        path.write_text(f"n 2\ndirected {flag}\n0.0 1.0\n2.0 0.0\n")
-        assert load_instance(path).n == 2
+    path.write_text("n 2\ndirected 1\n0.0 1.0\n2.0 0.0\n")
+    assert load_instance(path).n == 2
+    path.write_text("n 2\ndirected 0\n0.0 2.0\n2.0 0.0\n")
+    assert load_instance(path).n == 2
     for flag in ("banana", "2", "-1", "true"):
         path.write_text(f"# comment\nn 2\ndirected {flag}\n0.0 1.0\n2.0 0.0\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: directed must be 0 or 1")):
             load_instance(path)
+
+
+def test_undirected_instance_must_be_symmetric(tmp_path):
+    path = tmp_path / "u.tsp"
+    path.write_text("n 3\ndirected 0\n0 1 2\n3 0 1\n1 1 0\n")
+    message = f"{path}:4: field 1: weight 3.0 differs from 1.0 in row 1, field 2, with directed 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_instance(path)
+    path.write_text("n 3\ndirected 1\n0 1 2\n3 0 1\n1 1 0\n")
+    assert load_instance(path).w[1, 0] == 3
 
 
 def test_instance_validation():
