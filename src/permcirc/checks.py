@@ -12,6 +12,7 @@ full-statevector cross-validation at small sizes.
 
 import time
 from dataclasses import dataclass
+from itertools import product
 from math import ceil, factorial, log2
 
 import numpy as np
@@ -36,6 +37,7 @@ from .sequences import (
     BINARY_INSERTION,
     BUBBLE,
     CONSTRUCTIONS,
+    GeneratingReport,
     GeneratingSequence,
     _insertion_block,
     binary_insertion_sequence,
@@ -116,7 +118,20 @@ def check_sequence_shapes(degrees=range(1, 13)) -> tuple[bool, str]:
     return True, f"lengths and involutions for {_degrees(degrees)}"
 
 
-def check_generating(degrees=range(2, 6), builds=BUILDS) -> tuple[bool, str]:
+def _enumerated_report(seq: GeneratingSequence) -> GeneratingReport:
+    """The generating report from `recompose` over all 2^d masks."""
+    reached = {recompose(seq, mask) for mask in product((0, 1), repeat=len(seq))}
+    missing = tuple(p for p in all_perms(seq.n) if p not in reached)
+    return GeneratingReport(not missing, factorial(seq.n), len(reached), missing)
+
+
+def check_generating(degrees=range(2, 6), builds=BUILDS, exhaustive=range(2, 6),
+                     sequences=()) -> tuple[bool, str]:
+    """Both constructions generating at each degree by the product sweep,
+    and the sweep's report equal to recomposing all 2^d masks for the
+    constructions at a degree in `exhaustive` and for each of `sequences`,
+    which need not be generating."""
+    compared = list(sequences)
     for n in degrees:
         for build in builds:
             seq = build(n)
@@ -126,7 +141,19 @@ def check_generating(degrees=range(2, 6), builds=BUILDS) -> tuple[bool, str]:
                     f"{seq.kind} n={n}: {len(report.unreachable)} of "
                     f"{report.group_order} unreachable"
                 )
-    return True, f"every ordered product reached for {_degrees(degrees)}"
+            if n in exhaustive:
+                compared.append(seq)
+    for seq in compared:
+        swept, enumerated = verify_generating(seq), _enumerated_report(seq)
+        if swept != enumerated:
+            differ = sorted(set(swept.unreachable) ^ set(enumerated.unreachable))
+            return False, (
+                f"{seq.kind} n={seq.n}, {len(seq)} elements: the sweep and all 2^d masks "
+                f"disagree on {len(differ)} tours, first {differ[:1]}"
+            )
+    return True, (f"every ordered product reached for {_degrees(degrees)}; the sweep "
+                  f"equals all 2^d masks for {_degrees(n for n in degrees if n in exhaustive)}"
+                  + (f" and {len(sequences)} more sequences" if sequences else ""))
 
 
 def check_decompose_roundtrip(exhaustive=range(1, 6), sampled=range(6, 10),
@@ -474,7 +501,7 @@ QUICK_CHECKS = [
 ]
 
 FULL_CHECKS = QUICK_CHECKS + [
-    ("generating-property-n8", lambda: check_generating(range(2, 9))),
+    ("generating-property-n10", lambda: check_generating(range(2, 11))),
     ("cross-simulator", check_cross_simulator),
     ("ancilla-circuit", check_ancilla_circuit),
     ("mixer-oracle", check_mixer_oracle),

@@ -6,10 +6,9 @@ this representation.  Exponentials of involutory permutation operators
 reduce to cos(theta) * amps - i sin(theta) * gathered amps, so a gate is
 one vectorised gather-and-mix pass over a precomputed index table.
 
-An element acting on the right that moves only positions s..e changes
-only rank digits s..e, so its table comes from re-ranking the
-arrangements of those e-s+1 digits and broadcasting them over the
-untouched high and low digits; left actions rank every permuted tour.
+Right-action tables come from `perms.right_action`, which re-ranks only
+the window of positions an element moves and broadcasts it over the
+untouched rank digits; left actions rank every permuted tour.
 A circuit is a list of steps, each a generator (an action table or a
 diagonal cost vector) tied to an angle; `run_steps` alternates its gates
 between two states through the `out` argument of the gate and phase
@@ -31,12 +30,12 @@ from .perms import (
     Perm,
     check_perm,
     compose,
-    identity,
     inverse,
     is_involution,
     perm_table,
     rank,
     rank_rows,
+    right_action,
     unrank,
 )
 from .sequences import GeneratingSequence, decompose
@@ -76,29 +75,6 @@ def uniform_feasible_state(n: int) -> FeasibleState:
     return FeasibleState(n, amps)
 
 
-def _window_action(element: Perm) -> np.ndarray:
-    """Right action of an involution that moves only positions s..e.
-
-    Rank digits outside s..e stay put, and digits s..e are the rank of the
-    m = e-s+1 leading values of the tour restricted to positions s.., an
-    arrangement of m out of N = n-s values.  So rank a*N! + k*B + b, with
-    B = (N-m)!, maps to a*N! + mid[k]*B + b, where mid re-ranks the K = N!/B
-    arrangements after the element permutes their entries.
-    """
-    n = len(element)
-    moved = [i for i, v in enumerate(element) if v != i]
-    s, e = moved[0], moved[-1]
-    big, m = n - s, e - s + 1
-    block = factorial(big - m)
-    arrangements = perm_table(big)[::block, :m]
-    local = np.asarray(element[s:e + 1]) - s
-    mid = rank_rows(arrangements[:, local], big)
-    high = (np.arange(factorial(n) // factorial(big))[:, None] * len(mid) + mid) * block
-    table = np.empty((*high.shape, block), dtype=np.int64)
-    np.add(high[:, :, None], np.arange(block), out=table)
-    return table.reshape(-1)
-
-
 @lru_cache(maxsize=None)
 def involution_action(element: Perm, side: str = "right") -> np.ndarray:
     """Rank-index table of one involution acting on all of S_n.
@@ -114,10 +90,8 @@ def involution_action(element: Perm, side: str = "right") -> np.ndarray:
         raise ValueError(f"bad action side {side!r}")
     n = len(element)
     limits.check("state", n)
-    if element == identity(n):
-        out = np.arange(factorial(n), dtype=np.int64)
-    elif side == "right":
-        out = _window_action(element)
+    if side == "right":
+        out = right_action(element)
     else:
         out = rank_rows(np.asarray(element, dtype=np.int8)[perm_table(n)], n)
     out.setflags(write=False)

@@ -30,15 +30,14 @@ class Cap:
 
 CAPS = {
     # degree 10 peaks at about 1 GB with its cached index tables; at 11 one
-    # binary-insertion circuit's 320-MB tables alone come to 9.3 GB
+    # binary-insertion circuit's 320-MB tables alone come to 9.3 GB.  The
+    # product sweep of `verify_generating` needs 4 B a tour and one table
     "state": Cap("state", "degree {}", 10, factorial, 16, "a copy"),
     # n^2 float64 weights, drawn before any other size is known
     "instance": Cap("instance", "{} cities", 4096, lambda n: n * n, 8),
     # an int8 row and a float64 cost per tour: degree 11 takes about 1.1 GB
     "permutations": Cap("permutation table", "degree {}", 11, factorial, 12 + 8),
     "statevector": Cap("statevector", "{} qubits", 17, lambda m: 1 << m, 16, "a copy"),
-    # the layered products of `verify_generating` and a custom `decompose`
-    "product sweep": Cap("product sweep", "degree {}", 9, factorial, note="tours a layer"),
     # the d x d simplex of `minimize`: 4096 parameters peak at 427 MB RSS, and
     # real circuits have at most 45.  It bounds memory, not time: a fresh
     # simplex runs d circuits, 14.5 s at 512 QAOA layers on 4 cities (2 CPUs)

@@ -13,24 +13,31 @@ first.  Two constructions are provided:
 A sequence's `kind` is read from its elements, "custom" unless they are
 exactly one construction.  `decompose` finds a bit mask whose `recompose`
 product equals a given permutation; `verify_generating` certifies a
-sequence by sweeping its products layer by layer, the set of all 2^d
-masks in d * n! steps, which a custom `decompose` walks back.
+sequence by sweeping its products layer by layer over Lehmer ranks, with
+the right-action tables the gates use, so that one array records the
+first layer reaching each inverse product: all 2^d masks in d gathers of
+n! entries, which a custom `decompose` walks back.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil, factorial, log2
 
+import numpy as np
+
 from . import limits
 from .perms import (
     Perm,
-    all_perms,
     check_perm,
     compose,
     identity,
     inverse,
     is_involution,
+    is_perm,
+    rank,
+    right_action,
     transposition,
+    unrank,
 )
 
 BUBBLE = "bubble"
@@ -58,6 +65,8 @@ class GeneratingSequence:
     action_side: str = "right"
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"degree must be >= 0, got {self.n}")
         if self.action_side not in ("left", "right"):
             raise ValueError(f"bad action_side {self.action_side!r}")
 
@@ -146,9 +155,11 @@ def decompose(seq: GeneratingSequence, g: Perm) -> tuple[int, ...]:
 
     Masks are not unique; the deterministic procedure per kind is:
     bubble-sort swap recording for `bubble`, the recursive first-image
-    binary digits for `binary-insertion`, and a walk back through the
-    layers of the product sweep for `custom` (which raises
-    NotDecomposable when g is not a product).
+    binary digits for `binary-insertion`, and for `custom` a walk back
+    from rank(g^-1) through the first layers of the product sweep, each
+    set bit right-multiplying by its element (raising NotDecomposable
+    when g is not a product).  A custom sequence's elements must be
+    permutations of its degree.
     """
     check_perm(g)
     if len(g) != seq.n:
@@ -199,30 +210,41 @@ def _decompose_binary_insertion(g: Perm) -> tuple[int, ...]:
     return tuple(reversed(bits_reversed))
 
 
-def _product_layers(seq: GeneratingSequence) -> list[set[Perm]]:
-    """Layer k holds every ordered product of h_1..h_k, each element
-    included or skipped: layer k-1 and h_k applied after each of its
-    members.  Memory is O(d * n!), within the "product sweep" row of
-    `limits.CAPS`."""
-    limits.check("product sweep", seq.n)
-    layers = [{identity(seq.n)}]
-    for h in seq.elements:
-        layers.append(layers[-1].union(compose(h, p) for p in layers[-1]))
-    return layers
+def _first_layers(seq: GeneratingSequence) -> np.ndarray:
+    """first[rank(q)]: the least k such that q^-1 is an ordered product of
+    h_1..h_k, each included or skipped; d + 1 when no k is.
+
+    Layer k is layer k-1 plus h_k . p for each p in it, and
+    (h_k . p)^-1 = p^-1 . h_k^-1, so q is in layer k exactly when q or
+    q . h_k is in layer k-1: one gather through the right-action table of
+    h_k per element.  Memory is 4 B a tour plus one 8-B table, within the
+    "state" row of `limits.CAPS`.
+    """
+    n, d = seq.n, len(seq)
+    for i, h in enumerate(seq.elements):
+        if not (is_perm(h) and len(h) == n):
+            raise ValueError(f"element {i + 1} is not a permutation of degree {n}: {h!r}")
+    limits.check("state", n)
+    first = np.full(factorial(n), d + 1, dtype=np.int32)
+    first[0] = 0  # the identity
+    for k, h in enumerate(seq.elements, 1):
+        first[(first > d) & (first[right_action(h)] < k)] = k
+    return first
 
 
 def _decompose_sweep(seq: GeneratingSequence, g: Perm) -> tuple[int, ...]:
-    # Walk the layers back: a target already in layer k-1 skips h_k;
-    # otherwise it is h_k . p for some p in layer k-1, and p = h_k^-1 . g
+    # Walk back on q = g^-1: h_k is skipped when q is already in layer
+    # k-1; otherwise g = h_k . p for p in layer k-1, and p^-1 = q . h_k
     # (the elements of a custom sequence need not be involutions).
-    layers = _product_layers(seq)
-    if g not in layers[-1]:
+    first = _first_layers(seq)
+    q = inverse(g)
+    if first[rank(q)] > len(seq):
         raise NotDecomposable(f"{g} is not an ordered product of the sequence")
     bits = []
-    for h, layer in zip(reversed(seq.elements), reversed(layers[:-1])):
-        bits.append(int(g not in layer))
+    for k in range(len(seq), 0, -1):
+        bits.append(int(first[rank(q)] > k - 1))
         if bits[-1]:
-            g = compose(inverse(h), g)
+            q = compose(q, seq.elements[k - 1])
     return tuple(reversed(bits))
 
 
@@ -240,12 +262,13 @@ class GeneratingReport:
 
 
 def verify_generating(seq: GeneratingSequence) -> GeneratingReport:
-    """Certify the generating property from the last layer of the
-    product sweep: the set of all 2^d ordered products."""
-    reached = _product_layers(seq)[-1]
-    order = factorial(seq.n)
-    missing = tuple(p for p in all_perms(seq.n) if p not in reached)
-    return GeneratingReport(not missing, order, len(reached), missing)
+    """Certify the generating property from the product sweep: every
+    rank the sweep reaches holds the inverse of one of the 2^d ordered
+    products.  `unreachable` is in rank order."""
+    first = _first_layers(seq)
+    missed = np.flatnonzero(first > len(seq))
+    missing = tuple(sorted(inverse(unrank(int(r), seq.n)) for r in missed))
+    return GeneratingReport(not missing, len(first), len(first) - len(missing), missing)
 
 
 def min_adjacency_length(n: int) -> int:

@@ -64,7 +64,7 @@ def test_sequence_lengths():
 @criterion("generating property for n = 2..6 by exhaustive enumeration, < 60 s")
 def test_generating_property():
     began = time.perf_counter()
-    ok, detail = check_generating(range(2, 7))
+    ok, detail = check_generating(range(2, 7), exhaustive=range(2, 7))
     assert ok, detail
     assert time.perf_counter() - began < 60.0
 

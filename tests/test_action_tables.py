@@ -19,7 +19,16 @@ from permcirc.feasible import (
     uniform_feasible_state,
 )
 from permcirc.limits import TooLarge
-from permcirc.perms import compose, perm_table, rank, rank_rows, transposition, unrank
+from permcirc.perms import (
+    compose,
+    is_involution,
+    perm_table,
+    rank,
+    rank_rows,
+    right_action,
+    transposition,
+    unrank,
+)
 from permcirc.qaoa import QaoaConfig, initial_state, mixer_slot_action, run_qaoa
 from permcirc.sequences import binary_insertion_sequence, bubble_sequence
 from permcirc.tsp import TourCost, random_instance
@@ -52,6 +61,21 @@ def test_involution_action_matches_composition(n):
         for r in range(0, factorial(n), 97):
             assert right[r] == rank(compose(unrank(r, n), h))
             assert left[r] == rank(compose(h, unrank(r, n)))
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_right_action_matches_composition(n):
+    # every permutation, involution or not, the identity included; for
+    # involutions the gates' cached table is the same array
+    tours = [unrank(r, n) for r in range(factorial(n))]
+    for g in tours:
+        table = right_action(g)
+        assert table.dtype == np.int64
+        assert list(table) == [rank(compose(p, g)) for p in tours]
+        if is_involution(g):
+            assert np.array_equal(involution_action(g, "right"), table)
+    with pytest.raises(ValueError, match="not a permutation"):
+        right_action((0, 0))
 
 
 @pytest.mark.parametrize("n", range(0, 9))

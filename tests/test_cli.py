@@ -427,7 +427,9 @@ def test_verify_quick_passes():
 
 def test_verify_full_passes(capsys):
     assert run_cli("verify", "--level", "full") == 0
-    assert capsys.readouterr().out.endswith("17/17 checks passed (full)\n")
+    out = capsys.readouterr().out
+    assert out.endswith("17/17 checks passed (full)\n")
+    assert "PASS generating-property-n10 " in out
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -31,7 +31,7 @@ THIRTEEN = random_instance(13, seed=0)
 TWELVE = random_instance(12, seed=0)
 ROWS = np.zeros((1, 2), dtype=np.int8)
 QUBITS_18 = EncodingSpec(6, COMPACT)  # 6 slots of 3 bits
-DEGREE_10 = GeneratingSequence(10, (transposition(10, 0, 1),))
+DEGREE_11 = GeneratingSequence(11, (transposition(11, 0, 1),))
 PAST_PARAMETERS = np.zeros(CAPS["parameters"].limit + 1)
 
 # (row, one call per structure the row covers, each one past the cap)
@@ -48,8 +48,8 @@ REFUSALS = [
     ("statevector", lambda: zero_state(18)),
     ("statevector", lambda: basis_statevector((0,) * 18)),
     ("statevector", lambda: swap_index_table(identity(6), QUBITS_18)),
-    ("product sweep", lambda: verify_generating(DEGREE_10)),
-    ("product sweep", lambda: decompose(DEGREE_10, identity(10))),
+    ("state", lambda: verify_generating(DEGREE_11)),
+    ("state", lambda: decompose(DEGREE_11, identity(11))),
     ("state", lambda: RunSpec(TWELVE)),
     ("instance", lambda: random_instance(4097, seed=0)),
     ("statevector", lambda: ancilla_exponential_check(identity(6), QUBITS_18, 0.3, 1)),
@@ -107,7 +107,6 @@ def test_messages_state_what_the_request_needs():
         "state": "state of degree 11 needs 0.6 GiB a copy; cap is degree 10",
         "permutations": "permutation table of degree 12 needs 8.9 GiB; cap is degree 11",
         "statevector": "statevector of 18 qubits needs 4.0 MiB a copy; cap is 17 qubits",
-        "product sweep": "product sweep of degree 10 needs 3,628,800 tours a layer; cap is degree 9",
         "parameters": "simplex of 4097 parameters needs 0.1 GiB a copy; cap is 4096 parameters",
     }
     for row, text in expected.items():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from math import ceil, log2
 
@@ -51,10 +52,16 @@ def test_lengths_and_involutions(n):
     assert ok, detail
 
 
+def assert_sweep_matches_masks(*seqs):
+    ok, detail = check_generating((), sequences=seqs)
+    assert ok, detail
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("build", [bubble_sequence, binary_insertion_sequence])
 def test_generating_property(n, build):
-    ok, detail = check_generating((n,), builds=(build,))
+    # bubble has 15 elements at n = 6, so 32 768 masks are recomposed
+    ok, detail = check_generating((n,), builds=(build,), exhaustive=(n,))
     assert ok, detail
 
 
@@ -63,24 +70,26 @@ def test_non_generating_sequence_reported():
     report = verify_generating(seq)
     assert not report.generating
     assert len(report.unreachable) == 4
+    assert_sweep_matches_masks(seq)
 
 
 def test_verify_certifies_the_paper_size():
     # the 9-city protocol runs at effective degree 8: 28 and 17 elements
-    for build in (bubble_sequence, binary_insertion_sequence):
-        report = verify_generating(build(8))
-        assert report.generating
-        assert report.reached == report.group_order == 40320
-        assert report.unreachable == ()
+    for n, order in ((8, 40320), (9, 362880)):
+        for build in (bubble_sequence, binary_insertion_sequence):
+            report = verify_generating(build(n))
+            assert report.generating
+            assert report.reached == report.group_order == order
+            assert report.unreachable == ()
 
 
 def test_verify_refuses_long_sequences():
-    # the degree-10 bubble sequence has 45 elements; the sweep refuses its degree
-    seq = bubble_sequence(10)
+    # the degree-11 bubble sequence has 55 elements; the sweep refuses its degree
+    seq = bubble_sequence(11)
     tracemalloc.start()
     try:
-        with pytest.raises(TooLarge, match="^product sweep of degree 10 needs 3,628,800 tours "
-                                           "a layer; cap is degree 9$"):
+        with pytest.raises(TooLarge, match="^state of degree 11 needs 0.6 GiB a copy; "
+                                           "cap is degree 10$"):
             verify_generating(seq)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -162,6 +171,37 @@ def test_custom_decompose_divides_by_the_inverse():
         reached.add(g)
     assert (2, 1, 0) in reached
     assert len(reached) == verify_generating(seq).reached
+    # these products are not closed under inversion, so a sweep that
+    # tracked products where it tracks their inverses would disagree
+    lopsided = GeneratingSequence(4, ((1, 2, 3, 0), (1, 0, 2, 3), (0, 2, 3, 1)))
+    assert_sweep_matches_masks(seq, lopsided)
+
+
+@pytest.mark.parametrize("seq, message", [
+    (GeneratingSequence(3, ((0, 0, 1),)), "element 1 is not a permutation of degree 3: (0, 0, 1)"),
+    (GeneratingSequence(3, (transposition(3, 0, 1), (1, 0))),
+     "element 2 is not a permutation of degree 3: (1, 0)"),
+    # the last element of a degree-10 sequence is refused before the sweep
+    # allocates its 14.5-MB array or any table
+    (GeneratingSequence(10, (transposition(10, 0, 1), (0,) * 10)),
+     "element 2 is not a permutation of degree 10: (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)"),
+], ids=["repeated value", "short element", "degree 10"])
+@pytest.mark.parametrize("call", [verify_generating, lambda seq: decompose(seq, identity(seq.n))],
+                         ids=["verify", "decompose"])
+def test_sweep_refuses_elements_that_are_not_permutations(seq, message, call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_negative_degree_is_refused():
+    with pytest.raises(ValueError, match="^degree must be >= 0, got -1$"):
+        GeneratingSequence(-1, ())
 
 
 def test_min_adjacency_length():
@@ -190,6 +230,7 @@ def test_check_sequence_flags_tampering():
     assert not verify_generating(short)
     weak = GeneratingSequence(3, (transposition(3, 0, 1),) * 3)
     assert not verify_generating(weak)
+    assert_sweep_matches_masks(seq, tampered, short, weak)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -220,6 +261,7 @@ def test_reversed_bubble_sequence_reaches_its_target():
     # peel's masks do not recompose over it; read as custom, the sweep's do
     seq = GeneratingSequence(4, bubble_sequence(4).elements[::-1])
     assert seq.kind == CUSTOM and verify_generating(seq)
+    assert_sweep_matches_masks(seq)
     for target in all_perms(4):
         thetas = reachability_params(seq, identity(4), target)
         state = run_exhaustive_circuit(seq, thetas, identity(4))
