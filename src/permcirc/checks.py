@@ -485,6 +485,50 @@ def check_gradient(tol: float = 1e-7) -> tuple[bool, str]:
                   "(sequences both sides, QAOA both starts and slot sets, n = 4..6)")
 
 
+def check_circuit_reuse(n: int = 5, seed: int = 31) -> tuple[bool, str]:
+    """A `Circuit` of every circuit kind, walked through a repeated point,
+    a middle angle flipped from 0.0 to -0.0 and back, one-angle changes at
+    its first, middle and last angle, a gradient right after a value at
+    the same point, a state after a gradient and a value after a state,
+    gives each value, gradient and state bit for bit as `run_steps` and
+    `expectation_gradient` do from the initial state."""
+    rng = np.random.default_rng(seed)
+    cost = TourCost(random_instance(n + 1, seed=seed), reduced=True)
+    vec = cost.vector()
+    start = tuple(rng.permutation(n).tolist())
+    reuses = skipped = total = 0
+    for name, d, initial, steps, _ in gradient_cases(cost, start):
+        x = rng.uniform(0, np.pi, d)
+        x[d // 2] = 0.0
+        walk = [("value", x), ("value", x)]
+        for sign, calls in ((-0.0, ("value", "gradient", "state")), (0.0, ("value",))):
+            x = x.copy()
+            x[d // 2] = sign
+            walk += [(call, x) for call in calls]
+        for i in (0, d // 2, d - 1):
+            x = x.copy()
+            x[i] = rng.uniform(0, np.pi)
+            walk.append(("value", x))
+        walk += [("gradient", x), ("state", x), ("value", x)]
+        circuit = fs.Circuit(initial(), steps, vec)
+        for step, (call, x) in enumerate(walk):
+            got = getattr(circuit, call)(x)
+            if call == "value":
+                want = fs.expectation(fs.run_steps(initial(), steps, x), vec)
+                same = got == want
+            elif call == "gradient":
+                same = got.tobytes() == fs.expectation_gradient(initial(), steps, x, vec).tobytes()
+            else:
+                same = got.amps.tobytes() == fs.run_steps(initial(), steps, x).amps.tobytes()
+            if not same:
+                return False, f"{name}: {call} at walk step {step} differs from a fresh pass"
+        reuses += circuit.forward_reuses
+        skipped += circuit.steps_skipped
+        total += circuit.forward_steps
+    return True, (f"values, gradients and states bit-identical to fresh passes over every "
+                  f"circuit kind at n = {n}; {reuses} reuses, {skipped} of {total} steps skipped")
+
+
 QUICK_CHECKS = [
     ("perm-core", check_perm_core),
     ("sequence-shapes", check_sequence_shapes),
@@ -498,6 +542,7 @@ QUICK_CHECKS = [
     ("norm-preservation", check_norm_preservation),
     ("optimizer", check_optimizer),
     ("gradient", check_gradient),
+    ("circuit-reuse", check_circuit_reuse),
 ]
 
 FULL_CHECKS = QUICK_CHECKS + [

@@ -153,9 +153,11 @@ def cmd_run(args) -> int:
         trace_file.write(trace_csv(trace, dump_params=args.dump_params))
     for key in (
         "method", "encoding", "reduced", "effective_degree", "parameters",
-        "iterations", "evaluations", "gradients", "status", "initial_ratio", "final_ratio",
-        "optimal_cost",
+        "iterations", "evaluations", "gradients", "forward_reuses",
     ):
+        print(f"{key:17s} {summary[key]}")
+    print(f"{'steps_skipped':17s} {summary['steps_skipped']} of {summary['forward_steps']}")
+    for key in ("status", "initial_ratio", "final_ratio", "optimal_cost"):
         print(f"{key:17s} {summary[key]}")
     print(f"{'optimal_tour':17s} {format_perm(summary['optimal_tour'])}")
     print(f"{'wall_time_s':17s} {summary['wall_time_s']:.2f}")

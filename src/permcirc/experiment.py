@@ -8,7 +8,11 @@ uses the sequential swap mixer with 2p angles.  Sequence angles and
 mixer angles live on [0, pi) tori and are reduced periodically before
 evaluation; phase-separator angles are unconstrained.  The optimiser's
 stop rule reads the exact gradient of the expectation from one reverse
-sweep over the same circuit (`feasible.expectation_gradient`).
+sweep over the same circuit.  One `feasible.Circuit` serves the
+objective, the gradient and the final state: it keeps the final state
+and a few prefix checkpoints of its last forward pass, so a repeated
+point runs no step and a point that changes only later angles resumes
+part way, with the same bits as a pass from the initial state.
 """
 
 import time
@@ -19,15 +23,13 @@ import numpy as np
 from . import limits
 from .encoding import COMPACT, ONEHOT, EncodingSpec
 from .feasible import (
+    Circuit,
     basis_state,
     circuit_steps,
-    expectation,
-    expectation_gradient,
     fidelity,
     probabilities,
     reachability_params,
     run_exhaustive_circuit,
-    run_steps,
 )
 from .optimize import OptConfig, OptTrace, approximation_ratio, minimize
 from .perms import identity, unrank
@@ -100,35 +102,29 @@ def _ratio_fn(spec: RunSpec, cost: TourCost, opt_cost: float):
     return lambda v: approximation_ratio(v, opt_cost)
 
 
-def _circuit(spec: RunSpec, vec: np.ndarray):
-    """The run's state preparation: a factory for its initial state, the
-    steps `run_steps` applies to that state, and each angle's period (None
-    for an unconstrained phase angle).  The start tour is the identity."""
+def _circuit(spec: RunSpec, vec: np.ndarray) -> Circuit:
+    """The run's state preparation against the cost vector `vec`.  The
+    start tour is the identity."""
     degree = spec.degree
     start = identity(degree)
     if spec.method == "qaoa":
         cfg = spec.qaoa or QaoaConfig(default_layers(degree))
-        return (lambda: initial_state(cfg, degree, start), qaoa_steps(vec, cfg, degree),
-                [np.pi] * cfg.layers + [None] * cfg.layers)
+        return Circuit(initial_state(cfg, degree, start), qaoa_steps(vec, cfg, degree), vec)
     seq = build_sequence(spec.method, degree)
-    return lambda: basis_state(start), circuit_steps(seq), [np.pi] * len(seq)
+    return Circuit(basis_state(start), circuit_steps(seq), vec)
 
 
 def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
     """Optimise the configured preparation; returns the trace and a
     summary with the quantities the CLI prints.  The objective, the
-    stop-rule gradient and the final state all run one step list."""
+    stop-rule gradient and the final state are one `Circuit`'s, which
+    resumes each forward pass from what the last one kept."""
     cost = TourCost(spec.instance, spec.reduced)
     vec = cost.vector()
     opt_perm, opt_cost = optimum(spec.instance, spec.reduced)
-    initial, steps, periods = _circuit(spec, vec)
+    circuit = _circuit(spec, vec)
+    periods = circuit.periods
     num_params = len(periods)
-
-    def objective(x):
-        return expectation(run_steps(initial(), steps, x), vec)
-
-    def gradient(x):
-        return expectation_gradient(initial(), steps, x, vec)
 
     if spec.random_init_seed is None:
         x0 = np.zeros(num_params)
@@ -137,11 +133,11 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
         x0 = rng.uniform(0, np.pi, num_params)
 
     began = time.perf_counter()
-    trace = minimize(objective, x0, spec.opt, periods=periods,
-                     ratio_fn=_ratio_fn(spec, cost, opt_cost), gradient=gradient)
+    trace = minimize(circuit.value, x0, spec.opt, periods=periods,
+                     ratio_fn=_ratio_fn(spec, cost, opt_cost), gradient=circuit.gradient)
     elapsed = time.perf_counter() - began
 
-    final_state = run_steps(initial(), steps, trace.best_params)
+    final_state = circuit.state(trace.best_params)
     summary = {
         "method": spec.method,
         "encoding": spec.encoding_kind,
@@ -151,6 +147,9 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
         "iterations": trace.iterations,
         "evaluations": trace.evaluations,
         "gradients": trace.gradients,
+        "forward_reuses": circuit.forward_reuses,
+        "steps_skipped": circuit.steps_skipped,
+        "forward_steps": circuit.forward_steps,
         "status": trace.status,
         "initial_objective": trace.points[0].value,
         "initial_ratio": trace.points[0].ratio,

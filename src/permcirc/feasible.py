@@ -16,9 +16,13 @@ functions.  A gate gathers large states block by block, each gather
 bounds-checked by numpy indexing, and gives the same amplitudes, bit for
 bit, whether or not `out` is given.  `expectation_gradient` differentiates
 a circuit's expected cost over all its angles by one reverse sweep, which
-undoes each gate through the same block loop.
+undoes each gate through the same block loop.  A `Circuit` keeps its last
+forward pass: the final state and a few prefix checkpoints, from which
+its value, its gradient's sweep and its final state at a nearby point
+resume, with the same amplitudes bit for bit.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -45,6 +49,11 @@ from .sequences import GeneratingSequence, decompose
 # with its table slice) stay in a 2 MB L2.  Shorter states take one gather,
 # which skips the per-block slicing.
 GATE_BLOCK = 16384
+
+# States a `Circuit` keeps of its last forward pass: the state before step
+# 0 (the initial state) and before every stride-th step after it.  At
+# degree 8 a state is 645 KB.
+CHECKPOINTS = 4
 
 
 @dataclass
@@ -163,19 +172,15 @@ def apply_phase(state: FeasibleState, gamma: float, cost: np.ndarray,
     `out` (a state other than `state`), or to a new state when `out` is
     omitted, and returned."""
     out = _target(state, cost, out)
-    np.multiply(-1j * gamma, cost, out=out.amps)
-    np.exp(out.amps, out=out.amps)
+    _phase_factors(gamma, cost, out.amps)
     np.multiply(out.amps, state.amps, out=out.amps)
     return out
 
 
-def _apply_step(state: FeasibleState, generator: np.ndarray, theta: float,
-                out: FeasibleState | None) -> FeasibleState:
-    # a float generator is a diagonal (a cost vector), an integer one an
-    # involution's action table
-    if generator.dtype.kind == "f":
-        return apply_phase(state, theta, generator, out=out)
-    return apply_involution_exp(state, generator, theta, out=out)
+def _phase_factors(gamma: float, cost: np.ndarray, dest: np.ndarray) -> None:
+    """Write exp(-i gamma * cost) to `dest`."""
+    np.multiply(-1j * gamma, cost, out=dest)
+    np.exp(dest, out=dest)
 
 
 def run_steps(state: FeasibleState, steps, thetas) -> FeasibleState:
@@ -186,9 +191,10 @@ def run_steps(state: FeasibleState, steps, thetas) -> FeasibleState:
     vector (a float array, applied by `apply_phase`); k indexes `thetas`,
     which needs one entry per index up to the largest, as steps may share
     an angle.  The gates alternate between `state`, which is overwritten,
-    and one state the first step allocates.
+    and one more state.
     """
-    return _run(state, None, steps, _angles(steps, thetas))[0]
+    spare = FeasibleState(state.n, np.empty_like(state.amps))
+    return _run(state, (state, spare), steps, _angles(steps, thetas))[0]
 
 
 def _angles(steps, thetas) -> np.ndarray:
@@ -200,11 +206,23 @@ def _angles(steps, thetas) -> np.ndarray:
     return thetas
 
 
-def _run(state: FeasibleState, spare: FeasibleState | None, steps, thetas):
-    """`run_steps` that returns the other buffer too."""
-    for generator, k in steps:
-        state, spare = _apply_step(state, generator, thetas[k], spare), state
-    return state, spare
+def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None):
+    """Apply steps[first:] to `state`, each step writing to the state of
+    `pair` that is not its input, or to saved[i] when `saved` holds the
+    index i of the step after it; returns the final state and the other
+    state of `pair`."""
+    for i in range(first, len(steps)):
+        generator, k = steps[i]
+        out = saved.get(i + 1) if saved else None
+        if out is None:
+            out = pair[1] if state is pair[0] else pair[0]
+        # a float generator is a diagonal (a cost vector), an integer one an
+        # involution's action table
+        if generator.dtype.kind == "f":
+            state = apply_phase(state, thetas[k], generator, out=out)
+        else:
+            state = apply_involution_exp(state, generator, thetas[k], out=out)
+    return state, pair[1] if state is pair[0] else pair[0]
 
 
 def circuit_steps(seq: GeneratingSequence) -> list:
@@ -234,22 +252,128 @@ def expectation_gradient(state: FeasibleState, steps, thetas, cost: np.ndarray) 
     alternates four states; `state` is overwritten.
     """
     thetas = _angles(steps, thetas)
-    psi, psi_spare = _run(state, _target(state, cost), steps, thetas)
-    lam = FeasibleState(psi.n, cost * psi.amps)
-    lam_spare = _target(psi, cost)
+    psi, spare = _run(state, (state, _target(state, cost)), steps, thetas)
+    return _sweep(psi, spare, _target(psi, cost), _target(psi, cost), steps, thetas, cost)
+
+
+def _sweep(psi: FeasibleState, psi_spare: FeasibleState, lam: FeasibleState,
+           lam_spare: FeasibleState, steps, thetas: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """The reverse sweep of `expectation_gradient` from psi = psi_final,
+    the state `steps` prepared at `thetas`.  It walks psi back through
+    `psi` and `psi_spare` and the costate through `lam` and `lam_spare`,
+    overwriting all four.  A phase step undoes psi and lam with one
+    exp(+i theta C), computed in `lam_spare`."""
+    _target(psi, cost, lam)  # a cost of the wrong length would broadcast
+    np.multiply(cost, psi.amps, out=lam.amps)
     grad = np.zeros(thetas.shape)
     for generator, k in reversed(steps):
         theta = thetas[k]
         if generator.dtype.kind == "f":
             np.multiply(generator, psi.amps, out=psi_spare.amps)
             overlap = np.vdot(lam.amps, psi_spare.amps)
-            apply_phase(psi, -theta, generator, out=psi_spare)
+            _phase_factors(-theta, generator, lam_spare.amps)
+            np.multiply(lam_spare.amps, psi.amps, out=psi_spare.amps)
+            np.multiply(lam_spare.amps, lam.amps, out=lam_spare.amps)
         else:
             overlap = _gate(psi.amps, generator, -theta, psi_spare.amps, lam.amps)
+            apply_involution_exp(lam, generator, -theta, out=lam_spare)
         grad[k] += 2 * overlap.imag
         psi, psi_spare = psi_spare, psi
-        lam, lam_spare = _apply_step(lam, generator, -theta, lam_spare), lam
+        lam, lam_spare = lam_spare, lam
     return grad
+
+
+class Circuit:
+    """The circuit of `steps` on `initial`, for a run that evaluates it
+    at many angles, against the rank-indexed cost vector `cost`.
+
+    `value`, `gradient` and `state` are the expectation, its gradient
+    and the final state at angles x.  Each runs the forward pass to
+    psi_final at x, keeping x (compared bit for bit, so -0.0 and 0.0
+    differ), psi_final, and the state before `CHECKPOINTS` step indices
+    at an even stride, the first of them `initial`.  At the same x the
+    pass reuses psi_final outright; at another x it resumes from the last
+    checkpoint at or before the first step whose angle changed.  Every
+    amplitude goes through the operations of `run_steps` and
+    `expectation_gradient` in their order, so every result is bit for
+    bit theirs.  The circuit holds its checkpoints, two states for the
+    pass and two for the gradient's costate, and allocates no state for a
+    value or a gradient; `initial` becomes its own and is never written.
+
+    `forward_reuses` counts the passes that reused psi_final and
+    `steps_skipped` the steps passes did not run, out of
+    `forward_steps`, the steps of a pass from `initial` each time.
+    """
+
+    def __init__(self, initial: FeasibleState, steps, cost: np.ndarray):
+        if not steps:
+            raise ValueError("a circuit needs at least one step")
+        self.steps, self.cost = steps, cost
+        self._first = np.full(1 + max(k for _, k in steps), len(steps))
+        for i in reversed(range(len(steps))):
+            self._first[steps[i][1]] = i
+        self._marks = list(range(0, len(steps), -(-len(steps) // CHECKPOINTS)))
+        self._initial = initial
+        self._saved = {m: self._blank() for m in self._marks[1:]}
+        self._saved[0] = initial
+        self._pair = [self._blank(), self._blank()]
+        self._costate = (self._blank(), self._blank())
+        self._x = None  # the angles the checkpoints hold, None when none hold
+        self._final = None  # psi_final at _x, None once a sweep used it
+        self.forward_reuses = self.steps_skipped = self.forward_steps = 0
+
+    @property
+    def periods(self) -> list:
+        """Each angle's period: pi when only gates use it (exp(-i(t+pi)H)
+        is -exp(-i t H) for an involution H, a global phase), None for a
+        phase-separator angle."""
+        phases = {k for generator, k in self.steps if generator.dtype.kind == "f"}
+        return [None if k in phases else np.pi for k in range(len(self._first))]
+
+    def _forward(self, x) -> FeasibleState:
+        """psi_final at x, held in a state of the pass."""
+        x = _angles(self.steps, x)
+        self.forward_steps += len(self.steps)
+        first = 0
+        if self._x is not None:
+            changed = self._first[x.view(np.int64) != self._x.view(np.int64)]
+            if not changed.size and self._final is not None:
+                self.forward_reuses += 1
+                self.steps_skipped += len(self.steps)
+                return self._final
+            first = self._marks[bisect_right(self._marks, changed.min(initial=len(self.steps))) - 1]
+        # a pass that raises leaves checkpoints of two points behind
+        self._x = self._final = None
+        self.steps_skipped += first
+        psi, _ = _run(self._saved[first], self._pair, self.steps, x, first, self._saved)
+        self._x, self._final = x.copy(), psi
+        return psi
+
+    def _blank(self) -> FeasibleState:
+        return FeasibleState(self._initial.n, np.empty_like(self._initial.amps))
+
+    def _spare(self, psi: FeasibleState) -> FeasibleState:
+        return self._pair[1] if psi is self._pair[0] else self._pair[0]
+
+    def value(self, x) -> float:
+        """expectation(run_steps(initial, steps, x), cost)."""
+        psi = self._forward(x)
+        return expectation(psi, self.cost, out=self._spare(psi))
+
+    def gradient(self, x) -> np.ndarray:
+        """expectation_gradient(initial, steps, x, cost); its sweep starts
+        from the kept psi_final and uses it up."""
+        psi = self._forward(x)
+        self._final = None
+        return _sweep(psi, self._spare(psi), *self._costate, self.steps, self._x, self.cost)
+
+    def state(self, x) -> FeasibleState:
+        """run_steps(initial, steps, x), handed over: the circuit forgets
+        the returned state and takes a new one for later passes."""
+        psi = self._forward(x)
+        self._final = None
+        self._pair[0 if psi is self._pair[0] else 1] = self._blank()
+        return psi
 
 
 def reachability_params(seq: GeneratingSequence, start: Perm, target: Perm) -> np.ndarray:
@@ -270,10 +394,13 @@ def reachability_params(seq: GeneratingSequence, start: Perm, target: Perm) -> n
     return np.pi / 2 * np.asarray(mask, dtype=float)
 
 
-def expectation(state: FeasibleState, cost: np.ndarray) -> float:
+def expectation(state: FeasibleState, cost: np.ndarray,
+                out: FeasibleState | None = None) -> float:
     """Sum of |amp|^2 times tour cost, for the rank-indexed cost vector
-    `cost`; lies between min and max cost."""
-    weighted = _target(state, cost).amps
+    `cost`; lies between min and max cost.  The weighted amplitudes are
+    written to `out` (a state other than `state`), or to a new state when
+    `out` is omitted."""
+    weighted = _target(state, cost, out).amps
     np.multiply(cost, state.amps, out=weighted)
     return float(np.real(np.vdot(state.amps, weighted)))
 

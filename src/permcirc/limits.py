@@ -40,7 +40,8 @@ CAPS = {
     "statevector": Cap("statevector", "{} qubits", 17, lambda m: 1 << m, 16, "a copy"),
     # the d x d simplex of `minimize`: 4096 parameters peak at 427 MB RSS, and
     # real circuits have at most 45.  It bounds memory, not time: a fresh
-    # simplex runs d circuits, 14.5 s at 512 QAOA layers on 4 cities (2 CPUs)
+    # simplex runs d circuits, each resumed from a prefix checkpoint, 4.8-8.5 s
+    # at 512 QAOA layers on 4 cities (2 CPUs)
     "parameters": Cap("simplex", "{} parameters", 4096, lambda d: d * d, 8, "a copy"),
 }
 

@@ -209,8 +209,13 @@ def test_run_parameter_counts(tmp_path, capsys):
         stdout = capsys.readouterr().out
         line = next(ln for ln in stdout.splitlines() if ln.startswith("parameters"))
         assert line.split()[1] == expected
-        line = next(ln for ln in stdout.splitlines() if ln.startswith("gradients"))
-        assert 1 <= int(line.split()[1]) <= 2
+        lines = stdout.splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("gradients"))
+        assert 1 <= int(lines[at].split()[1]) <= 2
+        reuses, skipped = lines[at + 1].split(), lines[at + 2].split()
+        assert reuses[0] == "forward_reuses" and int(reuses[1]) >= 0
+        assert skipped[0] == "steps_skipped" and skipped[2] == "of"
+        assert 0 <= int(skipped[1]) <= int(skipped[3])
 
 
 def test_run_traces_are_byte_identical(tmp_path):
@@ -362,6 +367,12 @@ def test_run_experiment_summary_consistency():
     )
     assert summary["evaluations"] == trace.evaluations
     assert 1 <= summary["gradients"] == trace.gradients <= trace.iterations
+    # one forward pass for each evaluation, each gradient and the final
+    # state, each of one step per parameter here
+    passes = summary["evaluations"] + summary["gradients"] + 1
+    assert summary["forward_steps"] == passes * summary["parameters"]
+    assert (summary["forward_reuses"] * summary["parameters"]
+            <= summary["steps_skipped"] < summary["forward_steps"])
 
 
 @pytest.mark.parametrize("method, initial", [
@@ -428,8 +439,9 @@ def test_verify_quick_passes():
 def test_verify_full_passes(capsys):
     assert run_cli("verify", "--level", "full") == 0
     out = capsys.readouterr().out
-    assert out.endswith("17/17 checks passed (full)\n")
+    assert out.endswith("18/18 checks passed (full)\n")
     assert "PASS generating-property-n10 " in out
+    assert "PASS circuit-reuse " in out
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

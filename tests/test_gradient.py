@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import permcirc.feasible as feasible
-from permcirc.checks import check_gradient, gradient_cases
+from permcirc.checks import check_circuit_reuse, check_gradient, gradient_cases
 from permcirc.feasible import (
+    Circuit,
     apply_phase,
     circuit_steps,
     expectation,
     expectation_gradient,
+    run_steps,
     uniform_feasible_state,
 )
 from permcirc.sequences import bubble_sequence
@@ -25,6 +27,11 @@ def forward_difference(f, x, step=1e-6):
 
 def test_gradient_check():
     ok, detail = check_gradient()
+    assert ok, detail
+
+
+def test_circuit_reuse_check():
+    ok, detail = check_circuit_reuse(n=6, seed=2)
     assert ok, detail
 
 
@@ -68,6 +75,74 @@ def test_gradient_allocates_no_per_gate_state(case):
     finally:
         tracemalloc.stop()
     assert peak < 4 * state_bytes + block_bytes + 16384
+
+
+@pytest.mark.parametrize("case", ["binary-insertion right-action", "qaoa uniform wraparound=True"])
+def test_circuit_holds_its_checkpoints_and_four_states(case):
+    # the checkpoints (the initial state among them), two states for the
+    # pass and two for the costate, over a walk of values and gradients
+    # that resumes part way and reuses psi_final; one gathered block and
+    # the interpreter's small objects on top
+    n = 8
+    cost = TourCost(random_instance(n + 1, seed=4), reduced=True)
+    vec = cost.vector()
+    start = (3, 1, 7, 0, 2, 6, 4, 5)
+    _, d, initial, steps, _ = next(c for c in gradient_cases(cost, start) if c[0] == case)
+    rng = np.random.default_rng(4)
+    points = [rng.uniform(0, 2 * np.pi, d)]
+    for i in (d - 1, d // 2, 0):
+        points.append(points[-1].copy())
+        points[-1][i] += 0.1
+    state_bytes = factorial(n) * 16
+    block_bytes = feasible.GATE_BLOCK * 16
+    tracemalloc.start()
+    try:
+        circuit = Circuit(initial(), steps, vec)
+        for x in points:
+            circuit.value(x)
+            circuit.gradient(x)
+            circuit.value(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < circuit.steps_skipped < circuit.forward_steps
+    assert peak < (feasible.CHECKPOINTS + 4) * state_bytes + block_bytes + 16384
+
+
+def test_a_pass_that_raises_leaves_no_checkpoint_behind(monkeypatch):
+    # the failing pass starts from the initial state and raises near its
+    # end, after overwriting every checkpoint; the next point differs from
+    # the one before it only in its last angle
+    n = 6
+    vec = TourCost(random_instance(n + 1, seed=2), reduced=True).vector()
+    steps = circuit_steps(bubble_sequence(n))
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0, np.pi, len(steps))
+    y, z = x.copy(), x.copy()
+    y[0] += 0.5
+    z[-1] += 0.5
+    circuit = Circuit(uniform_feasible_state(n), steps, vec)
+    circuit.value(x)
+
+    gate = feasible.apply_involution_exp
+    calls = []
+
+    def failing_gate(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == len(steps) - 1:
+            raise RuntimeError("gate failed")
+        return gate(*args, **kwargs)
+
+    monkeypatch.setattr(feasible, "apply_involution_exp", failing_gate)
+    with pytest.raises(RuntimeError, match="gate failed"):
+        circuit.value(y)
+    monkeypatch.setattr(feasible, "apply_involution_exp", gate)
+    for point in (z, x):
+        fresh = run_steps(uniform_feasible_state(n), steps, point)
+        assert circuit.value(point) == expectation(fresh, vec)
+    assert (circuit.gradient(z).tobytes()
+            == expectation_gradient(uniform_feasible_state(n), steps, z, vec).tobytes())
+    assert circuit.state(z).amps.tobytes() == run_steps(uniform_feasible_state(n), steps, z).amps.tobytes()
 
 
 @pytest.mark.parametrize("block", [7, 40])
