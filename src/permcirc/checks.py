@@ -27,6 +27,7 @@ from .perms import (
     compose,
     identity,
     inversion_number,
+    is_involution,
     perm_table,
     rank,
     rank_rows,
@@ -289,6 +290,34 @@ def check_reachability(degrees=(4, 5), all_starts=(4,), extra_starts=((2, 0, 4, 
     return True, f"unit fidelity for every sampled (start, target), {_degrees(degrees)}"
 
 
+def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[bool, str]:
+    """Every `Action` gather equals the ranks of the permuted rows of
+    `perm_table`: the `involution_action` of every involution of S_n on
+    both sides, n in `every`, and for n in `constructions` of every
+    element of both constructions on both sides and every QAOA slot's
+    `mixer_slot_action`."""
+    checked = 0
+    for n in sorted(set(every) | set(constructions)):
+        tours = perm_table(n)
+        if n in every:
+            elements = [p for p in all_perms(n) if is_involution(p)]
+        else:
+            elements = sorted({h for build in BUILDS for h in build(n).elements})
+        cases = [(h, side, fs.involution_action(h, side)) for h in elements for side in ("right", "left")]
+        if n in constructions and n >= 2:
+            slots = [transposition(n, t, t + 1) for t in range(n - 1)] + [transposition(n, 0, n - 1)]
+            cases += [(h, "right", qa.mixer_slot_action(t, n)) for t, h in enumerate(slots)]
+        ranks = np.arange(factorial(n))
+        for h, side, action in cases:
+            rows = tours[:, list(h)] if side == "right" else np.asarray(h)[tours]
+            if not np.array_equal(action.take(ranks), rank_rows(rows, n)):
+                return False, (f"{side} action of {h} (period {action.period}, "
+                               f"{len(action.head)} head entries) gathers the wrong ranks")
+        checked += len(cases)
+    return True, (f"{checked} actions: every involution on both sides for {_degrees(every)}, "
+                  f"construction elements and QAOA slots for {_degrees(constructions)}")
+
+
 def check_norm_preservation(seed: int = 3, gates: int = 1000) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     n = 5
@@ -399,12 +428,12 @@ def check_mixer_oracle(slots=range(3), betas=(0.3, np.pi / 4, 1.2)) -> tuple[boo
         H = full.swap_partial_hamiltonian(slot, spec)
         if (H != H.getH()).nnz:
             return False, f"slot {slot}: mixer Hamiltonian is not Hermitian"
-        action = qa.mixer_slot_action(slot, n)
+        images = qa.mixer_slot_action(slot, n).take(np.arange(factorial(n)))
         for beta in betas:
             for p in all_perms(n):
                 sv = full.basis_statevector(enc.encode(p, spec))
                 out = full.taylor_expm_apply(H, beta, sv)
-                swapped = unrank(int(action[rank(p)]), n)
+                swapped = unrank(int(images[rank(p)]), n)
                 want = np.zeros_like(out.amps)
                 want[full.bits_to_index(enc.encode(p, spec))] = np.cos(beta)
                 want[full.bits_to_index(enc.encode(swapped, spec))] += -1j * np.sin(beta)
@@ -537,6 +566,7 @@ QUICK_CHECKS = [
     ("prefix-products", check_prefix_products),
     ("encoding-roundtrip", check_encoding_roundtrip),
     ("subregister-action", check_subregister_action),
+    ("action-tables", check_action_tables),
     ("tour-costs", check_tour_costs),
     ("reachability", check_reachability),
     ("norm-preservation", check_norm_preservation),

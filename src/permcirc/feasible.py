@@ -4,22 +4,24 @@ States are complex amplitude vectors over all n! tour permutations,
 indexed by Lehmer rank; infeasible bit strings simply do not exist in
 this representation.  Exponentials of involutory permutation operators
 reduce to cos(theta) * amps - i sin(theta) * gathered amps, so a gate is
-one vectorised gather-and-mix pass over a precomputed index table.
+one vectorised gather-and-mix pass through the involution's rank table.
 
-Right-action tables come from `perms.right_action`, which re-ranks only
-the window of positions an element moves and broadcasts it over the
-untouched rank digits; left actions rank every permuted tour.
-A circuit is a list of steps, each a generator (an action table or a
-diagonal cost vector) tied to an angle; `run_steps` alternates its gates
-between two states through the `out` argument of the gate and phase
-functions.  A gate gathers large states block by block, each gather
-bounds-checked by numpy indexing, and gives the same amplitudes, bit for
-bit, whether or not `out` is given.  `expectation_gradient` differentiates
-a circuit's expected cost over all its angles by one reverse sweep, which
-undoes each gate through the same block loop.  A `Circuit` keeps its last
-forward pass: the final state and a few prefix checkpoints, from which
-its value, its gradient's sweep and its final state at a nearby point
-resume, with the same amplitudes bit for bit.
+An `Action` holds that table as one period: an element that first moves
+position s maps each run of P = (n-s)! consecutive ranks onto itself,
+the same way in each, so `perms.right_action` builds only the P local
+ranks of one run (a left action's period is all n! ranks), and a gate
+gathers each block of amplitudes from the window of whole periods it
+lies in.  A circuit is a list of steps, each a generator (an `Action` or
+a diagonal cost vector) tied to an angle; `run_steps` alternates its
+gates between two states through the `out` argument of the gate and
+phase functions.  A gate gathers large states block by block, each
+gather bounds-checked by numpy indexing, and gives the same amplitudes,
+bit for bit, whether or not `out` is given.  `expectation_gradient`
+differentiates a circuit's expected cost over all its angles by one
+reverse sweep, which undoes each gate through the same block loop.  A
+`Circuit` keeps its last forward pass: the final state and a few prefix
+checkpoints, from which its value, its gradient's sweep and its final
+state at a nearby point resume, with the same amplitudes bit for bit.
 """
 
 from bisect import bisect_right
@@ -47,7 +49,8 @@ from .sequences import GeneratingSequence, decompose
 # Amplitudes per gate block: a state longer than this is gathered and mixed
 # a block at a time, so that a block's passes (about 56 bytes an amplitude
 # with its table slice) stay in a 2 MB L2.  Shorter states take one gather,
-# which skips the per-block slicing.
+# which skips the per-block slicing.  An `Action` built while it holds tiles
+# a period shorter than it over GATE_BLOCK + P ranks or more.
 GATE_BLOCK = 16384
 
 # States a `Circuit` keeps of its last forward pass: the state before step
@@ -84,14 +87,66 @@ def uniform_feasible_state(n: int) -> FeasibleState:
     return FeasibleState(n, amps)
 
 
-@lru_cache(maxsize=None)
-def involution_action(element: Perm, side: str = "right") -> np.ndarray:
-    """Rank-index table of one involution acting on all of S_n.
+@dataclass(frozen=True, eq=False)
+class Action:
+    """How a permutation acts on the Lehmer ranks of degree-n tours: rank
+    r goes to head[r % period] + r - r % period.
 
-    side "right" maps rank(p) -> rank(p . element) (slot semantics);
-    side "left" maps rank(p) -> rank(element . p).  The table is itself
-    an involution on 0..n!-1.  Right actions re-rank only the window of
-    positions the element moves; left actions rank every permuted row.
+    `head` is read-only and holds the first entries of the rank table, a
+    whole number of periods, each entry of period q in q*period ..
+    (q+1)*period - 1.  Any run of `GATE_BLOCK` consecutive ranks (at the
+    value the action was built with) lies within len(head) ranks of the
+    period boundary before it, so a gate gathers each block from one
+    window of len(head) amplitudes, except where a period longer than a
+    block ends inside it.
+    """
+
+    n: int
+    period: int
+    head: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, period: np.ndarray) -> "Action":
+        """The degree-n action whose table has one period `period`.  A
+        period shorter than `GATE_BLOCK` is tiled over GATE_BLOCK + P ranks
+        or more, at most n!, by a gather that raises IndexError on an
+        entry out of range; a longer one is the head itself, and the
+        gates' gathers check its entries."""
+        size, p = factorial(n), len(period)
+        if not p or size % p:
+            raise ValueError(f"a period of {p} ranks does not divide {n}! = {size}")
+        head = np.asarray(period)
+        if p < GATE_BLOCK:
+            reps = min(-(-(GATE_BLOCK + p) // p), size // p)
+            head = np.arange(reps * p).reshape(reps, p)[:, head].reshape(-1)
+        else:
+            head = head.view()
+        head.setflags(write=False)
+        return cls(n, p, head)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the index array."""
+        return self.head.nbytes
+
+    def take(self, values: np.ndarray) -> np.ndarray:
+        """values[table] for all n! ranks, gathered block by block as a
+        gate gathers; a new array."""
+        size = factorial(self.n)
+        if len(values) != size:
+            raise ValueError(f"{len(values)} values for a degree-{self.n} action")
+        return np.concatenate([_gathered(values, self, i, min(i + GATE_BLOCK, size))
+                               for i in range(0, size, GATE_BLOCK)])
+
+
+@lru_cache(maxsize=None)
+def involution_action(element: Perm, side: str = "right") -> Action:
+    """The `Action` of one involution on all of S_n.
+
+    side "right" maps rank(p) -> rank(p . element) (slot semantics), with
+    the period of `perms.right_action`; side "left" maps rank(p) ->
+    rank(element . p), whose period is all n! ranks, each permuted row
+    ranked.  The table is itself an involution on 0..n!-1.
     """
     if not is_involution(element):
         raise ValueError(f"element is not an involution: {element}")
@@ -100,36 +155,44 @@ def involution_action(element: Perm, side: str = "right") -> np.ndarray:
     n = len(element)
     limits.check("state", n)
     if side == "right":
-        out = right_action(element)
+        period = right_action(element)
     else:
-        out = rank_rows(np.asarray(element, dtype=np.int8)[perm_table(n)], n)
-    out.setflags(write=False)
-    return out
+        period = rank_rows(np.asarray(element, dtype=np.int8)[perm_table(n)], n)
+    return Action.of(n, period)
 
 
-def apply_involution_exp(state: FeasibleState, action: np.ndarray, theta: float,
+def apply_involution_exp(state: FeasibleState, action: Action, theta: float,
                          out: FeasibleState | None = None) -> FeasibleState:
     """exp(-i theta H) for the involutory permutation operator H given by
-    an index table: amps'[r] = cos(theta) amps[r] - i sin(theta) amps[a(r)].
+    an `Action` a: amps'[r] = cos(theta) amps[r] - i sin(theta) amps[a(r)].
 
     Orbit pairs {r, a(r)} are independent, so the whole update is one
     gather; fixed points of the action pick up the phase exp(-i theta).
     The result is written to `out` (a state other than `state`), or to a
     new state when `out` is omitted, and returned.  States longer than
     `GATE_BLOCK` amplitudes are gathered and mixed a block at a time; an
-    index out of range raises IndexError either way.
+    index out of range raises IndexError either way, and an action of
+    another degree than the state's ValueError.
     """
     out = _target(state, action, out)
     _gate(state.amps, action, theta, out.amps)
     return out
 
 
+def _fits(state: FeasibleState, generator) -> None:
+    """Refuse a step's generator that does not fit `state`: an `Action` of
+    another degree, or a cost vector without one entry per amplitude."""
+    if isinstance(generator, Action):
+        if generator.n != state.n:
+            raise ValueError(f"action of degree {generator.n} for a state of degree {state.n}")
+    elif len(generator) != len(state.amps):
+        raise ValueError(f"generator has {len(generator)} entries for {len(state.amps)} amplitudes")
+
+
 def _target(state: FeasibleState, generator, out: FeasibleState | None = None) -> FeasibleState:
     """`out`, or a new state when it is None, for a step whose generator
-    (an action table or a cost vector) must have one entry per amplitude."""
-    size = len(state.amps)
-    if len(generator) != size:
-        raise ValueError(f"generator has {len(generator)} entries for {size} amplitudes")
+    must fit `state` (`_fits`)."""
+    _fits(state, generator)
     if out is None:
         return FeasibleState(state.n, np.empty_like(state.amps))
     if out is state or out.amps is state.amps:
@@ -137,20 +200,46 @@ def _target(state: FeasibleState, generator, out: FeasibleState | None = None) -
     return out
 
 
-def _gate(amps: np.ndarray, action: np.ndarray, theta: float, dest: np.ndarray,
+def _gate(amps: np.ndarray, action: Action, theta: float, dest: np.ndarray,
           lam: np.ndarray | None = None) -> complex:
-    """Write cos(theta) amps - i sin(theta) amps[action] to `dest`, with one
-    gather, or one bounds-checked gather per `GATE_BLOCK` amplitudes, and
-    return <lam|amps[action]> for a costate `lam` (0 without one)."""
+    """Write cos(theta) amps - i sin(theta) amps[table] to `dest`, for the
+    action's rank table, with one gather, or one block of bounds-checked
+    gathers per `GATE_BLOCK` amplitudes, and return <lam|amps[table]> for
+    a costate `lam` (0 without one), summed block by block."""
     c, s = np.cos(theta), 1j * np.sin(theta)
     size = len(amps)
     if size <= GATE_BLOCK:
-        return _mix(c, amps, s, amps[action], dest, lam)
+        head = action.head
+        gathered = amps[head] if len(head) == size else _gathered(amps, action, 0, size)
+        return _mix(c, amps, s, gathered, dest, lam)
     overlap = 0
     for i in range(0, size, GATE_BLOCK):
         b = slice(i, i + GATE_BLOCK)
-        overlap += _mix(c, amps[b], s, amps[action[b]], dest[b], None if lam is None else lam[b])
+        overlap += _mix(c, amps[b], s, _gathered(amps, action, i, min(i + GATE_BLOCK, size)),
+                        dest[b], None if lam is None else lam[b])
     return overlap
+
+
+def _gathered(amps: np.ndarray, action: Action, i: int, j: int) -> np.ndarray:
+    """amps[table[i:j]], a new array, gathered from the window of len(head)
+    amplitudes at the period boundary before rank i, so numpy checks every
+    index against the whole periods the window holds.  Ranks i..j-1 that
+    do not fit one window (a period longer than the block ends among
+    them) are gathered window by window into one block by `np.take`,
+    which buffers each part while it checks it."""
+    head, period = action.head, action.period
+    base = i - i % period
+    if j - base <= len(head):
+        return amps[base:base + len(head)][head[i - base:j - base]]
+    out = np.empty((j - i, *amps.shape[1:]), dtype=amps.dtype)
+    k = i
+    while k < j:
+        base = k - k % period
+        stop = min(j, base + len(head))
+        np.take(amps[base:base + len(head)], head[k - base:stop - base], axis=0,
+                out=out[k - i:stop - i])
+        k = stop
+    return out
 
 
 def _mix(c, block: np.ndarray, s, gathered: np.ndarray, dest: np.ndarray, lam) -> complex:
@@ -186,11 +275,10 @@ def _phase_factors(gamma: float, cost: np.ndarray, dest: np.ndarray) -> None:
 def run_steps(state: FeasibleState, steps, thetas) -> FeasibleState:
     """Apply exp(-i thetas[k] G) for every step (G, k) in order.
 
-    A step's generator G is an involution's action table (an integer
-    array, applied by `apply_involution_exp`) or a rank-indexed cost
-    vector (a float array, applied by `apply_phase`); k indexes `thetas`,
-    which needs one entry per index up to the largest, as steps may share
-    an angle.  The gates alternate between `state`, which is overwritten,
+    A step's generator G is an involution's `Action` (applied by
+    `apply_involution_exp`) or a rank-indexed cost vector (applied by
+    `apply_phase`); k indexes `thetas`, which needs one entry per index up
+    to the largest, as steps may share an angle.  The gates alternate between `state`, which is overwritten,
     and one more state.
     """
     spare = FeasibleState(state.n, np.empty_like(state.amps))
@@ -216,12 +304,10 @@ def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None):
         out = saved.get(i + 1) if saved else None
         if out is None:
             out = pair[1] if state is pair[0] else pair[0]
-        # a float generator is a diagonal (a cost vector), an integer one an
-        # involution's action table
-        if generator.dtype.kind == "f":
-            state = apply_phase(state, thetas[k], generator, out=out)
-        else:
+        if isinstance(generator, Action):
             state = apply_involution_exp(state, generator, thetas[k], out=out)
+        else:
+            state = apply_phase(state, thetas[k], generator, out=out)
     return state, pair[1] if state is pair[0] else pair[0]
 
 
@@ -268,15 +354,15 @@ def _sweep(psi: FeasibleState, psi_spare: FeasibleState, lam: FeasibleState,
     grad = np.zeros(thetas.shape)
     for generator, k in reversed(steps):
         theta = thetas[k]
-        if generator.dtype.kind == "f":
+        if isinstance(generator, Action):
+            overlap = _gate(psi.amps, generator, -theta, psi_spare.amps, lam.amps)
+            apply_involution_exp(lam, generator, -theta, out=lam_spare)
+        else:
             np.multiply(generator, psi.amps, out=psi_spare.amps)
             overlap = np.vdot(lam.amps, psi_spare.amps)
             _phase_factors(-theta, generator, lam_spare.amps)
             np.multiply(lam_spare.amps, psi.amps, out=psi_spare.amps)
             np.multiply(lam_spare.amps, lam.amps, out=lam_spare.amps)
-        else:
-            overlap = _gate(psi.amps, generator, -theta, psi_spare.amps, lam.amps)
-            apply_involution_exp(lam, generator, -theta, out=lam_spare)
         grad[k] += 2 * overlap.imag
         psi, psi_spare = psi_spare, psi
         lam, lam_spare = lam_spare, lam
@@ -299,6 +385,7 @@ class Circuit:
     bit theirs.  The circuit holds its checkpoints, two states for the
     pass and two for the gradient's costate, and allocates no state for a
     value or a gradient; `initial` becomes its own and is never written.
+    A step or a cost that does not fit `initial` is refused here.
 
     `forward_reuses` counts the passes that reused psi_final and
     `steps_skipped` the steps passes did not run, out of
@@ -308,6 +395,9 @@ class Circuit:
     def __init__(self, initial: FeasibleState, steps, cost: np.ndarray):
         if not steps:
             raise ValueError("a circuit needs at least one step")
+        for generator, _ in steps:
+            _fits(initial, generator)
+        _fits(initial, cost)
         self.steps, self.cost = steps, cost
         self._first = np.full(1 + max(k for _, k in steps), len(steps))
         for i in reversed(range(len(steps))):
@@ -327,7 +417,7 @@ class Circuit:
         """Each angle's period: pi when only gates use it (exp(-i(t+pi)H)
         is -exp(-i t H) for an involution H, a global phase), None for a
         phase-separator angle."""
-        phases = {k for generator, k in self.steps if generator.dtype.kind == "f"}
+        phases = {k for generator, k in self.steps if not isinstance(generator, Action)}
         return [None if k in phases else np.pi for k in range(len(self._first))]
 
     def _forward(self, x) -> FeasibleState:

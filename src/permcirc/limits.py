@@ -29,9 +29,12 @@ class Cap:
 
 
 CAPS = {
-    # degree 10 peaks at about 1 GB with its cached index tables; at 11 one
-    # binary-insertion circuit's 320-MB tables alone come to 9.3 GB.  The
-    # product sweep of `verify_generating` needs 4 B a tour and one table
+    # an action keeps one period of its rank table, (n-s)! entries: the 26
+    # cached actions of a degree-10 run of every method hold 160 MB (755 MB
+    # as flat tables), and the run peaks near 480 MB.  At 11 one binary-
+    # insertion circuit's actions would hold 1.41 GB and a gradient's four
+    # states 2.6 GB, not yet measured.  The product sweep of
+    # `verify_generating` needs 10 B a tour and one period
     "state": Cap("state", "degree {}", 10, factorial, 16, "a copy"),
     # n^2 float64 weights, drawn before any other size is known
     "instance": Cap("instance", "{} cities", 4096, lambda n: n * n, 8),

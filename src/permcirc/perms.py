@@ -12,8 +12,10 @@ its position in lexicographic order, so ``itertools.permutations`` and
 p[i], so it is fixed by the values at positions 0..i: the first m digits
 are the rank of the m-entry prefix among the arrangements of m out of n
 values.  `rank_rows` ranks such prefixes in bulk, and `right_action`
-builds the rank table of p -> p . g that gates and the generating
-check share.
+builds one period of the rank table of p -> p . g, which gates and the
+product sweep share: g keeps the digits before the first position s it
+moves, so the table maps each run of (n-s)! consecutive ranks onto
+itself, the same way in each.
 """
 
 from functools import lru_cache
@@ -176,32 +178,34 @@ def rank_rows(rows: np.ndarray, n: int | None = None) -> np.ndarray:
 
 
 def right_action(element: Perm) -> np.ndarray:
-    """The int64 table mapping rank(p) -> rank(p . element) over all of S_n.
+    """One period of the rank table of p -> p . element: the int64 array
+    t of P = (n-s)! local ranks, s the first position the element moves,
+    with rank(p . element) = t[r % P] + r - r % P for r = rank(p).
 
-    `element` is any permutation; one that moves only positions s..e
-    changes only rank digits s..e, and digits s..e are the rank of the
-    m = e-s+1 leading values of the tour restricted to positions s.., an
-    arrangement of m out of N = n-s values.  So rank a*N! + k*B + b, with
-    B = (N-m)!, maps to a*N! + mid[k]*B + b, where mid re-ranks the K = N!/B
-    arrangements after the element permutes their entries.  The identity
-    gives `arange`.  Within the "state" row of `limits.CAPS`.
+    Digits 0..s-1 of a rank are its values at positions 0..s-1, which the
+    element keeps, so it maps every run of P ranks that share them onto
+    itself, the same way in each run.  An element that moves positions
+    s..e changes only digits s..e, the rank of the m = e-s+1 leading
+    values of the tour restricted to positions s.., an arrangement of m
+    out of N = n-s values.  So local rank k*B + b, with B = (N-m)!, maps
+    to mid[k]*B + b, where mid re-ranks the N!/B arrangements after the
+    element permutes their entries.  The identity moves nothing: its
+    period is one rank.  `element` is any permutation; its degree is
+    within the "state" row of `limits.CAPS`.
     """
     check_perm(element)
     n = len(element)
     limits.check("state", n)
     moved = [i for i, v in enumerate(element) if v != i]
     if not moved:
-        return np.arange(factorial(n), dtype=np.int64)
+        return np.zeros(1, dtype=np.int64)
     s, e = moved[0], moved[-1]
     big, m = n - s, e - s + 1
     block = factorial(big - m)
     arrangements = perm_table(big)[::block, :m]
     local = np.asarray(element[s:e + 1]) - s
     mid = rank_rows(arrangements[:, local], big)
-    high = (np.arange(factorial(n) // factorial(big))[:, None] * len(mid) + mid) * block
-    table = np.empty((*high.shape, block), dtype=np.int64)
-    np.add(high[:, :, None], np.arange(block), out=table)
-    return table.reshape(-1)
+    return (mid[:, None] * block + np.arange(block)).reshape(-1)
 
 
 def format_perm(p: Perm) -> str:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasible import (
+    Action,
     FeasibleState,
     basis_state,
     involution_action,
@@ -46,8 +47,8 @@ def default_layers(degree: int) -> int:
     return max(1, degree // 2)
 
 
-def mixer_slot_action(t: int, n: int, wraparound: bool = True) -> np.ndarray:
-    """Rank-index table of the slot-t mixer factor on degree-n tours.
+def mixer_slot_action(t: int, n: int, wraparound: bool = True) -> Action:
+    """The `Action` of the slot-t mixer factor on degree-n tours.
 
     Slot t (0-based) pairs with slot t+1; t = n-1 pairs with slot 0 and
     is only valid with wraparound.
@@ -62,8 +63,8 @@ def mixer_slot_action(t: int, n: int, wraparound: bool = True) -> np.ndarray:
     return involution_action(swap, "right")
 
 
-def mixer_slots(degree: int, wraparound: bool = True) -> list[np.ndarray]:
-    """Action tables of one mixer sweep's factors, slots ascending."""
+def mixer_slots(degree: int, wraparound: bool = True) -> list[Action]:
+    """Actions of one mixer sweep's factors, slots ascending."""
     last = degree if wraparound else degree - 1
     return [mixer_slot_action(t, degree, wraparound) for t in range(last)]
 
@@ -80,8 +81,7 @@ def qaoa_steps(cost: np.ndarray, cfg: QaoaConfig, degree: int) -> list:
     """The circuit as `feasible.run_steps` steps over the angles
     (betas, gammas): per layer the phase separator of the rank-indexed
     cost vector `cost` on gamma, then every mixer slot on beta.  The phase
-    step holds `cost` as float64, since an integer generator would be
-    taken for an action table."""
+    step holds `cost` as float64."""
     cost = np.asarray(cost, dtype=float)
     slots = mixer_slots(degree, cfg.slot_wraparound)
     steps = []

@@ -14,7 +14,7 @@ A sequence's `kind` is read from its elements, "custom" unless they are
 exactly one construction.  `decompose` finds a bit mask whose `recompose`
 product equals a given permutation; `verify_generating` certifies a
 sequence by sweeping its products layer by layer over Lehmer ranks, with
-the right-action tables the gates use, so that one array records the
+the right-action periods the gates use, so that one array records the
 first layer reaching each inverse product: all 2^d masks in d gathers of
 n! entries, which a custom `decompose` walks back.
 """
@@ -216,9 +216,10 @@ def _first_layers(seq: GeneratingSequence) -> np.ndarray:
 
     Layer k is layer k-1 plus h_k . p for each p in it, and
     (h_k . p)^-1 = p^-1 . h_k^-1, so q is in layer k exactly when q or
-    q . h_k is in layer k-1: one gather through the right-action table of
-    h_k per element.  Memory is 4 B a tour plus one 8-B table, within the
-    "state" row of `limits.CAPS`.
+    q . h_k is in layer k-1: one gather per element, through the period of
+    its right action in every run of P ranks (`perms.right_action`).
+    Memory is 4 B a tour for `first`, 4 B for the gathered layer and 2 B
+    of masks, within the "state" row of `limits.CAPS`.
     """
     n, d = seq.n, len(seq)
     for i, h in enumerate(seq.elements):
@@ -228,7 +229,9 @@ def _first_layers(seq: GeneratingSequence) -> np.ndarray:
     first = np.full(factorial(n), d + 1, dtype=np.int32)
     first[0] = 0  # the identity
     for k, h in enumerate(seq.elements, 1):
-        first[(first > d) & (first[right_action(h)] < k)] = k
+        period = right_action(h)
+        runs = first.reshape(-1, len(period))
+        first[(first > d) & (runs[:, period] < k).reshape(-1)] = k
     return first
 
 

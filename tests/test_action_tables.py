@@ -2,6 +2,7 @@
 window-built action tables, and the blocked gate kernel."""
 
 import tracemalloc
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -9,13 +10,19 @@ import numpy as np
 import pytest
 
 import permcirc.feasible as feasible
+from permcirc.checks import check_action_tables
 from permcirc.feasible import (
+    Action,
+    Circuit,
     FeasibleState,
     apply_involution_exp,
     apply_phase,
     basis_state,
+    circuit_steps,
+    expectation_gradient,
     involution_action,
     run_exhaustive_circuit,
+    run_steps,
     uniform_feasible_state,
 )
 from permcirc.limits import TooLarge
@@ -46,6 +53,32 @@ def elements(n):
     return sorted(hs)
 
 
+def images(action):
+    """The action's whole rank table, gathered as a gate gathers."""
+    return action.take(np.arange(factorial(action.n)))
+
+
+@lru_cache(maxsize=None)
+def reference_table(h, side="right"):
+    """rank(p . h) (or rank(h . p)) for every tour p in rank order, from
+    the rows of `perm_table` ranked whole: no period, window or block."""
+    tours = perm_table(len(h))
+    rows = tours[:, list(h)] if side == "right" else np.asarray(h)[tours]
+    return rank_rows(rows, len(h))
+
+
+def scalar_table(h):
+    """rank(unrank(r) . h) for every rank r, one tour at a time."""
+    n = len(h)
+    return np.array([rank(compose(unrank(r, n), h)) for r in range(factorial(n))])
+
+
+def period_of(h):
+    """(n - s)! for the first position s that h moves, 1 for the identity."""
+    moved = [i for i, v in enumerate(h) if v != i]
+    return factorial(len(h) - moved[0]) if moved else 1
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_involution_action_matches_composition(n):
     # enumeration order is rank order (test_perms); the dict stands in for
@@ -55,7 +88,10 @@ def test_involution_action_matches_composition(n):
     for h in elements(n):
         right = involution_action(h, "right")
         left = involution_action(h, "left")
-        assert right.dtype == left.dtype == np.int64
+        assert right.head.dtype == left.head.dtype == np.int64
+        assert not right.head.flags.writeable and not left.head.flags.writeable
+        assert (right.n, right.period, left.period) == (n, period_of(h), factorial(n))
+        right, left = images(right), images(left)
         assert list(right) == [index[compose(p, h)] for p in tours]
         assert list(left) == [index[compose(h, p)] for p in tours]
         for r in range(0, factorial(n), 97):
@@ -65,15 +101,17 @@ def test_involution_action_matches_composition(n):
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_right_action_matches_composition(n):
-    # every permutation, involution or not, the identity included; for
-    # involutions the gates' cached table is the same array
+    # every permutation, involution or not, the identity included: the
+    # period repeats over every run of P ranks, shifted by the run's start;
+    # for involutions it begins the gates' cached head
     tours = [unrank(r, n) for r in range(factorial(n))]
     for g in tours:
-        table = right_action(g)
-        assert table.dtype == np.int64
+        period = right_action(g)
+        assert period.dtype == np.int64 and len(period) == period_of(g)
+        table = (np.arange(factorial(n) // len(period))[:, None] * len(period) + period).reshape(-1)
         assert list(table) == [rank(compose(p, g)) for p in tours]
         if is_involution(g):
-            assert np.array_equal(involution_action(g, "right"), table)
+            assert np.array_equal(involution_action(g, "right").head[:len(period)], period)
     with pytest.raises(ValueError, match="not a permutation"):
         right_action((0, 0))
 
@@ -113,9 +151,10 @@ def spare_like(state):
     return FeasibleState(state.n, np.empty_like(state.amps))
 
 
-def reference_gate(state, action, theta):
-    """The gate as one allocating expression, the kernel's bit-level oracle."""
-    amps = np.cos(theta) * state.amps - 1j * np.sin(theta) * state.amps[action]
+def reference_gate(state, table, theta):
+    """The gate as one allocating expression through a flat rank table,
+    the kernel's bit-level oracle."""
+    amps = np.cos(theta) * state.amps - 1j * np.sin(theta) * state.amps[table]
     return FeasibleState(state.n, amps)
 
 
@@ -126,7 +165,7 @@ def reference_phase(state, gamma, cost):
 def functional_circuit(seq, thetas, start):
     state = basis_state(start)
     for h, theta in zip(seq.elements, thetas):
-        state = reference_gate(state, involution_action(h, seq.action_side), theta)
+        state = reference_gate(state, reference_table(h, seq.action_side), theta)
     return state
 
 
@@ -149,7 +188,7 @@ def test_buffered_circuit_is_bit_identical(build, side):
 
 
 @pytest.mark.parametrize("block", [7, 40, 120])
-def test_blocked_gate_is_bit_identical(monkeypatch, block):
+def test_blocked_gate_is_bit_identical(monkeypatch, fresh_actions, block):
     # 120 amplitudes: a partial last block, whole blocks, and one block
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     rng = np.random.default_rng(block)
@@ -160,8 +199,9 @@ def test_blocked_gate_is_bit_identical(monkeypatch, block):
             functional_circuit(seq, thetas, (4, 2, 0, 1, 3))
         )
     state = phased_uniform_state(5)
-    action = involution_action(transposition(5, 1, 3), "left")
-    expected = bits(reference_gate(state, action, 0.9))
+    h = transposition(5, 1, 3)
+    action = Action.of(5, reference_table(h, "left"))
+    expected = bits(reference_gate(state, reference_table(h, "left"), 0.9))
     assert bits(apply_involution_exp(state, action, 0.9, out=spare_like(state))) == expected
     assert bits(apply_involution_exp(state, action, 0.9)) == expected
 
@@ -178,15 +218,17 @@ def test_default_block_gate_on_degree_8():
     # 40320 amplitudes: two whole default-size blocks and a partial one
     assert factorial(8) > 2 * feasible.GATE_BLOCK
     state = phased_uniform_state(8)
+    h = binary_insertion_sequence(8).elements[0]
     for side in ("right", "left"):
-        action = involution_action(binary_insertion_sequence(8).elements[0], side)
-        assert bits(apply_involution_exp(state, action, 0.9)) == bits(reference_gate(state, action, 0.9))
+        action = involution_action(h, side)
+        assert bits(apply_involution_exp(state, action, 0.9)) == bits(
+            reference_gate(state, reference_table(h, side), 0.9))
     bad = np.arange(factorial(8))
     bad[-1] = factorial(8)
     with pytest.raises(IndexError):
-        apply_involution_exp(state, bad, 0.3)
+        apply_involution_exp(state, Action.of(8, bad), 0.3)
     with pytest.raises(IndexError):
-        apply_involution_exp(state, bad, 0.3, out=spare_like(state))
+        apply_involution_exp(state, Action.of(8, bad), 0.3, out=spare_like(state))
 
 
 def test_circuit_allocates_no_per_gate_state():
@@ -220,27 +262,30 @@ def test_buffered_qaoa_is_bit_identical(initial, wraparound, n):
     for beta, gamma in zip(betas, gammas):
         state = reference_phase(state, gamma, cost.vector())
         for t in range(n if wraparound else n - 1):
-            state = reference_gate(state, mixer_slot_action(t, n, wraparound), beta)
+            swap = transposition(n, t, t + 1) if t < n - 1 else transposition(n, 0, t)
+            state = reference_gate(state, reference_table(swap), beta)
     assert bits(run_qaoa(cost, cfg, betas, gammas)) == bits(state)
 
 
 @pytest.mark.parametrize("block", [2, 16384])
-def test_out_of_range_table_raises_on_both_paths(monkeypatch, block):
+def test_out_of_range_table_raises_on_both_paths(monkeypatch, fresh_actions, block):
+    # a period shorter than the block is checked as it is tiled, a longer
+    # one by the gate's gathers: either way no bad index reaches a state
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     state = uniform_feasible_state(3)
     spare = spare_like(state)
     bad = np.arange(6)
     bad[2] = 6
-    # a view of a longer table
-    view = involution_action(transposition(4, 0, 1), "right")[:6]
-    corrupted = involution_action(transposition(3, 0, 1), "right").copy()
+    # the start of a longer table
+    view = right_action(transposition(4, 0, 1))[:6]
+    corrupted = right_action(transposition(3, 0, 1)).copy()
     corrupted[0] = 99
-    for action in (bad, view, corrupted):
+    for period in (bad, view, corrupted):
         with pytest.raises(IndexError):
-            apply_involution_exp(state, action, 0.3)
+            apply_involution_exp(state, Action.of(3, period), 0.3)
         with pytest.raises(IndexError):
-            apply_involution_exp(state, action, 0.3, out=spare)
-    # a table of another degree is refused
+            apply_involution_exp(state, Action.of(3, period), 0.3, out=spare)
+    # an action of another degree is refused
     with pytest.raises(ValueError):
         apply_involution_exp(state, involution_action(transposition(4, 0, 1), "right"), 0.3,
                              out=spare)
@@ -259,12 +304,168 @@ def test_out_must_not_alias_the_input():
 def test_out_returns_the_given_state_and_leaves_input():
     state = phased_uniform_state(4)
     before = bits(state)
-    action = involution_action(transposition(4, 1, 2), "right")
+    h = transposition(4, 1, 2)
     spare = spare_like(state)
-    assert apply_involution_exp(state, action, 0.7, out=spare) is spare
-    assert bits(spare) == bits(reference_gate(state, action, 0.7))
+    assert apply_involution_exp(state, involution_action(h, "right"), 0.7, out=spare) is spare
+    assert bits(spare) == bits(reference_gate(state, reference_table(h), 0.7))
     cost = np.linspace(1.0, 2.0, state.amps.size)
     assert apply_phase(state, 0.7, cost, out=spare) is spare
     assert bits(spare) == bits(reference_phase(state, 0.7, cost))
     assert bits(apply_phase(state, 0.7, cost)) == bits(spare)
     assert bits(state) == before
+
+
+def test_action_tables_check(monkeypatch, fresh_actions):
+    ok, detail = check_action_tables()
+    assert ok, detail
+    # blocks shorter than the periods: gathers straddle period boundaries
+    monkeypatch.setattr(feasible, "GATE_BLOCK", 7)
+    involution_action.cache_clear()
+    ok, detail = check_action_tables(every=range(1, 5), constructions=range(5, 7))
+    assert ok, detail
+
+
+def straddling_cases(n):
+    """(element, action) for every distinct element of both constructions
+    and every QAOA slot (with its swap), right actions built at the
+    current `GATE_BLOCK`."""
+    hs = set(bubble_sequence(n).elements) | set(binary_insertion_sequence(n).elements)
+    cases = [(h, involution_action(h, "right")) for h in sorted(hs)]
+    for t in range(n):
+        swap = transposition(n, t, t + 1) if t < n - 1 else transposition(n, 0, t)
+        cases.append((swap, mixer_slot_action(t, n)))
+    return cases
+
+
+@pytest.mark.parametrize("block", [7, 100])
+def test_straddling_gates_are_bit_identical(monkeypatch, fresh_actions, block):
+    # 720 amplitudes: periods of 720, 120 and 24 end inside blocks of 7,
+    # and 120 inside blocks of 100; periods of 6 and 2 are tiled
+    monkeypatch.setattr(feasible, "GATE_BLOCK", block)
+    n = 6
+    state = phased_uniform_state(n)
+    periods = set()
+    for h, action in straddling_cases(n):
+        periods.add(action.period)
+        want = bits(reference_gate(state, scalar_table(h), 0.9))
+        assert bits(apply_involution_exp(state, action, 0.9)) == want, h
+        assert bits(apply_involution_exp(state, action, 0.9, out=spare_like(state))) == want, h
+    assert {p for p in periods if p > block and p % block} and min(periods) < block
+
+
+def test_default_block_gates_on_degree_8_are_bit_identical():
+    # 40320 amplitudes in blocks of 16384: periods of 8! span the state,
+    # those of 7! and less are tiled; references from whole rows
+    state = phased_uniform_state(8)
+    for h, action in straddling_cases(8):
+        assert bits(apply_involution_exp(state, action, 0.9)) == bits(
+            reference_gate(state, reference_table(h), 0.9)), h
+
+
+def test_straddling_gradient_is_bit_identical(monkeypatch, fresh_actions):
+    # the sweep's overlaps are summed over the same blocks whether the
+    # actions are periods or flat tables
+    n = 6
+    vec = TourCost(random_instance(n + 1, seed=6), reduced=True).vector()
+    seq = bubble_sequence(n)
+    x = np.random.default_rng(6).uniform(0, np.pi, len(seq))
+    monkeypatch.setattr(feasible, "GATE_BLOCK", 100)
+    got = expectation_gradient(uniform_feasible_state(n), circuit_steps(seq), x, vec)
+    monkeypatch.setattr(feasible, "GATE_BLOCK", factorial(n))  # flat tables, one window
+    flat = [(Action.of(n, reference_table(h)), k) for k, h in enumerate(seq.elements)]
+    assert all(len(a.head) == factorial(n) for a, _ in flat)
+    monkeypatch.setattr(feasible, "GATE_BLOCK", 100)
+    want = expectation_gradient(uniform_feasible_state(n), flat, x, vec)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_default_block_straddles_at_degree_9():
+    # an element first moving position 1 has a period of 8! = 40320 ranks,
+    # which ends inside the block from 32768; references from whole rows
+    n = 9
+    state = phased_uniform_state(n)
+    for h in (transposition(n, 1, 2), transposition(n, 1, 8)):
+        action = Action.of(n, right_action(h))
+        assert action.period == 40320 and len(action.head) == 40320
+        assert bits(apply_involution_exp(state, action, 0.9)) == bits(
+            reference_gate(state, reference_table(h), 0.9))
+
+
+def period_with_p(h):
+    """The right-action period of h with its last entry set to P."""
+    period = right_action(h).copy()
+    period[-1] = len(period)
+    return period
+
+
+@pytest.mark.parametrize("block", [7, 16384])
+def test_period_entry_equal_to_p_raises(monkeypatch, block):
+    # degree 5, (0 1): a period of 120 ranks, the whole state; (1 2): 24
+    monkeypatch.setattr(feasible, "GATE_BLOCK", block)
+    state = phased_uniform_state(5)
+    for h in (transposition(5, 0, 1), transposition(5, 1, 2)):
+        with pytest.raises(IndexError):  # the forward path
+            apply_involution_exp(state, Action.of(5, period_with_p(h)), 0.3)
+    # the straddling path: blocks of 100 over periods of 120 at degree 6;
+    # the block from 100 reads the bad entry only in its first part
+    monkeypatch.setattr(feasible, "GATE_BLOCK", 100)
+    bad = Action.of(6, period_with_p(transposition(6, 1, 2)))
+    assert bad.period == 120 and len(bad.head) == 120
+    with pytest.raises(IndexError):
+        apply_involution_exp(phased_uniform_state(6), bad, 0.3)
+    with pytest.raises(IndexError):
+        feasible._gathered(phased_uniform_state(6).amps, bad, 100, 200)
+
+
+def test_sweep_undo_refuses_a_period_entry_equal_to_p(monkeypatch, fresh_actions):
+    # the forward pass runs good actions; the sweep undoes a bad one
+    monkeypatch.setattr(feasible, "GATE_BLOCK", 7)
+    n = 5
+    vec = TourCost(random_instance(n + 1, seed=1), reduced=True).vector()
+    steps = circuit_steps(bubble_sequence(n))
+    x = np.full(len(steps), 0.4)
+    psi = run_steps(uniform_feasible_state(n), steps, x)
+    bad = list(steps)
+    bad[1] = (Action.of(n, period_with_p(bubble_sequence(n).elements[1])), 1)
+    assert bad[1][0].period == 24
+    with pytest.raises(IndexError):
+        feasible._sweep(psi, spare_like(psi), spare_like(psi), spare_like(psi), bad, x, vec)
+
+
+def test_an_action_of_another_degree_is_refused():
+    # a degree-4 action whose period (2 ranks) divides 5! = 120
+    n = 5
+    wrong = involution_action(transposition(n - 1, n - 3, n - 2))
+    assert wrong.period == 2 and factorial(n) % wrong.period == 0
+    state = uniform_feasible_state(n)
+    vec = TourCost(random_instance(n + 1, seed=1), reduced=True).vector()
+    steps = circuit_steps(bubble_sequence(n))
+    steps[1] = (wrong, steps[1][1])
+    x = np.full(len(steps), 0.4)
+    message = "^action of degree 4 for a state of degree 5$"
+    with pytest.raises(ValueError, match=message):
+        apply_involution_exp(state, wrong, 0.3)
+    with pytest.raises(ValueError, match=message):
+        run_steps(uniform_feasible_state(n), steps, x)
+    with pytest.raises(ValueError, match=message):
+        expectation_gradient(uniform_feasible_state(n), steps, x, vec)
+    with pytest.raises(ValueError, match=message):
+        Circuit(uniform_feasible_state(n), steps, vec)
+
+
+def test_a_period_must_divide_the_state():
+    with pytest.raises(ValueError, match="does not divide"):
+        Action.of(4, np.arange(5))
+    with pytest.raises(ValueError, match="does not divide"):
+        Action.of(4, np.arange(0))
+
+
+def test_circuit_tables_hold_periods():
+    # at degree 8 a binary-insertion circuit's 17 actions hold 3.0 MB,
+    # against 5.5 MB for one flat 8-B table per element; a tiled period
+    # spans at most 201.6 KB (5040 ranks tiled five times)
+    steps = circuit_steps(binary_insertion_sequence(8))
+    held = sum(a.nbytes for a, _ in steps)
+    assert held == sum(a.head.nbytes for a, _ in steps)
+    assert held < len(steps) * factorial(8) * 8
+    assert all(len(a.head) == a.period or a.nbytes <= 256 * 1024 for a, _ in steps)

@@ -7,6 +7,7 @@ import pytest
 import permcirc.feasible as feasible
 from permcirc.checks import check_circuit_reuse, check_gradient, gradient_cases
 from permcirc.feasible import (
+    Action,
     Circuit,
     apply_phase,
     circuit_steps,
@@ -15,6 +16,7 @@ from permcirc.feasible import (
     run_steps,
     uniform_feasible_state,
 )
+from permcirc.perms import right_action
 from permcirc.sequences import bubble_sequence
 from permcirc.tsp import TourCost, random_instance
 
@@ -162,14 +164,16 @@ def test_gradient_is_independent_of_the_block_size(monkeypatch, block):
 
 
 @pytest.mark.parametrize("block", [7, 16384])
-def test_gradient_refuses_an_out_of_range_table(monkeypatch, block):
+def test_gradient_refuses_an_out_of_range_table(monkeypatch, fresh_actions, block):
+    # a period of 24 ranks, the gate's gather checking it at blocks of 7,
+    # its tiling at the default
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     steps = circuit_steps(bubble_sequence(5))
-    bad = steps[2][0].copy()
-    bad[-1] = factorial(5)
-    steps[2] = (bad, steps[2][1])
+    bad = right_action(bubble_sequence(5).elements[1]).copy()
+    bad[-1] = len(bad)
     vec = TourCost(random_instance(6, seed=1), reduced=True).vector()
     with pytest.raises(IndexError):
+        steps[1] = (Action.of(5, bad), steps[1][1])
         expectation_gradient(uniform_feasible_state(5), steps, np.full(len(steps), 0.4), vec)
 
 

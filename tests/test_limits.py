@@ -22,7 +22,7 @@ from permcirc.fullstate import (
 )
 from permcirc.limits import CAPS, TooLarge
 from permcirc.optimize import OptConfig, minimize
-from permcirc.perms import identity, perm_table, rank, rank_rows, transposition, unrank
+from permcirc.perms import identity, perm_table, rank, rank_rows, right_action, transposition, unrank
 from permcirc.sequences import GeneratingSequence, decompose, verify_generating
 from permcirc.tsp import TourCost, optimum, random_instance
 
@@ -54,6 +54,7 @@ REFUSALS = [
     ("instance", lambda: random_instance(4097, seed=0)),
     ("statevector", lambda: ancilla_exponential_check(identity(6), QUBITS_18, 0.3, 1)),
     ("parameters", lambda: minimize(None, PAST_PARAMETERS, OptConfig(), gradient=None)),
+    ("state", lambda: right_action(transposition(11, 0, 1))),
 ]
 
 
