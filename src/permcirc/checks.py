@@ -26,6 +26,8 @@ from .perms import (
     all_perms,
     compose,
     identity,
+    inverse,
+    inverse_ranks,
     inversion_number,
     is_involution,
     perm_table,
@@ -265,10 +267,11 @@ def check_reachability(degrees=(4, 5), all_starts=(4,), extra_starts=((2, 0, 4, 
                        samples: int = 100, seed: int = 2024,
                        builds=BUILDS) -> tuple[bool, str]:
     """The angles of `reachability_params` reach the target with unit
-    fidelity.  Starts are every tour for a degree in `all_starts`, else
-    the identity and the tours of that degree in `extra_starts`; targets
-    are every tour up to degree 5, else `samples` tours drawn from one
-    generator seeded `seed`."""
+    fidelity, for `builds` and the bubble elements acting on the left.
+    Starts are every tour for a degree in `all_starts`, else the identity
+    and the tours of that degree in `extra_starts`; targets are every
+    tour up to degree 5, else `samples` tours drawn from one generator
+    seeded `seed`."""
     rng = np.random.default_rng(seed)
     for n in degrees:
         if n <= 5:
@@ -279,15 +282,15 @@ def check_reachability(degrees=(4, 5), all_starts=(4,), extra_starts=((2, 0, 4, 
             starts = list(all_perms(n))
         else:
             starts = [identity(n)] + [s for s in extra_starts if len(s) == n]
-        for build in builds:
-            seq = build(n)
+        left = GeneratingSequence(n, bubble_sequence(n).elements, action_side="left")
+        for seq in [build(n) for build in builds] + [left]:
             for start in starts:
                 for target in targets:
                     thetas = fs.reachability_params(seq, start, target)
                     state = fs.run_exhaustive_circuit(seq, thetas, start)
                     if abs(fs.fidelity(state, target) - 1) > 1e-10:
-                        return False, f"{seq.kind} n={n}: fidelity < 1 for {target}"
-    return True, f"unit fidelity for every sampled (start, target), {_degrees(degrees)}"
+                        return False, f"{seq.kind} {seq.action_side} n={n}: fidelity < 1 for {target}"
+    return True, f"unit fidelity for every sampled (start, target), both sides, {_degrees(degrees)}"
 
 
 def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[bool, str]:
@@ -295,7 +298,8 @@ def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[b
     `perm_table`: the `involution_action` of every involution of S_n on
     both sides, n in `every`, and for n in `constructions` of every
     element of both constructions on both sides and every QAOA slot's
-    `mixer_slot_action`."""
+    `mixer_slot_action`.  The left action of h is J[R_h[J]], for R_h the
+    right one and J = `inverse_ranks`."""
     checked = 0
     for n in sorted(set(every) | set(constructions)):
         tours = perm_table(n)
@@ -303,14 +307,15 @@ def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[b
             elements = [p for p in all_perms(n) if is_involution(p)]
         else:
             elements = sorted({h for build in BUILDS for h in build(n).elements})
-        cases = [(h, side, fs.involution_action(h, side)) for h in elements for side in ("right", "left")]
+        cases = [(h, side, fs.involution_action(h)) for h in elements for side in ("right", "left")]
         if n in constructions and n >= 2:
             slots = [transposition(n, t, t + 1) for t in range(n - 1)] + [transposition(n, 0, n - 1)]
             cases += [(h, "right", qa.mixer_slot_action(t, n)) for t, h in enumerate(slots)]
-        ranks = np.arange(factorial(n))
+        ranks, j = np.arange(factorial(n)), inverse_ranks(n)
         for h, side, action in cases:
+            got = action.take(ranks) if side == "right" else j[action.take(ranks)[j]]
             rows = tours[:, list(h)] if side == "right" else np.asarray(h)[tours]
-            if not np.array_equal(action.take(ranks), rank_rows(rows, n)):
+            if not np.array_equal(got, rank_rows(rows, n)):
                 return False, (f"{side} action of {h} (period {action.period}, "
                                f"{len(action.head)} head entries) gathers the wrong ranks")
         checked += len(cases)
@@ -325,9 +330,7 @@ def check_norm_preservation(seed: int = 3, gates: int = 1000) -> tuple[bool, str
     state = fs.uniform_feasible_state(n)
     for k in range(gates):
         h = seq.elements[rng.integers(len(seq.elements))]
-        state = fs.apply_involution_exp(
-            state, fs.involution_action(h, "right"), rng.uniform(0, 2 * np.pi)
-        )
+        state = fs.apply_involution_exp(state, fs.involution_action(h), rng.uniform(0, 2 * np.pi))
         if abs(state.norm() - 1) > 1e-10:
             return False, f"norm drifted after {k + 1} gates"
     return True, f"norm 1 within 1e-10 through {gates} random gates"
@@ -376,9 +379,7 @@ def check_cross_simulator(circuits: int = 20, seed: int = 17,
             for _ in range(20):
                 h = pool[rng.integers(len(pool))]
                 theta = rng.uniform(0, 2 * np.pi)
-                feas = fs.apply_involution_exp(
-                    feas, fs.involution_action(h, "right"), theta
-                )
+                feas = fs.apply_involution_exp(feas, fs.involution_action(h), theta)
                 sv = full.apply_swap_involution_exp(sv, h, spec, theta)
             projected, mass = full.project_feasible(sv, spec)
             if mass > 1e-12:
@@ -474,22 +475,26 @@ def _central_difference(f, x: np.ndarray, step: float = 3e-6) -> np.ndarray:
 
 
 def gradient_cases(cost: TourCost, start):
-    """(name, angle count, initial-state factory, steps, circuit) for every
-    circuit kind at the degree of `start`: bubble and binary-insertion
-    acting on the right, bubble elements acting on the left, and QAOA from
-    both starts with and without the wraparound slot."""
+    """(name, angle count, initial-state factory, steps, cost vector,
+    circuit) for every circuit kind at the degree of `start`: bubble and
+    binary-insertion acting on the right, bubble elements acting on the
+    left (right-acting steps from start^-1 against cost[J], J =
+    `inverse_ranks`), and QAOA from both starts with and without the
+    wraparound slot."""
     n, vec = len(start), cost.vector()
-    for seq in (bubble_sequence(n), binary_insertion_sequence(n),
-                GeneratingSequence(n, bubble_sequence(n).elements, action_side="left")):
-        yield (f"{seq.kind} {seq.action_side}-action", len(seq),
-               lambda: fs.basis_state(start), fs.circuit_steps(seq),
-               lambda x, seq=seq: fs.run_exhaustive_circuit(seq, x, start))
+    for seq in (bubble_sequence(n), binary_insertion_sequence(n)):
+        yield (f"{seq.kind} right-action", len(seq), lambda: fs.basis_state(start),
+               fs.circuit_steps(seq), vec, lambda x, seq=seq: fs.run_exhaustive_circuit(seq, x, start))
+    left = GeneratingSequence(n, bubble_sequence(n).elements, action_side="left")
+    yield (f"{left.kind} left-action", len(left), lambda: fs.basis_state(inverse(start)),
+           fs.circuit_steps(left), vec[inverse_ranks(n)],
+           lambda x: fs.run_exhaustive_circuit(left, x, start))
     for initial in ("basis", "uniform"):
         for wrap in (True, False):
             cfg = qa.QaoaConfig(qa.default_layers(n), initial, wrap)
             p = cfg.layers
             yield (f"qaoa {initial} wraparound={wrap}", 2 * p,
-                   lambda cfg=cfg: qa.initial_state(cfg, n, start), qa.qaoa_steps(vec, cfg, n),
+                   lambda cfg=cfg: qa.initial_state(cfg, n, start), qa.qaoa_steps(vec, cfg, n), vec,
                    lambda x, cfg=cfg, p=p: qa.run_qaoa(cost, cfg, x[:p], x[p:], start))
 
 
@@ -503,10 +508,10 @@ def check_gradient(tol: float = 1e-7) -> tuple[bool, str]:
         cost = TourCost(random_instance(n + 1, seed=n), reduced=True)
         vec = cost.vector()
         start = tuple(rng.permutation(n).tolist())
-        for name, d, initial, steps, circuit in gradient_cases(cost, start):
+        for name, d, initial, steps, weights, circuit in gradient_cases(cost, start):
             x = rng.uniform(0, np.pi, d)
             want = _central_difference(lambda y: fs.expectation(circuit(y), vec), x)
-            err = float(np.max(np.abs(fs.expectation_gradient(initial(), steps, x, vec) - want)))
+            err = float(np.max(np.abs(fs.expectation_gradient(initial(), steps, x, weights) - want)))
             if err > tol:
                 return False, f"{name} n={n}: gradient off central differences by {err:.1e}"
             worst = max(worst, err)
@@ -523,10 +528,9 @@ def check_circuit_reuse(n: int = 5, seed: int = 31) -> tuple[bool, str]:
     `expectation_gradient` do from the initial state."""
     rng = np.random.default_rng(seed)
     cost = TourCost(random_instance(n + 1, seed=seed), reduced=True)
-    vec = cost.vector()
     start = tuple(rng.permutation(n).tolist())
     reuses = skipped = total = 0
-    for name, d, initial, steps, _ in gradient_cases(cost, start):
+    for name, d, initial, steps, vec, _ in gradient_cases(cost, start):
         x = rng.uniform(0, np.pi, d)
         x[d // 2] = 0.0
         walk = [("value", x), ("value", x)]

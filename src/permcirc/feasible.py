@@ -9,19 +9,20 @@ one vectorised gather-and-mix pass through the involution's rank table.
 An `Action` holds that table as one period: an element that first moves
 position s maps each run of P = (n-s)! consecutive ranks onto itself,
 the same way in each, so `perms.right_action` builds only the P local
-ranks of one run (a left action's period is all n! ranks), and a gate
-gathers each block of amplitudes from the window of whole periods it
-lies in.  A circuit is a list of steps, each a generator (an `Action` or
-a diagonal cost vector) tied to an angle; `run_steps` alternates its
-gates between two states through the `out` argument of the gate and
-phase functions.  A gate gathers large states block by block, each
-gather bounds-checked by numpy indexing, and gives the same amplitudes,
-bit for bit, whether or not `out` is given.  `expectation_gradient`
-differentiates a circuit's expected cost over all its angles by one
-reverse sweep, which undoes each gate through the same block loop.  A
-`Circuit` keeps its last forward pass: the final state and a few prefix
-checkpoints, from which its value, its gradient's sweep and its final
-state at a nearby point resume, with the same amplitudes bit for bit.
+ranks of one run, and a gate gathers each block of amplitudes from the
+window of whole periods it lies in.  A left action is a right action
+between two relabellings by J, the rank table of p -> p^-1.  A circuit
+is a list of steps, each a generator (an `Action` or a diagonal cost
+vector) tied to an angle; `run_steps` alternates its gates between two
+states through the `out` argument of the gate and phase functions.  A
+gate gathers large states block by block, each gather bounds-checked by
+numpy indexing, and gives the same amplitudes, bit for bit, whether or
+not `out` is given.  `expectation_gradient` differentiates a circuit's
+expected cost over all its angles by one reverse sweep, which undoes
+each gate through the same block loop.  A `Circuit` keeps its last
+forward pass: the final state and a few prefix checkpoints, from which
+its value, its gradient's sweep and its final state at a nearby point
+resume, with the same amplitudes bit for bit.
 """
 
 from bisect import bisect_right
@@ -37,10 +38,9 @@ from .perms import (
     check_perm,
     compose,
     inverse,
+    inverse_ranks,
     is_involution,
-    perm_table,
     rank,
-    rank_rows,
     right_action,
     unrank,
 )
@@ -48,9 +48,10 @@ from .sequences import GeneratingSequence, decompose
 
 # Amplitudes per gate block: a state longer than this is gathered and mixed
 # a block at a time, so that a block's passes (about 56 bytes an amplitude
-# with its table slice) stay in a 2 MB L2.  Shorter states take one gather,
-# which skips the per-block slicing.  An `Action` built while it holds tiles
-# a period shorter than it over GATE_BLOCK + P ranks or more.
+# with its table slice) stay in a 2 MB L2.  Shorter states take one gather
+# through the whole table.  An `Action` built while it holds keeps
+# GATE_BLOCK + P ranks of its table (n! at most), so that each block lies in
+# one window of whole periods.
 GATE_BLOCK = 16384
 
 # States a `Circuit` keeps of its last forward pass: the state before step
@@ -92,13 +93,10 @@ class Action:
     """How a permutation acts on the Lehmer ranks of degree-n tours: rank
     r goes to head[r % period] + r - r % period.
 
-    `head` is read-only and holds the first entries of the rank table, a
-    whole number of periods, each entry of period q in q*period ..
-    (q+1)*period - 1.  Any run of `GATE_BLOCK` consecutive ranks (at the
-    value the action was built with) lies within len(head) ranks of the
-    period boundary before it, so a gate gathers each block from one
-    window of len(head) amplitudes, except where a period longer than a
-    block ends inside it.
+    `head` is read-only and holds the first GATE_BLOCK + period entries of
+    the rank table (n! at most, at the `GATE_BLOCK` the action was built
+    with), so a gate gathers each of its blocks from one window of whole
+    periods, starting at the period boundary before the block.
     """
 
     n: int
@@ -107,20 +105,23 @@ class Action:
 
     @classmethod
     def of(cls, n: int, period: np.ndarray) -> "Action":
-        """The degree-n action whose table has one period `period`.  A
-        period shorter than `GATE_BLOCK` is tiled over GATE_BLOCK + P ranks
-        or more, at most n!, by a gather that raises IndexError on an
-        entry out of range; a longer one is the head itself, and the
-        gates' gathers check its entries."""
+        """The degree-n action whose table has one period `period`, which
+        must hold local ranks 0..P-1 (IndexError otherwise).  The head
+        repeats it, each repeat shifted by P, over GATE_BLOCK + P ranks or
+        n!, whichever is fewer; a period of n! ranks is the head itself."""
         size, p = factorial(n), len(period)
         if not p or size % p:
             raise ValueError(f"a period of {p} ranks does not divide {n}! = {size}")
-        head = np.asarray(period)
-        if p < GATE_BLOCK:
-            reps = min(-(-(GATE_BLOCK + p) // p), size // p)
-            head = np.arange(reps * p).reshape(reps, p)[:, head].reshape(-1)
+        if period.min() < 0 or period.max() >= p:
+            raise IndexError(f"a period of {p} ranks has entries outside 0..{p - 1}")
+        length = min(GATE_BLOCK + p, size)
+        if p == size:
+            head = period.view()
         else:
-            head = head.view()
+            head = np.empty(length, dtype=period.dtype)
+            whole = length - length % p
+            np.add(np.arange(0, whole, p)[:, None], period, out=head[:whole].reshape(-1, p))
+            np.add(period[:length - whole], whole, out=head[whole:])
         head.setflags(write=False)
         return cls(n, p, head)
 
@@ -140,25 +141,16 @@ class Action:
 
 
 @lru_cache(maxsize=None)
-def involution_action(element: Perm, side: str = "right") -> Action:
-    """The `Action` of one involution on all of S_n.
-
-    side "right" maps rank(p) -> rank(p . element) (slot semantics), with
-    the period of `perms.right_action`; side "left" maps rank(p) ->
-    rank(element . p), whose period is all n! ranks, each permuted row
-    ranked.  The table is itself an involution on 0..n!-1.
+def involution_action(element: Perm) -> Action:
+    """The `Action` of one involution on all of S_n, mapping rank(p) ->
+    rank(p . element) (slot semantics), with the period of
+    `perms.right_action`.  The table is itself an involution on 0..n!-1.
     """
     if not is_involution(element):
         raise ValueError(f"element is not an involution: {element}")
-    if side not in ("left", "right"):
-        raise ValueError(f"bad action side {side!r}")
     n = len(element)
     limits.check("state", n)
-    if side == "right":
-        period = right_action(element)
-    else:
-        period = rank_rows(np.asarray(element, dtype=np.int8)[perm_table(n)], n)
-    return Action.of(n, period)
+    return Action.of(n, right_action(element))
 
 
 def apply_involution_exp(state: FeasibleState, action: Action, theta: float,
@@ -203,15 +195,13 @@ def _target(state: FeasibleState, generator, out: FeasibleState | None = None) -
 def _gate(amps: np.ndarray, action: Action, theta: float, dest: np.ndarray,
           lam: np.ndarray | None = None) -> complex:
     """Write cos(theta) amps - i sin(theta) amps[table] to `dest`, for the
-    action's rank table, with one gather, or one block of bounds-checked
-    gathers per `GATE_BLOCK` amplitudes, and return <lam|amps[table]> for
-    a costate `lam` (0 without one), summed block by block."""
+    action's rank table, with one gather, or one bounds-checked gather per
+    block of `GATE_BLOCK` amplitudes, and return <lam|amps[table]> for a
+    costate `lam` (0 without one), summed block by block."""
     c, s = np.cos(theta), 1j * np.sin(theta)
     size = len(amps)
     if size <= GATE_BLOCK:
-        head = action.head
-        gathered = amps[head] if len(head) == size else _gathered(amps, action, 0, size)
-        return _mix(c, amps, s, gathered, dest, lam)
+        return _mix(c, amps, s, amps[action.head], dest, lam)
     overlap = 0
     for i in range(0, size, GATE_BLOCK):
         b = slice(i, i + GATE_BLOCK)
@@ -221,25 +211,13 @@ def _gate(amps: np.ndarray, action: Action, theta: float, dest: np.ndarray,
 
 
 def _gathered(amps: np.ndarray, action: Action, i: int, j: int) -> np.ndarray:
-    """amps[table[i:j]], a new array, gathered from the window of len(head)
-    amplitudes at the period boundary before rank i, so numpy checks every
-    index against the whole periods the window holds.  Ranks i..j-1 that
-    do not fit one window (a period longer than the block ends among
-    them) are gathered window by window into one block by `np.take`,
-    which buffers each part while it checks it."""
+    """amps[table[i:j]] for ranks i..j-1 of one gate block, a new array,
+    gathered from the window of whole periods that the head spans from the
+    period boundary before rank i; numpy checks every index against it."""
     head, period = action.head, action.period
     base = i - i % period
-    if j - base <= len(head):
-        return amps[base:base + len(head)][head[i - base:j - base]]
-    out = np.empty((j - i, *amps.shape[1:]), dtype=amps.dtype)
-    k = i
-    while k < j:
-        base = k - k % period
-        stop = min(j, base + len(head))
-        np.take(amps[base:base + len(head)], head[k - base:stop - base], axis=0,
-                out=out[k - i:stop - i])
-        k = stop
-    return out
+    span = -(-len(head) // period) * period
+    return amps[base:base + span][head[i - base:j - base]]
 
 
 def _mix(c, block: np.ndarray, s, gathered: np.ndarray, dest: np.ndarray, lam) -> complex:
@@ -312,16 +290,21 @@ def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None):
 
 
 def circuit_steps(seq: GeneratingSequence) -> list:
-    """One step per sequence element, each with its own angle."""
-    return [(involution_action(h, seq.action_side), k) for k, h in enumerate(seq.elements)]
+    """One right-acting step per sequence element, each with its own angle."""
+    return [(involution_action(h), k) for k, h in enumerate(seq.elements)]
 
 
 def run_exhaustive_circuit(seq: GeneratingSequence, thetas, start: Perm) -> FeasibleState:
     """Apply the parametrised exponential of every sequence element in
-    order to the basis state of `start`."""
+    order to the basis state of `start`.  A left-acting sequence runs its
+    right-acting steps from start^-1 and reads the state through J =
+    `inverse_ranks`: h . p = (p^-1 . h)^-1."""
     if len(start) != seq.n:
         raise ValueError(f"start tour has degree {len(start)}, sequence degree {seq.n}")
-    return run_steps(basis_state(start), circuit_steps(seq), thetas)
+    if seq.action_side == "right":
+        return run_steps(basis_state(start), circuit_steps(seq), thetas)
+    state = run_steps(basis_state(inverse(start)), circuit_steps(seq), thetas)
+    return FeasibleState(seq.n, state.amps[inverse_ranks(seq.n)])
 
 
 def expectation_gradient(state: FeasibleState, steps, thetas, cost: np.ndarray) -> np.ndarray:

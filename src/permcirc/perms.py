@@ -15,7 +15,7 @@ values.  `rank_rows` ranks such prefixes in bulk, and `right_action`
 builds one period of the rank table of p -> p . g, which gates and the
 product sweep share: g keeps the digits before the first position s it
 moves, so the table maps each run of (n-s)! consecutive ranks onto
-itself, the same way in each.
+itself, the same way in each; `inverse_ranks` turns it into p -> g . p.
 """
 
 from functools import lru_cache
@@ -82,8 +82,8 @@ def transposition(n: int, i: int, j: int) -> Perm:
 
 
 def is_involution(p: Perm) -> bool:
-    """True iff p composed with itself is the identity."""
-    return all(p[v] == i for i, v in enumerate(p))
+    """True iff p is a permutation that composed with itself is the identity."""
+    return all(0 <= v < len(p) and p[v] == i for i, v in enumerate(p))
 
 
 def inversion_number(p: Perm) -> int:
@@ -175,6 +175,17 @@ def rank_rows(rows: np.ndarray, n: int | None = None) -> np.ndarray:
         out *= n - i
         out += digit
     return out
+
+
+def inverse_ranks(n: int) -> np.ndarray:
+    """J, the rank table of p -> p^-1, an involution: the rank table of
+    p -> h . p is J[t[J]] for t that of p -> p . h, as h . p = (p^-1 . h)^-1."""
+    tours = perm_table(n)
+    inverses = np.empty_like(tours)
+    rows = np.arange(len(tours))
+    for i in range(n):
+        inverses[rows, tours[:, i]] = i
+    return rank_rows(inverses, n)
 
 
 def right_action(element: Perm) -> np.ndarray:

@@ -60,7 +60,7 @@ def mixer_slot_action(t: int, n: int, wraparound: bool = True) -> Action:
         swap = transposition(n, 0, n - 1)
     else:
         swap = transposition(n, t, t + 1)
-    return involution_action(swap, "right")
+    return involution_action(swap)
 
 
 def mixer_slots(degree: int, wraparound: bool = True) -> list[Action]:

@@ -28,6 +28,7 @@ from permcirc.feasible import (
 from permcirc.limits import TooLarge
 from permcirc.perms import (
     compose,
+    inverse_ranks,
     is_involution,
     perm_table,
     rank,
@@ -85,13 +86,15 @@ def test_involution_action_matches_composition(n):
     # rank() so that degree 7 stays quick, and rank/unrank spot-check it
     tours = list(permutations(range(n)))
     index = {p: r for r, p in enumerate(tours)}
+    j = inverse_ranks(n)
     for h in elements(n):
-        right = involution_action(h, "right")
-        left = involution_action(h, "left")
-        assert right.head.dtype == left.head.dtype == np.int64
-        assert not right.head.flags.writeable and not left.head.flags.writeable
-        assert (right.n, right.period, left.period) == (n, period_of(h), factorial(n))
-        right, left = images(right), images(left)
+        action = involution_action(h)
+        assert action.head.dtype == np.int64 and not action.head.flags.writeable
+        assert (action.n, action.period) == (n, period_of(h))
+        assert len(action.head) == min(period_of(h) + feasible.GATE_BLOCK, factorial(n))
+        # the left action is the right action between relabellings by J
+        right = images(action)
+        left = j[right[j]]
         assert list(right) == [index[compose(p, h)] for p in tours]
         assert list(left) == [index[compose(h, p)] for p in tours]
         for r in range(0, factorial(n), 97):
@@ -111,7 +114,7 @@ def test_right_action_matches_composition(n):
         table = (np.arange(factorial(n) // len(period))[:, None] * len(period) + period).reshape(-1)
         assert list(table) == [rank(compose(p, g)) for p in tours]
         if is_involution(g):
-            assert np.array_equal(involution_action(g, "right").head[:len(period)], period)
+            assert np.array_equal(involution_action(g).head[:len(period)], period)
     with pytest.raises(ValueError, match="not a permutation"):
         right_action((0, 0))
 
@@ -178,8 +181,10 @@ def phased_uniform_state(n):
 @pytest.mark.parametrize("build", [bubble_sequence, binary_insertion_sequence])
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_buffered_circuit_is_bit_identical(build, side):
+    # at degrees 8 and 9 a left circuit runs through J, and periods of 8!
+    # span default-size blocks; references from whole rows either way
     rng = np.random.default_rng(11)
-    for n in (1, 2, 5, 6):
+    for n in (1, 2, 5, 6, 8, 9):
         seq = build(n)
         seq = type(seq)(seq.n, seq.elements, action_side=side)
         thetas = rng.uniform(0, 2 * np.pi, len(seq))
@@ -215,20 +220,21 @@ def test_degree_8_buffered_circuit_is_bit_identical():
 
 
 def test_default_block_gate_on_degree_8():
-    # 40320 amplitudes: two whole default-size blocks and a partial one
+    # 40320 amplitudes: two whole default-size blocks and a partial one;
+    # the left gate is the right one between relabellings by J
     assert factorial(8) > 2 * feasible.GATE_BLOCK
     state = phased_uniform_state(8)
     h = binary_insertion_sequence(8).elements[0]
-    for side in ("right", "left"):
-        action = involution_action(h, side)
-        assert bits(apply_involution_exp(state, action, 0.9)) == bits(
-            reference_gate(state, reference_table(h, side), 0.9))
+    action, j = involution_action(h), inverse_ranks(8)
+    assert bits(apply_involution_exp(state, action, 0.9)) == bits(
+        reference_gate(state, reference_table(h), 0.9))
+    relabelled = FeasibleState(8, state.amps[j])
+    assert apply_involution_exp(relabelled, action, 0.9).amps[j].tobytes() == bits(
+        reference_gate(state, reference_table(h, "left"), 0.9))
     bad = np.arange(factorial(8))
     bad[-1] = factorial(8)
     with pytest.raises(IndexError):
-        apply_involution_exp(state, Action.of(8, bad), 0.3)
-    with pytest.raises(IndexError):
-        apply_involution_exp(state, Action.of(8, bad), 0.3, out=spare_like(state))
+        Action.of(8, bad)
 
 
 def test_circuit_allocates_no_per_gate_state():
@@ -269,31 +275,32 @@ def test_buffered_qaoa_is_bit_identical(initial, wraparound, n):
 
 @pytest.mark.parametrize("block", [2, 16384])
 def test_out_of_range_table_raises_on_both_paths(monkeypatch, fresh_actions, block):
-    # a period shorter than the block is checked as it is tiled, a longer
-    # one by the gate's gathers: either way no bad index reaches a state
+    # a bad period, longer or shorter than the block, is refused as the
+    # action is built, before a gate writes anything
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     state = uniform_feasible_state(3)
-    spare = spare_like(state)
+    spare = phased_uniform_state(3)
+    before = bits(spare)
     bad = np.arange(6)
     bad[2] = 6
     # the start of a longer table
     view = right_action(transposition(4, 0, 1))[:6]
     corrupted = right_action(transposition(3, 0, 1)).copy()
     corrupted[0] = 99
-    for period in (bad, view, corrupted):
-        with pytest.raises(IndexError):
-            apply_involution_exp(state, Action.of(3, period), 0.3)
-        with pytest.raises(IndexError):
+    negative = right_action(transposition(3, 1, 2)).copy()
+    negative[0] = -1
+    for period in (bad, view, corrupted, negative):
+        with pytest.raises(IndexError, match="outside 0.."):
             apply_involution_exp(state, Action.of(3, period), 0.3, out=spare)
+    assert bits(spare) == before
     # an action of another degree is refused
     with pytest.raises(ValueError):
-        apply_involution_exp(state, involution_action(transposition(4, 0, 1), "right"), 0.3,
-                             out=spare)
+        apply_involution_exp(state, involution_action(transposition(4, 0, 1)), 0.3, out=spare)
 
 
 def test_out_must_not_alias_the_input():
     state = uniform_feasible_state(3)
-    action = involution_action(transposition(3, 0, 1), "right")
+    action = involution_action(transposition(3, 0, 1))
     cost = np.arange(6.0)
     with pytest.raises(ValueError):
         apply_involution_exp(state, action, 0.3, out=state)
@@ -306,7 +313,7 @@ def test_out_returns_the_given_state_and_leaves_input():
     before = bits(state)
     h = transposition(4, 1, 2)
     spare = spare_like(state)
-    assert apply_involution_exp(state, involution_action(h, "right"), 0.7, out=spare) is spare
+    assert apply_involution_exp(state, involution_action(h), 0.7, out=spare) is spare
     assert bits(spare) == bits(reference_gate(state, reference_table(h), 0.7))
     cost = np.linspace(1.0, 2.0, state.amps.size)
     assert apply_phase(state, 0.7, cost, out=spare) is spare
@@ -330,7 +337,7 @@ def straddling_cases(n):
     and every QAOA slot (with its swap), right actions built at the
     current `GATE_BLOCK`."""
     hs = set(bubble_sequence(n).elements) | set(binary_insertion_sequence(n).elements)
-    cases = [(h, involution_action(h, "right")) for h in sorted(hs)]
+    cases = [(h, involution_action(h)) for h in sorted(hs)]
     for t in range(n):
         swap = transposition(n, t, t + 1) if t < n - 1 else transposition(n, 0, t)
         cases.append((swap, mixer_slot_action(t, n)))
@@ -381,12 +388,14 @@ def test_straddling_gradient_is_bit_identical(monkeypatch, fresh_actions):
 
 def test_default_block_straddles_at_degree_9():
     # an element first moving position 1 has a period of 8! = 40320 ranks,
-    # which ends inside the block from 32768; references from whole rows
+    # which ends inside the block from 32768: its head holds the period
+    # and one block more, so that block lies in a window of two periods;
+    # references from whole rows
     n = 9
     state = phased_uniform_state(n)
     for h in (transposition(n, 1, 2), transposition(n, 1, 8)):
         action = Action.of(n, right_action(h))
-        assert action.period == 40320 and len(action.head) == 40320
+        assert action.period == 40320 and len(action.head) == 40320 + feasible.GATE_BLOCK
         assert bits(apply_involution_exp(state, action, 0.9)) == bits(
             reference_gate(state, reference_table(h), 0.9))
 
@@ -399,37 +408,35 @@ def period_with_p(h):
 
 
 @pytest.mark.parametrize("block", [7, 16384])
-def test_period_entry_equal_to_p_raises(monkeypatch, block):
-    # degree 5, (0 1): a period of 120 ranks, the whole state; (1 2): 24
+def test_period_entry_equal_to_p_raises(monkeypatch, fresh_actions, block):
+    # degree 5, (0 1): a period of 120 ranks, the whole state; (1 2): 24.
+    # Each is refused as it is built, shorter or longer than the block
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
-    state = phased_uniform_state(5)
     for h in (transposition(5, 0, 1), transposition(5, 1, 2)):
-        with pytest.raises(IndexError):  # the forward path
-            apply_involution_exp(state, Action.of(5, period_with_p(h)), 0.3)
-    # the straddling path: blocks of 100 over periods of 120 at degree 6;
-    # the block from 100 reads the bad entry only in its first part
+        with pytest.raises(IndexError, match="outside 0.."):
+            Action.of(5, period_with_p(h))
+    # blocks of 100 over periods of 120 at degree 6: the good head holds
+    # the period and one block, and its gate is the reference's bit for bit
     monkeypatch.setattr(feasible, "GATE_BLOCK", 100)
-    bad = Action.of(6, period_with_p(transposition(6, 1, 2)))
-    assert bad.period == 120 and len(bad.head) == 120
-    with pytest.raises(IndexError):
-        apply_involution_exp(phased_uniform_state(6), bad, 0.3)
-    with pytest.raises(IndexError):
-        feasible._gathered(phased_uniform_state(6).amps, bad, 100, 200)
+    h = transposition(6, 1, 2)
+    with pytest.raises(IndexError, match="outside 0.."):
+        Action.of(6, period_with_p(h))
+    good = Action.of(6, right_action(h))
+    assert good.period == 120 and len(good.head) == 220
+    state = phased_uniform_state(6)
+    assert bits(apply_involution_exp(state, good, 0.3)) == bits(
+        reference_gate(state, reference_table(h), 0.3))
 
 
 def test_sweep_undo_refuses_a_period_entry_equal_to_p(monkeypatch, fresh_actions):
-    # the forward pass runs good actions; the sweep undoes a bad one
+    # a bad step for the sweep to undo cannot be built: its period of 24
+    # ranks is refused at blocks of 7, before any state is written
     monkeypatch.setattr(feasible, "GATE_BLOCK", 7)
     n = 5
-    vec = TourCost(random_instance(n + 1, seed=1), reduced=True).vector()
-    steps = circuit_steps(bubble_sequence(n))
-    x = np.full(len(steps), 0.4)
-    psi = run_steps(uniform_feasible_state(n), steps, x)
-    bad = list(steps)
-    bad[1] = (Action.of(n, period_with_p(bubble_sequence(n).elements[1])), 1)
-    assert bad[1][0].period == 24
-    with pytest.raises(IndexError):
-        feasible._sweep(psi, spare_like(psi), spare_like(psi), spare_like(psi), bad, x, vec)
+    element = bubble_sequence(n).elements[1]
+    assert len(right_action(element)) == 24
+    with pytest.raises(IndexError, match="outside 0.."):
+        Action.of(n, period_with_p(element))
 
 
 def test_an_action_of_another_degree_is_refused():
@@ -461,11 +468,12 @@ def test_a_period_must_divide_the_state():
 
 
 def test_circuit_tables_hold_periods():
-    # at degree 8 a binary-insertion circuit's 17 actions hold 3.0 MB,
-    # against 5.5 MB for one flat 8-B table per element; a tiled period
-    # spans at most 201.6 KB (5040 ranks tiled five times)
+    # at degree 8 a binary-insertion circuit's 17 actions hold 2.9 MB,
+    # against 5.5 MB for one flat 8-B table per element; each head holds
+    # its period and one block, 171.4 KB for a period of 5040 ranks, or
+    # the whole table of 8! ranks
     steps = circuit_steps(binary_insertion_sequence(8))
     held = sum(a.nbytes for a, _ in steps)
     assert held == sum(a.head.nbytes for a, _ in steps)
     assert held < len(steps) * factorial(8) * 8
-    assert all(len(a.head) == a.period or a.nbytes <= 256 * 1024 for a, _ in steps)
+    assert all(len(a.head) == min(a.period + feasible.GATE_BLOCK, factorial(8)) for a, _ in steps)

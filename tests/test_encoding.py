@@ -117,9 +117,11 @@ def test_subregister_swap_block_example():
 
 
 def test_subregister_swap_rejects_non_involution():
+    # (5, 0, 1) is not a permutation: it is refused, not indexed
     spec = EncodingSpec(3, COMPACT)
-    with pytest.raises(ValueError):
-        subregister_swap(encode(identity(3), spec), (1, 2, 0), spec)
+    for element in ((1, 2, 0), (5, 0, 1)):
+        with pytest.raises(ValueError, match="must be an involution"):
+            subregister_swap(encode(identity(3), spec), element, spec)
 
 
 @settings(max_examples=150)

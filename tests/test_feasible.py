@@ -23,7 +23,17 @@ from permcirc.feasible import (
     uniform_feasible_state,
 )
 from permcirc.limits import TooLarge
-from permcirc.perms import all_perms, compose, identity, rank, transposition, unrank
+from permcirc.perms import (
+    all_perms,
+    compose,
+    identity,
+    inverse,
+    inverse_ranks,
+    is_involution,
+    rank,
+    transposition,
+    unrank,
+)
 from permcirc.sequences import binary_insertion_sequence, bubble_sequence
 from permcirc.tsp import TourCost, random_instance, tour_cost
 
@@ -66,42 +76,52 @@ def images(action):
 
 
 def test_involution_action_identity_element():
-    action = involution_action(identity(4), "right")
+    action = involution_action(identity(4))
     assert action.period == 1
     assert np.array_equal(images(action), np.arange(factorial(4)))
 
 
 def test_involution_action_right_on_identity():
     tau = transposition(4, 0, 1)
-    action = images(involution_action(tau, "right"))
+    action = images(involution_action(tau))
     assert action[rank(identity(4))] == rank((1, 0, 2, 3))
 
 
-def test_involution_action_left_vs_right():
-    h = transposition(3, 0, 2)
-    left = images(involution_action(h, "left"))
-    right = images(involution_action(h, "right"))
-    for p in all_perms(3):
-        assert unrank(int(left[rank(p)]), 3) == compose(h, p)
-        assert unrank(int(right[rank(p)]), 3) == compose(p, h)
+def test_left_action_is_the_right_action_through_j():
+    # J, the rank table of p -> p^-1, is an involution, and J . R_h . J
+    # maps rank(p) to rank(h . p) where R_h maps it to rank(p . h)
+    for n in range(1, 6):
+        j = inverse_ranks(n)
+        assert np.array_equal(j[j], np.arange(factorial(n)))
+        for p in all_perms(n):
+            assert unrank(int(j[rank(p)]), n) == inverse(p)
+        for h in set(bubble_sequence(n).elements) | set(binary_insertion_sequence(n).elements):
+            right = images(involution_action(h))
+            left = j[right[j]]
+            for p in all_perms(n):
+                assert unrank(int(right[rank(p)]), n) == compose(p, h)
+                assert unrank(int(left[rank(p)]), n) == compose(h, p)
 
 
 def test_involution_action_is_involution():
     for h in set(bubble_sequence(4).elements) | set(binary_insertion_sequence(4).elements):
-        for side in ("left", "right"):
-            action = images(involution_action(h, side))
-            assert np.array_equal(action[action], np.arange(factorial(4)))
+        action = images(involution_action(h))
+        assert np.array_equal(action[action], np.arange(factorial(4)))
 
 
 def test_involution_action_rejects_non_involution():
-    with pytest.raises(ValueError):
-        involution_action((1, 2, 0), "right")
+    # tuples that are not permutations, (2, 0) and (3, 3, 3), are not
+    # involutions either
+    assert not is_involution((3, 3, 3))
+    for element in ((1, 2, 0), (2, 0), (3, 3, 3)):
+        with pytest.raises(ValueError, match="not an involution"):
+            involution_action(element)
 
 
 def test_apply_involution_exp_angles():
     state = uniform_feasible_state(4)
     state.amps *= np.exp(1j * np.linspace(0, 1, state.amps.size))  # dephase
-    action = involution_action(transposition(4, 1, 2), "right")
+    action = involution_action(transposition(4, 1, 2))
 
     unchanged = apply_involution_exp(state, action, 0.0)
     assert np.allclose(unchanged.amps, state.amps, atol=1e-14)
@@ -120,7 +140,7 @@ def test_apply_involution_exp_matches_dense_matrix():
     rng = np.random.default_rng(4)
     size = factorial(4)
     for h in binary_insertion_sequence(4).elements:
-        action = involution_action(h, "right")
+        action = involution_action(h)
         P = np.zeros((size, size))
         P[np.arange(size), images(action)] = 1.0  # row r gathers amp[a(r)]
         theta = rng.uniform(0, 2 * np.pi)
@@ -135,7 +155,7 @@ def test_apply_involution_exp_matches_dense_matrix():
 
 def test_pi_shift_gives_unit_fidelity():
     state = uniform_feasible_state(4)
-    action = involution_action(transposition(4, 0, 3), "right")
+    action = involution_action(transposition(4, 0, 3))
     theta = 0.7
     a = apply_involution_exp(state, action, theta)
     b = apply_involution_exp(state, action, theta + np.pi)
@@ -226,7 +246,7 @@ def test_reachability_all_pairs_n5_batched(build):
         thetas = np.pi / 2 * np.asarray(decompose(seq, g), dtype=float)
         state = FeasibleState(n, np.eye(size, dtype=complex))
         for h, theta in zip(seq.elements, thetas):
-            state = apply_involution_exp(state, involution_action(h, "right"), theta)
+            state = apply_involution_exp(state, involution_action(h), theta)
         g_inv = tuple(np.argsort(g).tolist())
         for start in all_perms(n):
             target_rank = table[compose(start, g_inv)]

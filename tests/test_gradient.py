@@ -47,12 +47,12 @@ def test_forward_differences_agree_at_degree_7():
     vec = cost.vector()
     rng = np.random.default_rng(11)
     start = tuple(rng.permutation(n).tolist())
-    for name, d, initial, steps, circuit in gradient_cases(cost, start):
+    for name, d, initial, steps, weights, circuit in gradient_cases(cost, start):
         if name.startswith("qaoa"):
             continue
         x = rng.uniform(0, np.pi, d)
         fd = forward_difference(lambda y: expectation(circuit(y), vec), x)
-        exact = expectation_gradient(initial(), steps, x, vec)
+        exact = expectation_gradient(initial(), steps, x, weights)
         assert np.max(np.abs(exact - fd)) < 5e-6, name
 
 
@@ -65,7 +65,7 @@ def test_gradient_allocates_no_per_gate_state(case):
     cost = TourCost(random_instance(n + 1, seed=4), reduced=True)
     vec = cost.vector()
     start = (3, 1, 7, 0, 2, 6, 4, 5)
-    _, d, initial, steps, _ = next(c for c in gradient_cases(cost, start) if c[0] == case)
+    _, d, initial, steps, _, _ = next(c for c in gradient_cases(cost, start) if c[0] == case)
     thetas = np.random.default_rng(4).uniform(0, 2 * np.pi, d)
     expectation_gradient(initial(), steps, thetas, vec)
     state_bytes = factorial(n) * 16
@@ -89,7 +89,7 @@ def test_circuit_holds_its_checkpoints_and_four_states(case):
     cost = TourCost(random_instance(n + 1, seed=4), reduced=True)
     vec = cost.vector()
     start = (3, 1, 7, 0, 2, 6, 4, 5)
-    _, d, initial, steps, _ = next(c for c in gradient_cases(cost, start) if c[0] == case)
+    _, d, initial, steps, _, _ = next(c for c in gradient_cases(cost, start) if c[0] == case)
     rng = np.random.default_rng(4)
     points = [rng.uniform(0, 2 * np.pi, d)]
     for i in (d - 1, d // 2, 0):
@@ -152,14 +152,13 @@ def test_gradient_is_independent_of_the_block_size(monkeypatch, block):
     # 120 amplitudes: blocks of 7 leave a partial last block, 40 divides
     n = 5
     cost = TourCost(random_instance(n + 1, seed=5), reduced=True)
-    vec = cost.vector()
     rng = np.random.default_rng(block)
-    cases = [(name, initial, steps, rng.uniform(0, 2 * np.pi, d))
-             for name, d, initial, steps, _ in gradient_cases(cost, (2, 4, 0, 3, 1))]
-    want = [expectation_gradient(initial(), steps, x, vec) for _, initial, steps, x in cases]
+    cases = [(name, initial, steps, weights, rng.uniform(0, 2 * np.pi, d))
+             for name, d, initial, steps, weights, _ in gradient_cases(cost, (2, 4, 0, 3, 1))]
+    want = [expectation_gradient(initial(), steps, x, weights) for _, initial, steps, weights, x in cases]
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
-    for (name, initial, steps, x), expected in zip(cases, want):
-        got = expectation_gradient(initial(), steps, x, vec)
+    for (name, initial, steps, weights, x), expected in zip(cases, want):
+        got = expectation_gradient(initial(), steps, x, weights)
         assert np.max(np.abs(got - expected)) < 1e-12, name
 
 
