@@ -12,7 +12,7 @@ full-statevector cross-validation at small sizes.
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from math import ceil, factorial, log2
 
 import numpy as np
@@ -562,6 +562,38 @@ def check_circuit_reuse(n: int = 5, seed: int = 31) -> tuple[bool, str]:
                   f"circuit kind at n = {n}; {reuses} reuses, {skipped} of {total} steps skipped")
 
 
+def check_blocked_runs(n: int = 8, seed: int = 37) -> tuple[bool, str]:
+    """`run_steps` of every circuit kind (`gradient_cases`) at degree n
+    gives the amplitudes of its steps applied one at a time by
+    `apply_involution_exp` and `apply_phase`, bit for bit.  Runs of local
+    steps go block by block on states longer than `GATE_BLOCK`, so at the
+    default block a degree-8 state is blocked; QAOA without the
+    wraparound slot ends a layer's run with the next phase step."""
+    rng = np.random.default_rng(seed)
+    cost = TourCost(random_instance(n + 1, seed=seed), reduced=True)
+    start = tuple(rng.permutation(n).tolist())
+    block = fs._run_block() if factorial(n) > fs.GATE_BLOCK else 0
+    blocked = total = 0
+    for name, d, initial, steps, _, _ in gradient_cases(cost, start):
+        x = rng.uniform(0, 2 * np.pi, d)
+        want = initial()
+        for generator, k in steps:
+            if isinstance(generator, fs.Action):
+                want = fs.apply_involution_exp(want, generator, x[k])
+            else:
+                want = fs.apply_phase(want, x[k], generator)
+        if fs.run_steps(initial(), steps, x).amps.tobytes() != want.amps.tobytes():
+            return False, f"{name} n={n}: run_steps differs from the steps one at a time"
+        runs = [len(list(run)) for local, run in
+                groupby(block and fs._local(generator, block) for generator, _ in steps) if local]
+        blocked += sum(r for r in runs if r > 1)
+        total += len(steps)
+    if not blocked:
+        return False, f"no run of local steps is blocked at degree {n}"
+    return True, (f"run_steps bit-identical to one step at a time over every circuit kind at "
+                  f"n = {n}; {blocked} of {total} steps in runs of blocks of {block} amplitudes")
+
+
 QUICK_CHECKS = [
     ("perm-core", check_perm_core),
     ("sequence-shapes", check_sequence_shapes),
@@ -571,6 +603,7 @@ QUICK_CHECKS = [
     ("encoding-roundtrip", check_encoding_roundtrip),
     ("subregister-action", check_subregister_action),
     ("action-tables", check_action_tables),
+    ("blocked-runs", check_blocked_runs),
     ("tour-costs", check_tour_costs),
     ("reachability", check_reachability),
     ("norm-preservation", check_norm_preservation),

@@ -17,12 +17,16 @@ vector) tied to an angle; `run_steps` alternates its gates between two
 states through the `out` argument of the gate and phase functions.  A
 gate gathers large states block by block, each gather bounds-checked by
 numpy indexing, and gives the same amplitudes, bit for bit, whether or
-not `out` is given.  `expectation_gradient` differentiates a circuit's
-expected cost over all its angles by one reverse sweep, which undoes
-each gate through the same block loop.  A `Circuit` keeps its last
-forward pass: the final state and a few prefix checkpoints, from which
-its value, its gradient's sweep and its final state at a nearby point
-resume, with the same amplitudes bit for bit.
+not `out` is given.  A run of consecutive local steps (phase steps, and
+gates whose period divides the run's block of whole periods) maps each
+block onto itself, so on a large state it goes block by block, every
+step of the run on one block while the block stays in cache, with the
+amplitudes of one step at a time.  `expectation_gradient`
+differentiates a circuit's expected cost over all its angles by one
+reverse sweep, which undoes each gate through the same block loop.  A
+`Circuit` keeps its last forward pass: the final state and a few prefix
+checkpoints, from which its value, its gradient's sweep and its final
+state at a nearby point resume, with the same amplitudes bit for bit.
 """
 
 from bisect import bisect_right
@@ -51,7 +55,9 @@ from .sequences import GeneratingSequence, decompose
 # with its table slice) stay in a 2 MB L2.  Shorter states take one gather
 # through the whole table.  An `Action` built while it holds keeps
 # GATE_BLOCK + P ranks of its table (n! at most), so that each block lies in
-# one window of whole periods.
+# one window of whole periods.  It also sizes the block of a run of local
+# steps: the most whole multiples of the largest factorial F <= GATE_BLOCK
+# that fit in it (15 120 = 3 * 7!).
 GATE_BLOCK = 16384
 
 # States a `Circuit` keeps of its last forward pass: the state before step
@@ -256,8 +262,10 @@ def run_steps(state: FeasibleState, steps, thetas) -> FeasibleState:
     A step's generator G is an involution's `Action` (applied by
     `apply_involution_exp`) or a rank-indexed cost vector (applied by
     `apply_phase`); k indexes `thetas`, which needs one entry per index up
-    to the largest, as steps may share an angle.  The gates alternate between `state`, which is overwritten,
-    and one more state.
+    to the largest, as steps may share an angle.  The steps alternate
+    between `state`, which is overwritten, and one more state.  On a state
+    longer than `GATE_BLOCK` amplitudes, runs of local steps go block by
+    block, with the same amplitudes bit for bit.
     """
     spare = FeasibleState(state.n, np.empty_like(state.amps))
     return _run(state, (state, spare), steps, _angles(steps, thetas))[0]
@@ -276,17 +284,92 @@ def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None):
     """Apply steps[first:] to `state`, each step writing to the state of
     `pair` that is not its input, or to saved[i] when `saved` holds the
     index i of the step after it; returns the final state and the other
-    state of `pair`."""
-    for i in range(first, len(steps)):
+    state of `pair`.  On a state longer than `GATE_BLOCK` amplitudes, a
+    run of two or more consecutive local steps (`_runs`) goes block by
+    block (`_blocked`); every other step is a whole-state gate or phase,
+    so a shorter state takes one step at a time throughout."""
+    block = _run_block() if len(state.amps) > GATE_BLOCK else 0
+    runs = _runs(steps, first, block) if block else {}
+    i = first
+    while i < len(steps):
+        if i in runs:
+            chain = [state]  # chain[t] is the input of the run's step t
+            for t in range(i, runs[i]):
+                chain.append(_dest(chain[-1], pair, saved, t))
+            _blocked(chain, steps[i:runs[i]], thetas, block)
+            state, i = chain[-1], runs[i]
+            continue
         generator, k = steps[i]
-        out = saved.get(i + 1) if saved else None
-        if out is None:
-            out = pair[1] if state is pair[0] else pair[0]
+        out = _dest(state, pair, saved, i)
         if isinstance(generator, Action):
             state = apply_involution_exp(state, generator, thetas[k], out=out)
         else:
             state = apply_phase(state, thetas[k], generator, out=out)
+        i += 1
     return state, pair[1] if state is pair[0] else pair[0]
+
+
+def _dest(state: FeasibleState, pair, saved, i: int) -> FeasibleState:
+    """The state step i writes from `state`: saved[i + 1] when `saved`
+    holds it, else the state of `pair` that is not `state`."""
+    out = saved.get(i + 1) if saved else None
+    if out is None:
+        out = pair[1] if state is pair[0] else pair[0]
+    return out
+
+
+def _runs(steps, first: int, block: int) -> dict:
+    """The runs of two or more consecutive local steps in steps[first:],
+    each as start index -> end index (exclusive)."""
+    runs, i = {}, first
+    while i < len(steps):
+        j = i
+        while j < len(steps) and _local(steps[j][0], block):
+            j += 1
+        if j - i > 1:
+            runs[i] = j
+        i = max(j, i + 1)
+    return runs
+
+
+def _run_block() -> int:
+    """Amplitudes per block of a blocked run: the largest multiple of F,
+    the largest factorial <= GATE_BLOCK, that is <= GATE_BLOCK."""
+    f = m = 1
+    while f * (m + 1) <= GATE_BLOCK:
+        m += 1
+        f *= m
+    return GATE_BLOCK - GATE_BLOCK % f
+
+
+def _local(generator, block: int) -> bool:
+    """Whether a step maps each run of `block` ranks onto itself: a phase
+    step, or an `Action` whose period divides the block (for a right
+    action, a period of at most F ranks)."""
+    return not isinstance(generator, Action) or block % generator.period == 0
+
+
+def _blocked(chain, steps, thetas: np.ndarray, block: int) -> None:
+    """Apply a run of local steps one block of `block` amplitudes at a
+    time (the last block may be shorter), every step of the run on a block
+    before the next block, step t reading chain[t] and writing chain[t+1].
+    A gate gathers a block from its own slice through the first ranks of
+    its head, bounds-checked by numpy; each amplitude goes through the
+    operations of `apply_involution_exp` and `apply_phase`, bit for bit.
+    A step that does not fit the states is refused before any is written."""
+    for generator, _ in steps:
+        _fits(chain[0], generator)
+    mixes = [(np.cos(thetas[k]), 1j * np.sin(thetas[k])) if isinstance(generator, Action)
+             else None for generator, k in steps]
+    for i in range(0, len(chain[0].amps), block):
+        b = slice(i, i + block)
+        for (generator, k), mix, src, dest in zip(steps, mixes, chain, chain[1:]):
+            amps, out = src.amps[b], dest.amps[b]
+            if mix is None:
+                _phase_factors(thetas[k], generator[b], out)
+                np.multiply(out, amps, out=out)
+            else:
+                _mix(mix[0], amps, mix[1], amps[generator.head[:len(amps)]], out, None)
 
 
 def circuit_steps(seq: GeneratingSequence) -> list:

@@ -1,5 +1,6 @@
 """The index layer: prefix-recursive `perm_table`, prefix ranking,
-window-built action tables, and the blocked gate kernel."""
+window-built action tables, the blocked gate kernel and blocked step
+runs."""
 
 import tracemalloc
 from functools import lru_cache
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import permcirc.feasible as feasible
-from permcirc.checks import check_action_tables
+from permcirc.checks import check_action_tables, check_blocked_runs, check_circuit_reuse
 from permcirc.feasible import (
     Action,
     Circuit,
@@ -19,6 +20,7 @@ from permcirc.feasible import (
     apply_phase,
     basis_state,
     circuit_steps,
+    expectation,
     expectation_gradient,
     involution_action,
     run_exhaustive_circuit,
@@ -37,7 +39,7 @@ from permcirc.perms import (
     transposition,
     unrank,
 )
-from permcirc.qaoa import QaoaConfig, initial_state, mixer_slot_action, run_qaoa
+from permcirc.qaoa import QaoaConfig, initial_state, mixer_slot_action, qaoa_steps, run_qaoa
 from permcirc.sequences import binary_insertion_sequence, bubble_sequence
 from permcirc.tsp import TourCost, random_instance
 
@@ -255,6 +257,95 @@ def test_circuit_allocates_no_per_gate_state():
     assert peak < 2 * state_bytes + block_bytes + 16384
 
 
+def test_qaoa_run_allocates_no_per_gate_state():
+    # without the wraparound slot each layer's run of slots 1..6 ends
+    # with the next phase step; a blocked run, like a gate, holds one
+    # gathered block at a time, and its phase steps hold none
+    n = 8
+    cfg = QaoaConfig(3, "uniform", slot_wraparound=False)
+    steps = qaoa_steps(TourCost(random_instance(n + 1, seed=4), reduced=True).vector(), cfg, n)
+    thetas = np.random.default_rng(4).uniform(0, 2 * np.pi, 2 * cfg.layers)
+    run_steps(initial_state(cfg, n), steps, thetas)
+    state_bytes = factorial(n) * 16
+    block_bytes = feasible.GATE_BLOCK * 16
+    tracemalloc.start()
+    try:
+        run_steps(initial_state(cfg, n), steps, thetas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * state_bytes + block_bytes + 16384
+
+
+@pytest.fixture
+def runs_blocked(monkeypatch):
+    """The step lists of the runs that `run_steps` applies block by
+    block, in order."""
+    runs = []
+    blocked = feasible._blocked
+
+    def recording(chain, steps, thetas, block):
+        runs.append(steps)
+        blocked(chain, steps, thetas, block)
+
+    monkeypatch.setattr(feasible, "_blocked", recording)
+    return runs
+
+
+def test_blocked_runs_check(runs_blocked):
+    # 40320 amplitudes in blocks of 15120 (three of 7! = 5040): the
+    # verify check at the default block
+    assert factorial(8) > feasible.GATE_BLOCK
+    ok, detail = check_blocked_runs()
+    assert ok, detail
+    assert runs_blocked
+
+
+@pytest.mark.parametrize("block", [7, 40, 50])
+@pytest.mark.parametrize("n", [5, 6])
+def test_blocked_runs_are_bit_identical(monkeypatch, fresh_actions, runs_blocked, n, block):
+    # blocks of 6, 24 and 48 amplitudes (the multiples of 3! and 4! that
+    # fit); at degree 5 the last block of 48 holds 24.  Both constructions
+    # and QAOA from both starts, with and without the wraparound slot
+    monkeypatch.setattr(feasible, "GATE_BLOCK", block)
+    ok, detail = check_blocked_runs(n=n, seed=block)
+    assert ok, detail
+    # without the wraparound slot a phase step joins the run before it
+    assert any(not isinstance(g, Action) for run in runs_blocked for g, _ in run[1:])
+
+
+@pytest.mark.parametrize("block", [7, 50])
+def test_circuit_resumes_inside_runs(monkeypatch, fresh_actions, runs_blocked, block):
+    # checkpoints written inside blocked runs, and resumes from them that
+    # start a run part way, give what fresh passes give, bit for bit
+    monkeypatch.setattr(feasible, "GATE_BLOCK", block)
+    ok, detail = check_circuit_reuse(n=6, seed=2)
+    assert ok, detail
+    n, start = 6, (4, 2, 0, 5, 1, 3)
+    vec = TourCost(random_instance(n + 1, seed=n), reduced=True).vector()
+    rng = np.random.default_rng(block)
+    inside = 0
+    for seq in (bubble_sequence(n), binary_insertion_sequence(n)):
+        # a mark before every step: a change at step i resumes at step i
+        steps = circuit_steps(seq)
+        monkeypatch.setattr(feasible, "CHECKPOINTS", len(steps))
+        circuit = Circuit(basis_state(start), steps, vec)
+        x = rng.uniform(0, np.pi, len(steps))
+        circuit.value(x)
+        runs_blocked.clear()
+        for i in reversed(range(len(steps))):
+            x = x.copy()
+            x[i] += 0.5
+            assert circuit.value(x) == expectation(run_steps(basis_state(start), steps, x), vec)
+            assert circuit.gradient(x).tobytes() == expectation_gradient(
+                basis_state(start), steps, x, vec).tobytes()
+            assert bits(circuit.state(x)) == bits(run_steps(basis_state(start), steps, x))
+        # blocked runs that started after a local step, inside a longer run
+        local = [feasible._local(a, feasible._run_block()) for a, _ in steps]
+        inside += sum(local[run[0][1] - 1] for run in runs_blocked if run[0][1])
+    assert inside
+
+
 @pytest.mark.parametrize("initial", ["basis", "uniform"])
 @pytest.mark.parametrize("wraparound", [True, False])
 @pytest.mark.parametrize("n", [5, 6])
@@ -458,6 +549,22 @@ def test_an_action_of_another_degree_is_refused():
         expectation_gradient(uniform_feasible_state(n), steps, x, vec)
     with pytest.raises(ValueError, match=message):
         Circuit(uniform_feasible_state(n), steps, vec)
+
+
+def test_a_blocked_run_refuses_a_step_that_does_not_fit(monkeypatch, fresh_actions, runs_blocked):
+    # blocks of 6 at degree 5: with a degree-4 action (period 2) or a
+    # short cost vector as step 1, steps 1..3 form a run
+    monkeypatch.setattr(feasible, "GATE_BLOCK", 7)
+    n = 5
+    steps = circuit_steps(bubble_sequence(n))
+    x = np.full(len(steps), 0.4)
+    steps[1] = (involution_action(transposition(n - 1, n - 3, n - 2)), 1)
+    with pytest.raises(ValueError, match="^action of degree 4 for a state of degree 5$"):
+        run_steps(uniform_feasible_state(n), steps, x)
+    steps[1] = (np.ones(24), 1)
+    with pytest.raises(ValueError, match="^generator has 24 entries for 120 amplitudes$"):
+        run_steps(uniform_feasible_state(n), steps, x)
+    assert [len(run) for run in runs_blocked] == [3, 3]
 
 
 def test_a_period_must_divide_the_state():

@@ -435,14 +435,15 @@ def test_verify_quick_passes(capsys):
     assert run_cli("verify", "--level", "quick") == 0
     assert time.perf_counter() - began < 10.0
     out = capsys.readouterr().out
-    assert out.endswith("14/14 checks passed (quick)\n")
+    assert out.endswith("15/15 checks passed (quick)\n")
     assert "PASS action-tables " in out
+    assert "PASS blocked-runs " in out
 
 
 def test_verify_full_passes(capsys):
     assert run_cli("verify", "--level", "full") == 0
     out = capsys.readouterr().out
-    assert out.endswith("19/19 checks passed (full)\n")
+    assert out.endswith("20/20 checks passed (full)\n")
     assert "PASS action-tables " in out
     assert "PASS generating-property-n10 " in out
     assert "PASS circuit-reuse " in out
