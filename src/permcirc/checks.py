@@ -12,7 +12,7 @@ full-statevector cross-validation at small sizes.
 
 import time
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import product
 from math import ceil, factorial, log2
 
 import numpy as np
@@ -21,6 +21,7 @@ from . import encoding as enc
 from . import feasible as fs
 from . import fullstate as full
 from . import qaoa as qa
+from . import workers
 from .optimize import OptConfig, minimize
 from .perms import (
     all_perms,
@@ -565,10 +566,11 @@ def check_circuit_reuse(n: int = 5, seed: int = 31) -> tuple[bool, str]:
 def check_blocked_runs(n: int = 8, seed: int = 37) -> tuple[bool, str]:
     """`run_steps` of every circuit kind (`gradient_cases`) at degree n
     gives the amplitudes of its steps applied one at a time by
-    `apply_involution_exp` and `apply_phase`, bit for bit.  Runs of local
-    steps go block by block on states longer than `GATE_BLOCK`, so at the
-    default block a degree-8 state is blocked; QAOA without the
-    wraparound slot ends a layer's run with the next phase step."""
+    `apply_involution_exp` and `apply_phase`, bit for bit.  Runs of one
+    or more local steps go block by block on states longer than
+    `GATE_BLOCK`, so at the default block a degree-8 state is blocked;
+    QAOA without the wraparound slot ends a layer's run with the next
+    phase step; with that slot, each phase step is a run of its own."""
     rng = np.random.default_rng(seed)
     cost = TourCost(random_instance(n + 1, seed=seed), reduced=True)
     start = tuple(rng.permutation(n).tolist())
@@ -584,14 +586,68 @@ def check_blocked_runs(n: int = 8, seed: int = 37) -> tuple[bool, str]:
                 want = fs.apply_phase(want, x[k], generator)
         if fs.run_steps(initial(), steps, x).amps.tobytes() != want.amps.tobytes():
             return False, f"{name} n={n}: run_steps differs from the steps one at a time"
-        runs = [len(list(run)) for local, run in
-                groupby(block and fs._local(generator, block) for generator, _ in steps) if local]
-        blocked += sum(r for r in runs if r > 1)
+        blocked += sum(bool(block) and fs._local(generator, block) for generator, _ in steps)
         total += len(steps)
     if not blocked:
         return False, f"no run of local steps is blocked at degree {n}"
     return True, (f"run_steps bit-identical to one step at a time over every circuit kind at "
                   f"n = {n}; {blocked} of {total} steps in runs of blocks of {block} amplitudes")
+
+
+def _team_results(initial, steps, vec, walk) -> list:
+    """(label, bytes) of `run_steps` and `expectation_gradient` at walk[0],
+    then of a `Circuit`'s value and gradient at each point of `walk`."""
+    x = walk[0]
+    results = [("run_steps", fs.run_steps(initial(), steps, x).amps.tobytes()),
+               ("expectation_gradient", fs.expectation_gradient(initial(), steps, x, vec).tobytes())]
+    circuit = fs.Circuit(initial(), steps, vec)
+    for i, y in enumerate(walk):
+        results.append((f"Circuit.value at walk step {i}", np.float64(circuit.value(y)).tobytes()))
+        results.append((f"Circuit.gradient at walk step {i}", circuit.gradient(y).tobytes()))
+    return results
+
+
+def check_parallel_steps(degrees=(6, 7), blocks: int = 9, seed: int = 41) -> tuple[bool, str]:
+    """With `GATE_BLOCK` set to n!/`blocks` (rounded down), so that a
+    degree-n state spans more than 8 gate blocks and every step shares
+    its blocks out among the team of `workers.WORKERS`, `run_steps`,
+    `expectation_gradient` and a `Circuit`'s values and gradients after
+    resumes (a change at the last, middle and first angle) give, for every
+    circuit kind (`gradient_cases`) at each of `degrees`, what the same
+    calls give with one worker, bit for bit.  The team has two workers at
+    least, so that the check covers it on one CPU too.  Actions are built
+    afresh at each block and the action cache is emptied afterwards."""
+    saved = fs.GATE_BLOCK, workers.WORKERS
+    team = max(2, workers.WORKERS)
+    rng = np.random.default_rng(seed)
+    cases = 0
+    try:
+        for n in degrees:
+            fs.GATE_BLOCK = factorial(n) // blocks
+            fs.involution_action.cache_clear()
+            if factorial(n) <= 8 * fs.GATE_BLOCK:
+                return False, f"n={n}: {factorial(n)} amplitudes span 8 blocks of {fs.GATE_BLOCK} or fewer"
+            cost = TourCost(random_instance(n + 1, seed=seed), reduced=True)
+            start = tuple(rng.permutation(n).tolist())
+            for name, d, initial, steps, vec, _ in gradient_cases(cost, start):
+                walk = [rng.uniform(0, 2 * np.pi, d)]
+                for i in (d - 1, d // 2, 0):
+                    walk.append(walk[-1].copy())
+                    walk[-1][i] += 0.5
+                workers.WORKERS = team
+                shared = _team_results(initial, steps, vec, walk)
+                workers.WORKERS = 1
+                alone = _team_results(initial, steps, vec, walk)
+                for (label, got), (_, want) in zip(shared, alone):
+                    if got != want:
+                        return False, f"{name} n={n}: {label} on {team} workers differs from one"
+                cases += 1
+    finally:
+        fs.GATE_BLOCK, workers.WORKERS = saved
+        fs.involution_action.cache_clear()
+    return True, (f"{cases} circuits on {team} workers bit-identical to one worker, {_degrees(degrees)} "
+                  f"in {blocks} gate blocks: states, gradients, and Circuit values and gradients "
+                  "after resumes")
 
 
 QUICK_CHECKS = [
@@ -604,6 +660,7 @@ QUICK_CHECKS = [
     ("subregister-action", check_subregister_action),
     ("action-tables", check_action_tables),
     ("blocked-runs", check_blocked_runs),
+    ("parallel-steps", check_parallel_steps),
     ("tour-costs", check_tour_costs),
     ("reachability", check_reachability),
     ("norm-preservation", check_norm_preservation),

@@ -21,12 +21,22 @@ not `out` is given.  A run of consecutive local steps (phase steps, and
 gates whose period divides the run's block of whole periods) maps each
 block onto itself, so on a large state it goes block by block, every
 step of the run on one block while the block stays in cache, with the
-amplitudes of one step at a time.  `expectation_gradient`
-differentiates a circuit's expected cost over all its angles by one
-reverse sweep, which undoes each gate through the same block loop.  A
-`Circuit` keeps its last forward pass: the final state and a few prefix
-checkpoints, from which its value, its gradient's sweep and its final
-state at a nearby point resume, with the same amplitudes bit for bit.
+amplitudes of one step at a time; a lone local step is a run of one.
+
+On a state of more than 8 gate blocks (2 MB, past the L2 that
+`GATE_BLOCK` assumes: degree 9 and up), the blocks of a gate or a run are
+shared out among the team of `workers.WORKERS` threads, one per CPU the
+process may run on (`taskset` limits it), the calling thread among them.
+Its other threads start the first time a step qualifies, so smaller
+states start none.  The amplitudes, and the gradient's terms summed in
+block order, are those of one thread bit for bit.
+
+`expectation_gradient` differentiates a circuit's expected cost over all
+its angles by one reverse sweep, which undoes each gate through the same
+block loop.  A `Circuit` keeps its last forward pass: the final state and
+a few prefix checkpoints, from which its value, its gradient's sweep and
+its final state at a nearby point resume, with the same amplitudes bit for
+bit.
 """
 
 from bisect import bisect_right
@@ -36,7 +46,7 @@ from math import factorial
 
 import numpy as np
 
-from . import limits
+from . import limits, workers
 from .perms import (
     Perm,
     check_perm,
@@ -57,7 +67,11 @@ from .sequences import GeneratingSequence, decompose
 # GATE_BLOCK + P ranks of its table (n! at most), so that each block lies in
 # one window of whole periods.  It also sizes the block of a run of local
 # steps: the most whole multiples of the largest factorial F <= GATE_BLOCK
-# that fit in it (15 120 = 3 * 7!).
+# that fit in it (15 120 = 3 * 7!).  A phase step is only ever split on that
+# grid, into blocks of an even length: with numpy 2.4 on x86-64, a complex
+# multiply or exp over an odd-length block (7 amplitudes, say) rounds its
+# tail differently from the call over the whole array.  A state of more
+# than 8 blocks (2 MB) shares its blocks out among the worker team.
 GATE_BLOCK = 16384
 
 # States a `Circuit` keeps of its last forward pass: the state before step
@@ -202,18 +216,21 @@ def _gate(amps: np.ndarray, action: Action, theta: float, dest: np.ndarray,
           lam: np.ndarray | None = None) -> complex:
     """Write cos(theta) amps - i sin(theta) amps[table] to `dest`, for the
     action's rank table, with one gather, or one bounds-checked gather per
-    block of `GATE_BLOCK` amplitudes, and return <lam|amps[table]> for a
-    costate `lam` (0 without one), summed block by block."""
+    block of `GATE_BLOCK` amplitudes (`_share`), and return <lam|amps[table]>
+    for a costate `lam` (0 without one), summed in block order."""
     c, s = np.cos(theta), 1j * np.sin(theta)
-    size = len(amps)
-    if size <= GATE_BLOCK:
+    size, g = len(amps), GATE_BLOCK
+    if size <= g:
         return _mix(c, amps, s, amps[action.head], dest, lam)
-    overlap = 0
-    for i in range(0, size, GATE_BLOCK):
-        b = slice(i, i + GATE_BLOCK)
-        overlap += _mix(c, amps[b], s, _gathered(amps, action, i, min(i + GATE_BLOCK, size)),
-                        dest[b], None if lam is None else lam[b])
-    return overlap
+    overlaps = [0] * -(-size // g)
+
+    def block(t):
+        b = slice(t * g, (t + 1) * g)
+        overlaps[t] = _mix(c, amps[b], s, _gathered(amps, action, b.start, min(b.stop, size)),
+                           dest[b], None if lam is None else lam[b])
+
+    _share(block, len(overlaps), size)
+    return sum(overlaps)
 
 
 def _gathered(amps: np.ndarray, action: Action, i: int, j: int) -> np.ndarray:
@@ -230,7 +247,7 @@ def _mix(c, block: np.ndarray, s, gathered: np.ndarray, dest: np.ndarray, lam) -
     """dest = c * block - s * gathered, overwriting `gathered`, with the
     same roundings as the allocating expression; returns <lam|gathered>
     (0 when `lam` is None).  `gathered` dies with this frame, so a blocked
-    gate holds one gathered block at a time."""
+    gate holds one gathered block at a time on each worker."""
     overlap = 0 if lam is None else np.vdot(lam, gathered)
     np.multiply(c, block, out=dest)
     np.multiply(s, gathered, out=gathered)
@@ -319,14 +336,14 @@ def _dest(state: FeasibleState, pair, saved, i: int) -> FeasibleState:
 
 
 def _runs(steps, first: int, block: int) -> dict:
-    """The runs of two or more consecutive local steps in steps[first:],
-    each as start index -> end index (exclusive)."""
+    """The runs of consecutive local steps in steps[first:], one step or
+    more each, as start index -> end index (exclusive)."""
     runs, i = {}, first
     while i < len(steps):
         j = i
         while j < len(steps) and _local(steps[j][0], block):
             j += 1
-        if j - i > 1:
+        if j > i:
             runs[i] = j
         i = max(j, i + 1)
     return runs
@@ -334,7 +351,11 @@ def _runs(steps, first: int, block: int) -> dict:
 
 def _run_block() -> int:
     """Amplitudes per block of a blocked run: the largest multiple of F,
-    the largest factorial <= GATE_BLOCK, that is <= GATE_BLOCK."""
+    the largest factorial <= GATE_BLOCK, that is <= GATE_BLOCK.  With
+    GATE_BLOCK >= 2, F = m! >= 2, and a state longer than the block has
+    degree m or more, so every block, the last one too, holds whole
+    multiples of F: an even length, which a phase step needs (see
+    `GATE_BLOCK`)."""
     f = m = 1
     while f * (m + 1) <= GATE_BLOCK:
         m += 1
@@ -352,17 +373,21 @@ def _local(generator, block: int) -> bool:
 def _blocked(chain, steps, thetas: np.ndarray, block: int) -> None:
     """Apply a run of local steps one block of `block` amplitudes at a
     time (the last block may be shorter), every step of the run on a block
-    before the next block, step t reading chain[t] and writing chain[t+1].
-    A gate gathers a block from its own slice through the first ranks of
-    its head, bounds-checked by numpy; each amplitude goes through the
-    operations of `apply_involution_exp` and `apply_phase`, bit for bit.
-    A step that does not fit the states is refused before any is written."""
+    before the worker takes another (`_share`), step t reading chain[t] and
+    writing chain[t+1].  A gate gathers a block from its own slice through
+    the first ranks of its head, bounds-checked by numpy; each amplitude
+    goes through the operations of `apply_involution_exp` and
+    `apply_phase`, bit for bit, because a phase is split only on this
+    grid of even-length blocks.  A step that does not fit the states is
+    refused before any is written."""
     for generator, _ in steps:
         _fits(chain[0], generator)
     mixes = [(np.cos(thetas[k]), 1j * np.sin(thetas[k])) if isinstance(generator, Action)
              else None for generator, k in steps]
-    for i in range(0, len(chain[0].amps), block):
-        b = slice(i, i + block)
+    size = len(chain[0].amps)
+
+    def run_block(t):
+        b = slice(t * block, (t + 1) * block)
         for (generator, k), mix, src, dest in zip(steps, mixes, chain, chain[1:]):
             amps, out = src.amps[b], dest.amps[b]
             if mix is None:
@@ -370,6 +395,19 @@ def _blocked(chain, steps, thetas: np.ndarray, block: int) -> None:
                 np.multiply(out, amps, out=out)
             else:
                 _mix(mix[0], amps, mix[1], amps[generator.head[:len(amps)]], out, None)
+
+    _share(run_block, -(-size // block), size)
+
+
+def _share(task, blocks: int, size: int) -> None:
+    """Call task(t) once for every block t in range(blocks) of a step on
+    `size` amplitudes: shared out among the worker team (`workers.share`)
+    when the state spans more than 8 gate blocks, else in order in this
+    thread.  Blocks are independent, so the order in which they run
+    changes no amplitude."""
+    if not (size > 8 * GATE_BLOCK and workers.share(task, blocks)):
+        for t in range(blocks):
+            task(t)
 
 
 def circuit_steps(seq: GeneratingSequence) -> list:

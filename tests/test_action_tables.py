@@ -310,8 +310,10 @@ def test_blocked_runs_are_bit_identical(monkeypatch, fresh_actions, runs_blocked
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     ok, detail = check_blocked_runs(n=n, seed=block)
     assert ok, detail
-    # without the wraparound slot a phase step joins the run before it
+    # without the wraparound slot a phase step joins the run before it;
+    # with it, the phase step between two non-local slots is a run of one
     assert any(not isinstance(g, Action) for run in runs_blocked for g, _ in run[1:])
+    assert any(len(run) == 1 and not isinstance(run[0][0], Action) for run in runs_blocked)
 
 
 @pytest.mark.parametrize("block", [7, 50])
