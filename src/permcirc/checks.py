@@ -565,32 +565,35 @@ def check_circuit_reuse(n: int = 5, seed: int = 31) -> tuple[bool, str]:
 
 def check_blocked_runs(n: int = 8, seed: int = 37) -> tuple[bool, str]:
     """`run_steps` of every circuit kind (`gradient_cases`) at degree n
-    gives the amplitudes of its steps applied one at a time by
-    `apply_involution_exp` and `apply_phase`, bit for bit.  Runs of one
-    or more local steps go block by block on states longer than
-    `GATE_BLOCK`, so at the default block a degree-8 state is blocked;
+    gives, bit for bit, the amplitudes of its steps applied one at a time
+    as whole-array numpy expressions: cos(t) a - 1j sin(t) a[table] for a
+    gate, through the full rank table `Action.take` lists, and
+    exp(-1j t cost) a for a phase.  Every step goes through one block
+    loop; on states longer than `GATE_BLOCK` its runs of local steps go
+    block by block, so at the default block a degree-8 state is blocked.
     QAOA without the wraparound slot ends a layer's run with the next
     phase step; with that slot, each phase step is a run of its own."""
     rng = np.random.default_rng(seed)
     cost = TourCost(random_instance(n + 1, seed=seed), reduced=True)
     start = tuple(rng.permutation(n).tolist())
-    block = fs._run_block() if factorial(n) > fs.GATE_BLOCK else 0
+    size = factorial(n)
+    block, ranks = fs._block(size), np.arange(size)
     blocked = total = 0
     for name, d, initial, steps, _, _ in gradient_cases(cost, start):
         x = rng.uniform(0, 2 * np.pi, d)
-        want = initial()
+        want = initial().amps
         for generator, k in steps:
             if isinstance(generator, fs.Action):
-                want = fs.apply_involution_exp(want, generator, x[k])
+                want = np.cos(x[k]) * want - 1j * np.sin(x[k]) * want[generator.take(ranks)]
             else:
-                want = fs.apply_phase(want, x[k], generator)
-        if fs.run_steps(initial(), steps, x).amps.tobytes() != want.amps.tobytes():
+                want = np.exp(-1j * x[k] * generator) * want
+        if fs.run_steps(initial(), steps, x).amps.tobytes() != want.tobytes():
             return False, f"{name} n={n}: run_steps differs from the steps one at a time"
-        blocked += sum(bool(block) and fs._local(generator, block) for generator, _ in steps)
+        blocked += sum(block < size and fs._local(generator, block) for generator, _ in steps)
         total += len(steps)
     if not blocked:
         return False, f"no run of local steps is blocked at degree {n}"
-    return True, (f"run_steps bit-identical to one step at a time over every circuit kind at "
+    return True, (f"run_steps bit-identical to whole-array steps over every circuit kind at "
                   f"n = {n}; {blocked} of {total} steps in runs of blocks of {block} amplitudes")
 
 
@@ -609,14 +612,15 @@ def _team_results(initial, steps, vec, walk) -> list:
 
 def check_parallel_steps(degrees=(6, 7), blocks: int = 9, seed: int = 41) -> tuple[bool, str]:
     """With `GATE_BLOCK` set to n!/`blocks` (rounded down), so that a
-    degree-n state spans more than 8 gate blocks and every step shares
-    its blocks out among the team of `workers.WORKERS`, `run_steps`,
-    `expectation_gradient` and a `Circuit`'s values and gradients after
-    resumes (a change at the last, middle and first angle) give, for every
-    circuit kind (`gradient_cases`) at each of `degrees`, what the same
-    calls give with one worker, bit for bit.  The team has two workers at
-    least, so that the check covers it on one CPU too.  Actions are built
-    afresh at each block and the action cache is emptied afterwards."""
+    degree-n state holds more than 8 * `GATE_BLOCK` amplitudes and every
+    step shares its blocks out among the team of `workers.WORKERS`,
+    `run_steps`, `expectation_gradient` and a `Circuit`'s values and
+    gradients after resumes (a change at the last, middle and first
+    angle) give, for every circuit kind (`gradient_cases`) at each of
+    `degrees`, what the same calls give with one worker, bit for bit.  The
+    team has two workers at least, so that the check covers it on one CPU
+    too.  Actions are built afresh at each block and the action cache is
+    emptied afterwards."""
     saved = fs.GATE_BLOCK, workers.WORKERS
     team = max(2, workers.WORKERS)
     rng = np.random.default_rng(seed)
@@ -646,8 +650,8 @@ def check_parallel_steps(degrees=(6, 7), blocks: int = 9, seed: int = 41) -> tup
         fs.GATE_BLOCK, workers.WORKERS = saved
         fs.involution_action.cache_clear()
     return True, (f"{cases} circuits on {team} workers bit-identical to one worker, {_degrees(degrees)} "
-                  f"in {blocks} gate blocks: states, gradients, and Circuit values and gradients "
-                  "after resumes")
+                  f"with GATE_BLOCK n!/{blocks}: states, gradients, and Circuit values and "
+                  "gradients after resumes")
 
 
 QUICK_CHECKS = [

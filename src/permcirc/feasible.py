@@ -13,18 +13,23 @@ ranks of one run, and a gate gathers each block of amplitudes from the
 window of whole periods it lies in.  A left action is a right action
 between two relabellings by J, the rank table of p -> p^-1.  A circuit
 is a list of steps, each a generator (an `Action` or a diagonal cost
-vector) tied to an angle; `run_steps` alternates its gates between two
-states through the `out` argument of the gate and phase functions.  A
-gate gathers large states block by block, each gather bounds-checked by
-numpy indexing, and gives the same amplitudes, bit for bit, whether or
-not `out` is given.  A run of consecutive local steps (phase steps, and
-gates whose period divides the run's block of whole periods) maps each
-block onto itself, so on a large state it goes block by block, every
-step of the run on one block while the block stays in cache, with the
-amplitudes of one step at a time; a lone local step is a run of one.
+vector) tied to an angle; `run_steps` alternates its steps between two
+states through the `out` argument of the gate and phase functions.
 
-On a state of more than 8 gate blocks (2 MB, past the L2 that
-`GATE_BLOCK` assumes: degree 9 and up), the blocks of a gate or a run are
+Every step goes through one block loop, `_blocked`, on one grid: a state
+of at most `GATE_BLOCK` amplitudes is one block, and a longer one is cut
+into blocks of whole multiples of a factorial (`_block`).  A gate gathers
+each block from the window of whole periods it lies in, bounds-checked by
+numpy indexing, and gives the same amplitudes, bit for bit, whether or not
+`out` is given.  A run of consecutive local steps (phase steps, and gates
+whose period divides the block) maps each block onto itself, so it goes
+block by block, every step of the run on one block while the block stays
+in cache, with the amplitudes of one step at a time; a gate whose period
+does not divide the block is a run of its own, and on a one-block state
+the whole circuit is one run.
+
+On a state of more than 8 * `GATE_BLOCK` amplitudes (2 MB, past the L2
+that `GATE_BLOCK` assumes: degree 9 and up), the blocks of a run are
 shared out among the team of `workers.WORKERS` threads, one per CPU the
 process may run on (`taskset` limits it), the calling thread among them.
 Its other threads start the first time a step qualifies, so smaller
@@ -32,11 +37,11 @@ states start none.  The amplitudes, and the gradient's terms summed in
 block order, are those of one thread bit for bit.
 
 `expectation_gradient` differentiates a circuit's expected cost over all
-its angles by one reverse sweep, which undoes each gate through the same
-block loop.  A `Circuit` keeps its last forward pass: the final state and
-a few prefix checkpoints, from which its value, its gradient's sweep and
-its final state at a nearby point resume, with the same amplitudes bit for
-bit.
+its angles by one reverse sweep, which undoes each gate on the state and
+the costate in one call of the same block loop.  A `Circuit` keeps its
+last forward pass: the final state and a few prefix checkpoints, from
+which its value, its gradient's sweep and its final state at a nearby
+point resume, with the same amplitudes bit for bit.
 """
 
 from bisect import bisect_right
@@ -60,18 +65,17 @@ from .perms import (
 )
 from .sequences import GeneratingSequence, decompose
 
-# Amplitudes per gate block: a state longer than this is gathered and mixed
-# a block at a time, so that a block's passes (about 56 bytes an amplitude
-# with its table slice) stay in a 2 MB L2.  Shorter states take one gather
-# through the whole table.  An `Action` built while it holds keeps
-# GATE_BLOCK + P ranks of its table (n! at most), so that each block lies in
-# one window of whole periods.  It also sizes the block of a run of local
-# steps: the most whole multiples of the largest factorial F <= GATE_BLOCK
-# that fit in it (15 120 = 3 * 7!).  A phase step is only ever split on that
-# grid, into blocks of an even length: with numpy 2.4 on x86-64, a complex
-# multiply or exp over an odd-length block (7 amplitudes, say) rounds its
-# tail differently from the call over the whole array.  A state of more
-# than 8 blocks (2 MB) shares its blocks out among the worker team.
+# The bound on a block of amplitudes: a state of at most GATE_BLOCK
+# amplitudes is one block, and a longer one is cut into blocks of the most
+# whole multiples of the largest factorial F <= GATE_BLOCK that fit in it
+# (15 120 = 3 * 7!, `_block`), so that a block's passes (about 56 bytes an
+# amplitude with its table slice) stay in a 2 MB L2.  Every block, the last
+# one too, has an even length: with numpy 2.4 on x86-64, a complex multiply
+# or exp over an odd-length block (7 amplitudes, say) rounds its tail
+# differently from the call over the whole array.  An `Action` built while
+# it holds keeps GATE_BLOCK + P ranks of its table (n! at most), so that
+# each block lies in one window of whole periods.  A state of more than 8 *
+# GATE_BLOCK amplitudes (2 MB) shares its blocks out among the worker team.
 GATE_BLOCK = 16384
 
 # States a `Circuit` keeps of its last forward pass: the state before step
@@ -156,8 +160,9 @@ class Action:
         size = factorial(self.n)
         if len(values) != size:
             raise ValueError(f"{len(values)} values for a degree-{self.n} action")
-        return np.concatenate([_gathered(values, self, i, min(i + GATE_BLOCK, size))
-                               for i in range(0, size, GATE_BLOCK)])
+        block = _block(size)
+        return np.concatenate([_gathered(values, self, i, min(i + block, size))
+                               for i in range(0, size, block)])
 
 
 @lru_cache(maxsize=None)
@@ -181,13 +186,13 @@ def apply_involution_exp(state: FeasibleState, action: Action, theta: float,
     Orbit pairs {r, a(r)} are independent, so the whole update is one
     gather; fixed points of the action pick up the phase exp(-i theta).
     The result is written to `out` (a state other than `state`), or to a
-    new state when `out` is omitted, and returned.  States longer than
-    `GATE_BLOCK` amplitudes are gathered and mixed a block at a time; an
-    index out of range raises IndexError either way, and an action of
-    another degree than the state's ValueError.
+    new state when `out` is omitted, and returned.  A state longer than
+    `GATE_BLOCK` amplitudes is gathered and mixed a block at a time
+    (`_blocked`); an index out of range raises IndexError either way, and
+    an action of another degree than the state's ValueError.
     """
     out = _target(state, action, out)
-    _gate(state.amps, action, theta, out.amps)
+    _blocked([state.amps, out.amps], [(action, 0)], (theta,))
     return out
 
 
@@ -201,6 +206,13 @@ def _fits(state: FeasibleState, generator) -> None:
         raise ValueError(f"generator has {len(generator)} entries for {len(state.amps)} amplitudes")
 
 
+def _fits_all(state: FeasibleState, steps) -> None:
+    """Refuse, before any state is written, a step list with a generator
+    that does not fit `state` (`_fits`)."""
+    for generator, _ in steps:
+        _fits(state, generator)
+
+
 def _target(state: FeasibleState, generator, out: FeasibleState | None = None) -> FeasibleState:
     """`out`, or a new state when it is None, for a step whose generator
     must fit `state` (`_fits`)."""
@@ -212,49 +224,6 @@ def _target(state: FeasibleState, generator, out: FeasibleState | None = None) -
     return out
 
 
-def _gate(amps: np.ndarray, action: Action, theta: float, dest: np.ndarray,
-          lam: np.ndarray | None = None) -> complex:
-    """Write cos(theta) amps - i sin(theta) amps[table] to `dest`, for the
-    action's rank table, with one gather, or one bounds-checked gather per
-    block of `GATE_BLOCK` amplitudes (`_share`), and return <lam|amps[table]>
-    for a costate `lam` (0 without one), summed in block order."""
-    c, s = np.cos(theta), 1j * np.sin(theta)
-    size, g = len(amps), GATE_BLOCK
-    if size <= g:
-        return _mix(c, amps, s, amps[action.head], dest, lam)
-    overlaps = [0] * -(-size // g)
-
-    def block(t):
-        b = slice(t * g, (t + 1) * g)
-        overlaps[t] = _mix(c, amps[b], s, _gathered(amps, action, b.start, min(b.stop, size)),
-                           dest[b], None if lam is None else lam[b])
-
-    _share(block, len(overlaps), size)
-    return sum(overlaps)
-
-
-def _gathered(amps: np.ndarray, action: Action, i: int, j: int) -> np.ndarray:
-    """amps[table[i:j]] for ranks i..j-1 of one gate block, a new array,
-    gathered from the window of whole periods that the head spans from the
-    period boundary before rank i; numpy checks every index against it."""
-    head, period = action.head, action.period
-    base = i - i % period
-    span = -(-len(head) // period) * period
-    return amps[base:base + span][head[i - base:j - base]]
-
-
-def _mix(c, block: np.ndarray, s, gathered: np.ndarray, dest: np.ndarray, lam) -> complex:
-    """dest = c * block - s * gathered, overwriting `gathered`, with the
-    same roundings as the allocating expression; returns <lam|gathered>
-    (0 when `lam` is None).  `gathered` dies with this frame, so a blocked
-    gate holds one gathered block at a time on each worker."""
-    overlap = 0 if lam is None else np.vdot(lam, gathered)
-    np.multiply(c, block, out=dest)
-    np.multiply(s, gathered, out=gathered)
-    np.subtract(dest, gathered, out=dest)
-    return overlap
-
-
 def apply_phase(state: FeasibleState, gamma: float, cost: np.ndarray,
                 out: FeasibleState | None = None) -> FeasibleState:
     """Diagonal phase exp(-i gamma * cost) per tour, for the rank-indexed
@@ -262,28 +231,22 @@ def apply_phase(state: FeasibleState, gamma: float, cost: np.ndarray,
     `out` (a state other than `state`), or to a new state when `out` is
     omitted, and returned."""
     out = _target(state, cost, out)
-    _phase_factors(gamma, cost, out.amps)
-    np.multiply(out.amps, state.amps, out=out.amps)
+    _blocked([state.amps, out.amps], [(cost, 0)], (gamma,))
     return out
-
-
-def _phase_factors(gamma: float, cost: np.ndarray, dest: np.ndarray) -> None:
-    """Write exp(-i gamma * cost) to `dest`."""
-    np.multiply(-1j * gamma, cost, out=dest)
-    np.exp(dest, out=dest)
 
 
 def run_steps(state: FeasibleState, steps, thetas) -> FeasibleState:
     """Apply exp(-i thetas[k] G) for every step (G, k) in order.
 
-    A step's generator G is an involution's `Action` (applied by
-    `apply_involution_exp`) or a rank-indexed cost vector (applied by
-    `apply_phase`); k indexes `thetas`, which needs one entry per index up
-    to the largest, as steps may share an angle.  The steps alternate
-    between `state`, which is overwritten, and one more state.  On a state
-    longer than `GATE_BLOCK` amplitudes, runs of local steps go block by
-    block, with the same amplitudes bit for bit.
+    A step's generator G is an involution's `Action` (a gate, as
+    `apply_involution_exp` applies it) or a rank-indexed cost vector (a
+    phase, as `apply_phase` applies it); k indexes `thetas`, which needs
+    one entry per index up to the largest, as steps may share an angle.
+    The steps alternate between `state`, which is overwritten, and one
+    more state, in runs that go block by block (`_run`), with the
+    amplitudes of one step at a time bit for bit.
     """
+    _fits_all(state, steps)
     spare = FeasibleState(state.n, np.empty_like(state.amps))
     return _run(state, (state, spare), steps, _angles(steps, thetas))[0]
 
@@ -301,28 +264,24 @@ def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None):
     """Apply steps[first:] to `state`, each step writing to the state of
     `pair` that is not its input, or to saved[i] when `saved` holds the
     index i of the step after it; returns the final state and the other
-    state of `pair`.  On a state longer than `GATE_BLOCK` amplitudes, a
-    run of two or more consecutive local steps (`_runs`) goes block by
-    block (`_blocked`); every other step is a whole-state gate or phase,
-    so a shorter state takes one step at a time throughout."""
-    block = _run_block() if len(state.amps) > GATE_BLOCK else 0
-    runs = _runs(steps, first, block) if block else {}
+    state of `pair`.  The steps go in runs, each one `_blocked` call: a
+    gate whose period does not divide the block (`_block`) reads other
+    blocks of its input, so it is a run of its own, and consecutive local
+    steps (`_local`) form one run.  On a one-block state every step is
+    local, so the whole list is one run.  The steps must fit `state`
+    (`_fits_all`)."""
+    block = _block(len(state.amps))
     i = first
     while i < len(steps):
-        if i in runs:
-            chain = [state]  # chain[t] is the input of the run's step t
-            for t in range(i, runs[i]):
-                chain.append(_dest(chain[-1], pair, saved, t))
-            _blocked(chain, steps[i:runs[i]], thetas, block)
-            state, i = chain[-1], runs[i]
-            continue
-        generator, k = steps[i]
-        out = _dest(state, pair, saved, i)
-        if isinstance(generator, Action):
-            state = apply_involution_exp(state, generator, thetas[k], out=out)
-        else:
-            state = apply_phase(state, thetas[k], generator, out=out)
-        i += 1
+        j = i + 1
+        if _local(steps[i][0], block):
+            while j < len(steps) and _local(steps[j][0], block):
+                j += 1
+        chain = [state]  # chain[t] is the input of the run's step t
+        for t in range(i, j):
+            chain.append(_dest(chain[-1], pair, saved, t))
+        _blocked([s.amps for s in chain], steps[i:j], thetas)
+        state, i = chain[-1], j
     return state, pair[1] if state is pair[0] else pair[0]
 
 
@@ -335,27 +294,15 @@ def _dest(state: FeasibleState, pair, saved, i: int) -> FeasibleState:
     return out
 
 
-def _runs(steps, first: int, block: int) -> dict:
-    """The runs of consecutive local steps in steps[first:], one step or
-    more each, as start index -> end index (exclusive)."""
-    runs, i = {}, first
-    while i < len(steps):
-        j = i
-        while j < len(steps) and _local(steps[j][0], block):
-            j += 1
-        if j > i:
-            runs[i] = j
-        i = max(j, i + 1)
-    return runs
-
-
-def _run_block() -> int:
-    """Amplitudes per block of a blocked run: the largest multiple of F,
-    the largest factorial <= GATE_BLOCK, that is <= GATE_BLOCK.  With
-    GATE_BLOCK >= 2, F = m! >= 2, and a state longer than the block has
-    degree m or more, so every block, the last one too, holds whole
-    multiples of F: an even length, which a phase step needs (see
-    `GATE_BLOCK`)."""
+def _block(size: int) -> int:
+    """Amplitudes per block of a step on a state of `size` amplitudes: the
+    whole state when it holds at most GATE_BLOCK, else the largest multiple
+    of F, the largest factorial <= GATE_BLOCK, that is <= GATE_BLOCK.  With
+    GATE_BLOCK >= 2, F = m! >= 2, and a longer state has degree above m, so
+    every block, the last one too, holds whole multiples of F: an even
+    length, which a phase step needs (see `GATE_BLOCK`)."""
+    if size <= GATE_BLOCK:
+        return size
     f = m = 1
     while f * (m + 1) <= GATE_BLOCK:
         m += 1
@@ -370,33 +317,95 @@ def _local(generator, block: int) -> bool:
     return not isinstance(generator, Action) or block % generator.period == 0
 
 
-def _blocked(chain, steps, thetas: np.ndarray, block: int) -> None:
-    """Apply a run of local steps one block of `block` amplitudes at a
-    time (the last block may be shorter), every step of the run on a block
-    before the worker takes another (`_share`), step t reading chain[t] and
-    writing chain[t+1].  A gate gathers a block from its own slice through
-    the first ranks of its head, bounds-checked by numpy; each amplitude
-    goes through the operations of `apply_involution_exp` and
-    `apply_phase`, bit for bit, because a phase is split only on this
-    grid of even-length blocks.  A step that does not fit the states is
-    refused before any is written."""
-    for generator, _ in steps:
-        _fits(chain[0], generator)
-    mixes = [(np.cos(thetas[k]), 1j * np.sin(thetas[k])) if isinstance(generator, Action)
-             else None for generator, k in steps]
-    size = len(chain[0].amps)
+def _blocked(arrays, steps, thetas, costate=None) -> complex:
+    """Apply a run of steps, step t reading arrays[t] and writing
+    arrays[t+1], one block (`_block`) at a time, every step on a block
+    before the worker takes another (`_share`), so every step but the
+    first must be local (`_local`).  With a costate (lam, lam_out), the
+    run is one gate G, which is also applied to lam, written to lam_out,
+    and the call returns <lam|G psi> for psi = arrays[0], summed in block
+    order (0 without a costate).  Each amplitude goes through the same
+    operations whatever the block, bit for bit, because a phase is split
+    only on this grid of even-length blocks.  The callers check once that
+    the steps fit the arrays (`_fits_all`, `_target`)."""
+    factors = [(np.cos(thetas[k]), 1j * np.sin(thetas[k])) if isinstance(generator, Action)
+               else thetas[k] for generator, k in steps]
+    size = len(arrays[0])
+    if size <= GATE_BLOCK:
+        return _kernel(arrays, steps, factors, costate)
+    block = _block(size)
+    overlaps = [0] * -(-size // block)
 
-    def run_block(t):
-        b = slice(t * block, (t + 1) * block)
-        for (generator, k), mix, src, dest in zip(steps, mixes, chain, chain[1:]):
-            amps, out = src.amps[b], dest.amps[b]
-            if mix is None:
-                _phase_factors(thetas[k], generator[b], out)
-                np.multiply(out, amps, out=out)
+    def task(t):
+        i = t * block
+        overlaps[t] = _kernel(arrays, steps, factors, costate, i, min(i + block, size))
+
+    _share(task, len(overlaps), size)
+    return sum(overlaps)
+
+
+def _kernel(arrays, steps, factors, costate, i: int = 0, j: int | None = None) -> complex:
+    """Apply the steps of `_blocked` to ranks i..j-1, or to whole arrays
+    when j is None: a gate as `_mix` of its gather with factors[t] =
+    (cos, i sin) of its angle, a phase as `_phase_factors` of factors[t],
+    its angle, and a multiply.  On a block, a step after the first is
+    local and gathers from its own block; the first gathers from its
+    window (`_gathered`).  Returns the costate's overlap on the block, 0
+    without a costate.  It runs once a block, holding the interpreter
+    lock between numpy calls, so it slices each array once and keeps its
+    work per step small."""
+    src = arrays[0] if j is None else arrays[0][i:j]
+    lam = lam_out = None
+    if costate is not None:
+        lam, lam_out = costate if j is None else (costate[0][i:j], costate[1][i:j])
+    overlap = 0
+    for t, (generator, _) in enumerate(steps):
+        dest = arrays[t + 1] if j is None else arrays[t + 1][i:j]
+        if isinstance(generator, Action):
+            c, s = factors[t]
+            if t and j is not None:
+                gathered = src[generator.head[:j - i]]
             else:
-                _mix(mix[0], amps, mix[1], amps[generator.head[:len(amps)]], out, None)
+                gathered = _gathered(arrays[t], generator, i, j)
+            overlap = _mix(c, src, s, gathered, dest, lam)
+            del gathered  # a worker holds one gathered block at a time
+            if lam is not None:
+                _mix(c, lam, s, _gathered(costate[0], generator, i, j), lam_out)
+        else:
+            _phase_factors(factors[t], generator if j is None else generator[i:j], dest)
+            np.multiply(dest, src, out=dest)
+        src = dest
+    return overlap
 
-    _share(run_block, -(-size // block), size)
+
+def _gathered(amps: np.ndarray, action: Action, i: int, j: int | None) -> np.ndarray:
+    """amps[table[i:j]], a new array: through the whole head when j is
+    None, else for ranks i..j-1 of one block, gathered from the window of
+    whole periods that the head spans from the period boundary before
+    rank i; numpy checks every index against it."""
+    head, period = action.head, action.period
+    if j is None:
+        return amps[head]
+    base = i - i % period
+    span = -(-len(head) // period) * period
+    return amps[base:base + span][head[i - base:j - base]]
+
+
+def _mix(c, block: np.ndarray, s, gathered: np.ndarray, dest: np.ndarray, lam=None) -> complex:
+    """dest = c * block - s * gathered, overwriting `gathered`, with the
+    same roundings as the allocating expression; returns <lam|gathered>
+    (0 when `lam` is None)."""
+    overlap = 0 if lam is None else np.vdot(lam, gathered)
+    np.multiply(c, block, out=dest)
+    np.multiply(s, gathered, out=gathered)
+    np.subtract(dest, gathered, out=dest)
+    return overlap
+
+
+def _phase_factors(gamma: float, cost: np.ndarray, dest: np.ndarray) -> None:
+    """Write exp(-i gamma * cost) to `dest`."""
+    np.multiply(-1j * gamma, cost, out=dest)
+    np.exp(dest, out=dest)
 
 
 def _share(task, blocks: int, size: int) -> None:
@@ -442,6 +451,7 @@ def expectation_gradient(state: FeasibleState, steps, thetas, cost: np.ndarray) 
     alternates four states; `state` is overwritten.
     """
     thetas = _angles(steps, thetas)
+    _fits_all(state, steps)
     psi, spare = _run(state, (state, _target(state, cost)), steps, thetas)
     return _sweep(psi, spare, _target(psi, cost), _target(psi, cost), steps, thetas, cost)
 
@@ -451,20 +461,21 @@ def _sweep(psi: FeasibleState, psi_spare: FeasibleState, lam: FeasibleState,
     """The reverse sweep of `expectation_gradient` from psi = psi_final,
     the state `steps` prepared at `thetas`.  It walks psi back through
     `psi` and `psi_spare` and the costate through `lam` and `lam_spare`,
-    overwriting all four.  A phase step undoes psi and lam with one
-    exp(+i theta C), computed in `lam_spare`."""
+    overwriting all four.  A gate undoes psi and lam in one `_blocked`
+    call at the negated angles, and a phase step with one exp(+i theta C),
+    computed in `lam_spare`."""
     _target(psi, cost, lam)  # a cost of the wrong length would broadcast
     np.multiply(cost, psi.amps, out=lam.amps)
     grad = np.zeros(thetas.shape)
-    for generator, k in reversed(steps):
-        theta = thetas[k]
+    back = -thetas
+    for step in reversed(steps):
+        generator, k = step
         if isinstance(generator, Action):
-            overlap = _gate(psi.amps, generator, -theta, psi_spare.amps, lam.amps)
-            apply_involution_exp(lam, generator, -theta, out=lam_spare)
+            overlap = _blocked([psi.amps, psi_spare.amps], [step], back, (lam.amps, lam_spare.amps))
         else:
             np.multiply(generator, psi.amps, out=psi_spare.amps)
             overlap = np.vdot(lam.amps, psi_spare.amps)
-            _phase_factors(-theta, generator, lam_spare.amps)
+            _phase_factors(back[k], generator, lam_spare.amps)
             np.multiply(lam_spare.amps, psi.amps, out=psi_spare.amps)
             np.multiply(lam_spare.amps, lam.amps, out=lam_spare.amps)
         grad[k] += 2 * overlap.imag
@@ -499,8 +510,7 @@ class Circuit:
     def __init__(self, initial: FeasibleState, steps, cost: np.ndarray):
         if not steps:
             raise ValueError("a circuit needs at least one step")
-        for generator, _ in steps:
-            _fits(initial, generator)
+        _fits_all(initial, steps)
         _fits(initial, cost)
         self.steps, self.cost = steps, cost
         self._first = np.full(1 + max(k for _, k in steps), len(steps))

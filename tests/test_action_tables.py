@@ -279,14 +279,15 @@ def test_qaoa_run_allocates_no_per_gate_state():
 
 @pytest.fixture
 def runs_blocked(monkeypatch):
-    """The step lists of the runs that `run_steps` applies block by
-    block, in order."""
+    """The step lists of the runs that go block by block, on states longer
+    than one block, in order."""
     runs = []
     blocked = feasible._blocked
 
-    def recording(chain, steps, thetas, block):
-        runs.append(steps)
-        blocked(chain, steps, thetas, block)
+    def recording(arrays, steps, thetas, costate=None):
+        if feasible._block(len(arrays[0])) < len(arrays[0]):
+            runs.append(steps)
+        return blocked(arrays, steps, thetas, costate)
 
     monkeypatch.setattr(feasible, "_blocked", recording)
     return runs
@@ -316,6 +317,37 @@ def test_blocked_runs_are_bit_identical(monkeypatch, fresh_actions, runs_blocked
     assert any(len(run) == 1 and not isinstance(run[0][0], Action) for run in runs_blocked)
 
 
+def test_a_non_local_gate_runs_alone_before_local_steps(monkeypatch, fresh_actions, runs_blocked):
+    # degree 5 in blocks of 48, 48 and 24 (GATE_BLOCK 50): a gate on
+    # position 0 (period 120) reads other blocks of its input, so it is a
+    # run of its own, and the local steps after it, which overwrite that
+    # input block by block, form the next run; references from whole rows
+    monkeypatch.setattr(feasible, "GATE_BLOCK", 50)
+    n = 5
+    assert feasible._block(factorial(n)) == 48
+    vec = TourCost(random_instance(n + 1, seed=5), reduced=True).vector()
+    wide, near, far = transposition(n, 0, 1), transposition(n, 2, 3), transposition(n, 3, 4)
+    steps = [(involution_action(wide), 0), (involution_action(near), 1), (vec, 2),
+             (involution_action(far), 1), (involution_action(wide), 0), (vec, 2)]
+    x = np.array([0.7, 1.9, 0.4])
+    want = phased_uniform_state(n)
+    for h, k in ((wide, 0), (near, 1), (None, 2), (far, 1), (wide, 0), (None, 2)):
+        if h is None:
+            want = reference_phase(want, x[k], vec)
+        else:
+            want = reference_gate(want, reference_table(h), x[k])
+    assert bits(run_steps(phased_uniform_state(n), steps, x)) == bits(want)
+    assert [[k for _, k in run] for run in runs_blocked] == [[0], [1, 2, 1], [0], [2]]
+    # the sweep undoes every gate through the same blocks
+    got = expectation_gradient(phased_uniform_state(n), steps, x, vec)
+    monkeypatch.setattr(feasible, "GATE_BLOCK", factorial(n))
+    involution_action.cache_clear()
+    whole = [(involution_action(h) if isinstance(g, Action) else g, k)
+             for (g, k), h in zip(steps, (wide, near, None, far, wide, None))]
+    want = expectation_gradient(phased_uniform_state(n), whole, x, vec)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 @pytest.mark.parametrize("block", [7, 50])
 def test_circuit_resumes_inside_runs(monkeypatch, fresh_actions, runs_blocked, block):
     # checkpoints written inside blocked runs, and resumes from them that
@@ -343,7 +375,7 @@ def test_circuit_resumes_inside_runs(monkeypatch, fresh_actions, runs_blocked, b
                 basis_state(start), steps, x, vec).tobytes()
             assert bits(circuit.state(x)) == bits(run_steps(basis_state(start), steps, x))
         # blocked runs that started after a local step, inside a longer run
-        local = [feasible._local(a, feasible._run_block()) for a, _ in steps]
+        local = [feasible._local(a, feasible._block(factorial(n))) for a, _ in steps]
         inside += sum(local[run[0][1] - 1] for run in runs_blocked if run[0][1])
     assert inside
 
@@ -555,18 +587,23 @@ def test_an_action_of_another_degree_is_refused():
 
 def test_a_blocked_run_refuses_a_step_that_does_not_fit(monkeypatch, fresh_actions, runs_blocked):
     # blocks of 6 at degree 5: with a degree-4 action (period 2) or a
-    # short cost vector as step 1, steps 1..3 form a run
+    # short cost vector as step 1, steps 1..3 form a run; the list is
+    # refused before the block loop runs, and the state is left unwritten
     monkeypatch.setattr(feasible, "GATE_BLOCK", 7)
     n = 5
     steps = circuit_steps(bubble_sequence(n))
     x = np.full(len(steps), 0.4)
-    steps[1] = (involution_action(transposition(n - 1, n - 3, n - 2)), 1)
-    with pytest.raises(ValueError, match="^action of degree 4 for a state of degree 5$"):
-        run_steps(uniform_feasible_state(n), steps, x)
-    steps[1] = (np.ones(24), 1)
-    with pytest.raises(ValueError, match="^generator has 24 entries for 120 amplitudes$"):
-        run_steps(uniform_feasible_state(n), steps, x)
-    assert [len(run) for run in runs_blocked] == [3, 3]
+    for bad, message in ((involution_action(transposition(n - 1, n - 3, n - 2)),
+                          "^action of degree 4 for a state of degree 5$"),
+                         (np.ones(24), "^generator has 24 entries for 120 amplitudes$")):
+        steps[1] = (bad, 1)
+        assert [feasible._local(g, feasible._block(factorial(n))) for g, _ in steps[:5]] == [
+            False, True, True, True, False]
+        state = uniform_feasible_state(n)
+        with pytest.raises(ValueError, match=message):
+            run_steps(state, steps, x)
+        assert bits(state) == bits(uniform_feasible_state(n))
+    assert runs_blocked == []
 
 
 def test_a_period_must_divide_the_state():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,7 @@ from permcirc.qaoa import QaoaConfig, run_qaoa
 from permcirc.tsp import TourCost, load_instance, optimum, random_instance
 
 FAST = OptConfig(max_iters=10, grad_window=3)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -451,15 +457,32 @@ def test_verify_full_passes(capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    import permcirc.cli as cli
-    from permcirc.checks import CheckResult
+    import permcirc.checks as checks
 
     monkeypatch.setattr(
-        cli, "run_checks",
-        lambda level: [CheckResult("rigged", False, "injected failure", 0.0)],
+        checks, "run_checks",
+        lambda level: [checks.CheckResult("rigged", False, "injected failure", 0.0)],
     )
     assert run_cli("verify", "--level", "quick") == 2
     assert "FAIL rigged" in capsys.readouterr().out
+
+
+def test_the_cli_loads_the_checks_only_for_verify():
+    # the checks and their oracles' scipy take most of the CLI's import
+    # time; a fresh interpreter loads them for `verify` alone
+    code = """
+import sys
+import permcirc.cli
+assert "permcirc.checks" not in sys.modules and "scipy" not in sys.modules, sorted(sys.modules)
+assert permcirc.cli.main(["verify", "--level", "quick"]) == 0
+assert "permcirc.checks" in sys.modules
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("16/16 checks passed (quick)\n")
 
 
 def test_top_k_rows_order():

@@ -126,19 +126,20 @@ def test_a_pass_that_raises_leaves_no_checkpoint_behind(monkeypatch):
     circuit = Circuit(uniform_feasible_state(n), steps, vec)
     circuit.value(x)
 
-    gate = feasible.apply_involution_exp
+    # every step is a gate, mixed in one call on this one-block state
+    mix = feasible._mix
     calls = []
 
-    def failing_gate(*args, **kwargs):
+    def failing_mix(*args, **kwargs):
         calls.append(None)
         if len(calls) == len(steps) - 1:
             raise RuntimeError("gate failed")
-        return gate(*args, **kwargs)
+        return mix(*args, **kwargs)
 
-    monkeypatch.setattr(feasible, "apply_involution_exp", failing_gate)
+    monkeypatch.setattr(feasible, "_mix", failing_mix)
     with pytest.raises(RuntimeError, match="gate failed"):
         circuit.value(y)
-    monkeypatch.setattr(feasible, "apply_involution_exp", gate)
+    monkeypatch.setattr(feasible, "_mix", mix)
     for point in (z, x):
         fresh = run_steps(uniform_feasible_state(n), steps, point)
         assert circuit.value(point) == expectation(fresh, vec)

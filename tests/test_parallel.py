@@ -1,7 +1,7 @@
-"""The worker team (`permcirc.workers`): steps on a state of more than 8
-gate blocks share their blocks out among `WORKERS` threads, with the
-amplitudes and gradients of one worker bit for bit; smaller states start
-no thread."""
+"""The worker team (`permcirc.workers`): steps on a state of more than
+8 * `GATE_BLOCK` amplitudes share their blocks out among `WORKERS`
+threads, with the amplitudes and gradients of one worker bit for bit;
+smaller states start no thread."""
 
 import multiprocessing
 import os
@@ -62,8 +62,8 @@ def test_parallel_steps_check(team_blocks):
 
 
 def test_degree_9_team_matches_one_worker(monkeypatch, team_blocks):
-    # 362 880 amplitudes, 23 gate blocks and 24 run blocks at the default
-    # block: forward amplitudes of every circuit kind, and the gradients of
+    # 362 880 amplitudes, 24 blocks of 15 120 at the default block:
+    # forward amplitudes of every circuit kind, and the gradients of
     # binary insertion and QAOA (a lone phase step, and phases in runs)
     n = 9
     rng = np.random.default_rng(9)
@@ -79,7 +79,7 @@ def test_degree_9_team_matches_one_worker(monkeypatch, team_blocks):
             if graded:
                 got[size].append(expectation_gradient(initial(), steps, x, vec).tobytes())
         assert got[2] == got[1], name
-    assert team_blocks and set(team_blocks) == {23, 24}
+    assert team_blocks and set(team_blocks) == {24}
 
 
 def bad_copy(action, position, value):
@@ -93,9 +93,9 @@ def bad_copy(action, position, value):
 @pytest.mark.parametrize("position", [0, 300, 719])
 def test_a_bad_head_raises_from_the_team_and_the_team_stays_usable(
         monkeypatch, fresh_actions, team_blocks, position):
-    # degree 6 in gate blocks of 50 (15 of them) and run blocks of 48
-    # (15): the bad entry of a whole-table head fails one gate block; the
-    # bad entry of a local head fails every block of a run
+    # degree 6 in 15 blocks of 48 (GATE_BLOCK 50): the bad entry of a
+    # whole-table head fails one block; the bad entry of a local head
+    # fails every block of a run
     monkeypatch.setattr(feasible, "GATE_BLOCK", 50)
     monkeypatch.setattr(workers, "WORKERS", 2)
     n = 6
