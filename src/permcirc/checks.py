@@ -295,8 +295,9 @@ def check_reachability(degrees=(4, 5), all_starts=(4,), extra_starts=((2, 0, 4, 
 
 
 def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[bool, str]:
-    """Every `Action` gather equals the ranks of the permuted rows of
-    `perm_table`: the `involution_action` of every involution of S_n on
+    """Every `Action`'s rank table, built whole from its period by
+    `Action.take`, equals the ranks of the permuted rows of `perm_table`:
+    the `involution_action` of every involution of S_n on
     both sides, n in `every`, and for n in `constructions` of every
     element of both constructions on both sides and every QAOA slot's
     `mixer_slot_action`.  The left action of h is J[R_h[J]], for R_h the

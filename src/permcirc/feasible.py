@@ -9,27 +9,29 @@ one vectorised gather-and-mix pass through the involution's rank table.
 An `Action` holds that table as one period: an element that first moves
 position s maps each run of P = (n-s)! consecutive ranks onto itself,
 the same way in each, so `perms.right_action` builds only the P local
-ranks of one run, and a gate gathers each block of amplitudes from the
-window of whole periods it lies in.  A left action is a right action
-between two relabellings by J, the rank table of p -> p^-1.  A circuit
+ranks of one run.  A left action is a right action between two
+relabellings by J, the rank table of p -> p^-1.  A circuit
 is a list of steps, each a generator (an `Action` or a diagonal cost
 vector) tied to an angle; `run_steps` alternates its steps between two
 states through the `out` argument of the gate and phase functions.
 
 Every step goes through one block loop, `_blocked`, on one grid: a state
 of at most `GATE_BLOCK` amplitudes is one block, and a longer one is cut
-into blocks of whole multiples of a factorial (`_block`).  A gate gathers
-each block from the window of whole periods it lies in, bounds-checked by
-numpy indexing, and gives the same amplitudes, bit for bit, whether or not
-`out` is given.  A run of consecutive local steps (phase steps, and gates
-whose period divides the block) maps each block onto itself, so it goes
-block by block, every step of the run on one block while the block stays
-in cache, with the amplitudes of one step at a time; a gate whose period
-does not divide the block is a run of its own, and on a one-block state
-the whole circuit is one run.
+into equal blocks of c * m! amplitudes with c dividing m + 1 (`_block`).
+Every period (n-s)! then either divides the block or is a multiple of
+it, so no block straddles a period: a gate gathers a block of whole
+periods through its period along each, and a block inside one period
+from that period alone, bounds-checked by numpy indexing either way, with
+the same amplitudes, bit for bit, whether or not `out` is given.  A run
+of consecutive local steps (phase steps, and gates whose period divides
+the block) maps each block onto itself, so it goes block by block, every
+step of the run on one block while the block stays in cache, with the
+amplitudes of one step at a time; a gate whose period does not divide
+the block is a run of its own, and on a one-block state the whole circuit
+is one run.
 
-On a state of more than 8 * `GATE_BLOCK` amplitudes (2 MB, past the L2
-that `GATE_BLOCK` assumes: degree 9 and up), the blocks of a run are
+On a state of more than 8 * `GATE_BLOCK` amplitudes (2.5 MB, past the
+L2 that `GATE_BLOCK` assumes: degree 9 and up), the blocks of a run are
 shared out among the team of `workers.WORKERS` threads, one per CPU the
 process may run on (`taskset` limits it), the calling thread among them.
 Its other threads start the first time a step qualifies, so smaller
@@ -66,17 +68,18 @@ from .perms import (
 from .sequences import GeneratingSequence, decompose
 
 # The bound on a block of amplitudes: a state of at most GATE_BLOCK
-# amplitudes is one block, and a longer one is cut into blocks of the most
-# whole multiples of the largest factorial F <= GATE_BLOCK that fit in it
-# (15 120 = 3 * 7!, `_block`), so that a block's passes (about 56 bytes an
-# amplitude with its table slice) stay in a 2 MB L2.  Every block, the last
-# one too, has an even length: with numpy 2.4 on x86-64, a complex multiply
-# or exp over an odd-length block (7 amplitudes, say) rounds its tail
-# differently from the call over the whole array.  An `Action` built while
-# it holds keeps GATE_BLOCK + P ranks of its table (n! at most), so that
-# each block lies in one window of whole periods.  A state of more than 8 *
-# GATE_BLOCK amplitudes (2 MB) shares its blocks out among the worker team.
-GATE_BLOCK = 16384
+# amplitudes is one block, and a longer one is cut into blocks of the
+# largest c * m! <= GATE_BLOCK with c dividing m + 1 (20 160 = 8!/2 =
+# 4 * 7!, `_block`), so that every factorial divides the block or is a
+# multiple of it, and a block's passes (about 48 bytes an amplitude, with
+# a local gate's period of at most 7! ranks) stay in a 2 MB L2.  Every
+# block has an even length (GATE_BLOCK >= 2): with numpy 2.4 on x86-64, a
+# complex multiply or exp over an odd-length block (7 amplitudes, say)
+# rounds its tail differently from the call over the whole array.  An
+# `Action` built for a one-block state keeps its whole table.  A state of
+# more than 8 * GATE_BLOCK amplitudes (2.5 MB) shares its blocks out among
+# the worker team.
+GATE_BLOCK = 20160
 
 # States a `Circuit` keeps of its last forward pass: the state before step
 # 0 (the initial state) and before every stride-th step after it.  At
@@ -117,52 +120,57 @@ class Action:
     """How a permutation acts on the Lehmer ranks of degree-n tours: rank
     r goes to head[r % period] + r - r % period.
 
-    `head` is read-only and holds the first GATE_BLOCK + period entries of
-    the rank table (n! at most, at the `GATE_BLOCK` the action was built
-    with), so a gate gathers each of its blocks from one window of whole
-    periods, starting at the period boundary before the block.
+    `head` is read-only and holds the first entries of the rank table:
+    all n! of them when the action was built for a state of one block
+    (n! <= `GATE_BLOCK`), so that a gate is one gather, and the period
+    alone for a longer state.  When that period divides the block,
+    `index` is a writeable copy of it, for `np.take`, which copies a
+    read-only index on every call.
     """
 
     n: int
     period: int
     head: np.ndarray
+    index: np.ndarray | None = None
 
     @classmethod
     def of(cls, n: int, period: np.ndarray) -> "Action":
         """The degree-n action whose table has one period `period`, which
-        must hold local ranks 0..P-1 (IndexError otherwise).  The head
-        repeats it, each repeat shifted by P, over GATE_BLOCK + P ranks or
-        n!, whichever is fewer; a period of n! ranks is the head itself."""
+        must hold local ranks 0..P-1 (IndexError otherwise), and must
+        divide the block (`_block`) or be a multiple of it (ValueError
+        otherwise), as every factorial does.  On a one-block state the
+        head repeats the period, each repeat shifted by P, over all n!
+        ranks; elsewhere, and for a period of n! ranks, the period is the
+        head."""
         size, p = factorial(n), len(period)
         if not p or size % p:
             raise ValueError(f"a period of {p} ranks does not divide {n}! = {size}")
+        block = _block(size)
+        if block % p and p % block:
+            raise ValueError(f"a period of {p} ranks neither divides a block of {block} "
+                             "ranks nor is a multiple of it")
         if period.min() < 0 or period.max() >= p:
             raise IndexError(f"a period of {p} ranks has entries outside 0..{p - 1}")
-        length = min(GATE_BLOCK + p, size)
-        if p == size:
-            head = period.view()
+        if block == size and p < size:
+            head = (np.arange(0, size, p)[:, None] + period).reshape(-1)
         else:
-            head = np.empty(length, dtype=period.dtype)
-            whole = length - length % p
-            np.add(np.arange(0, whole, p)[:, None], period, out=head[:whole].reshape(-1, p))
-            np.add(period[:length - whole], whole, out=head[whole:])
+            head = period.view()
         head.setflags(write=False)
-        return cls(n, p, head)
+        return cls(n, p, head, period.copy() if block < size and block % p == 0 else None)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the index array."""
-        return self.head.nbytes
+        """Bytes of the index arrays."""
+        return self.head.nbytes + (0 if self.index is None else self.index.nbytes)
 
     def take(self, values: np.ndarray) -> np.ndarray:
-        """values[table] for all n! ranks, gathered block by block as a
-        gate gathers; a new array."""
+        """values[table] for all n! ranks, through the whole table built
+        from the period; a new array."""
         size = factorial(self.n)
         if len(values) != size:
             raise ValueError(f"{len(values)} values for a degree-{self.n} action")
-        block = _block(size)
-        return np.concatenate([_gathered(values, self, i, min(i + block, size))
-                               for i in range(0, size, block)])
+        period = self.head[:self.period]
+        return values[(np.arange(0, size, self.period)[:, None] + period).reshape(-1)]
 
 
 @lru_cache(maxsize=None)
@@ -296,18 +304,20 @@ def _dest(state: FeasibleState, pair, saved, i: int) -> FeasibleState:
 
 def _block(size: int) -> int:
     """Amplitudes per block of a step on a state of `size` amplitudes: the
-    whole state when it holds at most GATE_BLOCK, else the largest multiple
-    of F, the largest factorial <= GATE_BLOCK, that is <= GATE_BLOCK.  With
-    GATE_BLOCK >= 2, F = m! >= 2, and a longer state has degree above m, so
-    every block, the last one too, holds whole multiples of F: an even
-    length, which a phase step needs (see `GATE_BLOCK`)."""
+    whole state when it holds at most GATE_BLOCK, else the largest c * m!
+    <= GATE_BLOCK with c dividing m + 1, for the m with m! <= GATE_BLOCK <
+    (m + 1)! (a smaller m gives m! at most).  Every k! with k <= m divides
+    the block, and every k! with k > m is a multiple of it, as (m + 1)! is
+    (m + 1) / c blocks; a longer state has degree above m, so it holds
+    whole blocks.  With GATE_BLOCK >= 2 the block is even (see
+    `GATE_BLOCK`)."""
     if size <= GATE_BLOCK:
         return size
     f = m = 1
     while f * (m + 1) <= GATE_BLOCK:
         m += 1
         f *= m
-    return GATE_BLOCK - GATE_BLOCK % f
+    return max(c * f for c in range(1, m + 1) if (m + 1) % c == 0 and c * f <= GATE_BLOCK)
 
 
 def _local(generator, block: int) -> bool:
@@ -334,11 +344,11 @@ def _blocked(arrays, steps, thetas, costate=None) -> complex:
     if size <= GATE_BLOCK:
         return _kernel(arrays, steps, factors, costate)
     block = _block(size)
-    overlaps = [0] * -(-size // block)
+    overlaps = [0] * (size // block)
 
     def task(t):
         i = t * block
-        overlaps[t] = _kernel(arrays, steps, factors, costate, i, min(i + block, size))
+        overlaps[t] = _kernel(arrays, steps, factors, costate, i, i + block)
 
     _share(task, len(overlaps), size)
     return sum(overlaps)
@@ -348,10 +358,9 @@ def _kernel(arrays, steps, factors, costate, i: int = 0, j: int | None = None) -
     """Apply the steps of `_blocked` to ranks i..j-1, or to whole arrays
     when j is None: a gate as `_mix` of its gather with factors[t] =
     (cos, i sin) of its angle, a phase as `_phase_factors` of factors[t],
-    its angle, and a multiply.  On a block, a step after the first is
-    local and gathers from its own block; the first gathers from its
-    window (`_gathered`).  Returns the costate's overlap on the block, 0
-    without a costate.  It runs once a block, holding the interpreter
+    its angle, and a multiply; a gate gathers its input through
+    `_gathered`.  Returns the costate's overlap on the block, 0 without a
+    costate.  It runs once a block, holding the interpreter
     lock between numpy calls, so it slices each array once and keeps its
     work per step small."""
     src = arrays[0] if j is None else arrays[0][i:j]
@@ -363,10 +372,7 @@ def _kernel(arrays, steps, factors, costate, i: int = 0, j: int | None = None) -
         dest = arrays[t + 1] if j is None else arrays[t + 1][i:j]
         if isinstance(generator, Action):
             c, s = factors[t]
-            if t and j is not None:
-                gathered = src[generator.head[:j - i]]
-            else:
-                gathered = _gathered(arrays[t], generator, i, j)
+            gathered = _gathered(arrays[t], generator, i, j)
             overlap = _mix(c, src, s, gathered, dest, lam)
             del gathered  # a worker holds one gathered block at a time
             if lam is not None:
@@ -379,16 +385,21 @@ def _kernel(arrays, steps, factors, costate, i: int = 0, j: int | None = None) -
 
 
 def _gathered(amps: np.ndarray, action: Action, i: int, j: int | None) -> np.ndarray:
-    """amps[table[i:j]], a new array: through the whole head when j is
-    None, else for ranks i..j-1 of one block, gathered from the window of
-    whole periods that the head spans from the period boundary before
-    rank i; numpy checks every index against it."""
-    head, period = action.head, action.period
+    """amps[table[i:j]], a new array, for ranks i..j-1 of one block, or
+    for the whole state when j is None (in one gather when the head holds
+    the whole table).  A block of whole periods is gathered through the
+    period along each; a block inside one period, from that period alone.
+    numpy checks every index against the period's length."""
+    head, p = action.head, action.period
     if j is None:
-        return amps[head]
-    base = i - i % period
-    span = -(-len(head) // period) * period
-    return amps[base:base + span][head[i - base:j - base]]
+        if len(head) == len(amps):
+            return amps[head]
+        i, j = 0, len(amps)
+    if (j - i) % p == 0:
+        index = head[:p] if action.index is None else action.index
+        return np.take(amps[i:j].reshape(-1, p), index, axis=1).reshape(-1)
+    base = i - i % p
+    return amps[base:base + p][head[i - base:j - base]]
 
 
 def _mix(c, block: np.ndarray, s, gathered: np.ndarray, dest: np.ndarray, lam=None) -> complex:

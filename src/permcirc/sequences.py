@@ -231,7 +231,7 @@ def _first_layers(seq: GeneratingSequence) -> np.ndarray:
     for k, h in enumerate(seq.elements, 1):
         period = right_action(h)
         runs = first.reshape(-1, len(period))
-        first[(first > d) & (runs[:, period] < k).reshape(-1)] = k
+        first[(first > d) & (np.take(runs, period, axis=1) < k).reshape(-1)] = k
     return first
 
 

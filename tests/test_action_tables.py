@@ -1,6 +1,6 @@
 """The index layer: prefix-recursive `perm_table`, prefix ranking,
-window-built action tables, the blocked gate kernel and blocked step
-runs."""
+period-built action tables, the block grid, the blocked gate kernel and
+blocked step runs."""
 
 import tracemalloc
 from functools import lru_cache
@@ -196,7 +196,7 @@ def test_buffered_circuit_is_bit_identical(build, side):
 
 @pytest.mark.parametrize("block", [7, 40, 120])
 def test_blocked_gate_is_bit_identical(monkeypatch, fresh_actions, block):
-    # 120 amplitudes: a partial last block, whole blocks, and one block
+    # 120 amplitudes in blocks of 6 or 24, and in one block
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     rng = np.random.default_rng(block)
     for build in (bubble_sequence, binary_insertion_sequence):
@@ -222,12 +222,14 @@ def test_degree_8_buffered_circuit_is_bit_identical():
 
 
 def test_default_block_gate_on_degree_8():
-    # 40320 amplitudes: two whole default-size blocks and a partial one;
-    # the left gate is the right one between relabellings by J
-    assert factorial(8) > 2 * feasible.GATE_BLOCK
+    # 40320 amplitudes: two whole default-size blocks, each of whole
+    # periods of 2 ranks; the left gate is the right one between
+    # relabellings by J
+    assert 2 * feasible._block(factorial(8)) == factorial(8)
     state = phased_uniform_state(8)
     h = binary_insertion_sequence(8).elements[0]
     action, j = involution_action(h), inverse_ranks(8)
+    assert action.period == 2 and len(action.head) == 2
     assert bits(apply_involution_exp(state, action, 0.9)) == bits(
         reference_gate(state, reference_table(h), 0.9))
     relabelled = FeasibleState(8, state.amps[j])
@@ -294,7 +296,7 @@ def runs_blocked(monkeypatch):
 
 
 def test_blocked_runs_check(runs_blocked):
-    # 40320 amplitudes in blocks of 15120 (three of 7! = 5040): the
+    # 40320 amplitudes in blocks of 20160 (four of 7! = 5040): the
     # verify check at the default block
     assert factorial(8) > feasible.GATE_BLOCK
     ok, detail = check_blocked_runs()
@@ -305,9 +307,9 @@ def test_blocked_runs_check(runs_blocked):
 @pytest.mark.parametrize("block", [7, 40, 50])
 @pytest.mark.parametrize("n", [5, 6])
 def test_blocked_runs_are_bit_identical(monkeypatch, fresh_actions, runs_blocked, n, block):
-    # blocks of 6, 24 and 48 amplitudes (the multiples of 3! and 4! that
-    # fit); at degree 5 the last block of 48 holds 24.  Both constructions
-    # and QAOA from both starts, with and without the wraparound slot
+    # blocks of 6, 24 and 24 amplitudes (48 = 2 * 4! would cut periods of
+    # 5! part way).  Both constructions and QAOA from both starts, with
+    # and without the wraparound slot
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     ok, detail = check_blocked_runs(n=n, seed=block)
     assert ok, detail
@@ -318,13 +320,13 @@ def test_blocked_runs_are_bit_identical(monkeypatch, fresh_actions, runs_blocked
 
 
 def test_a_non_local_gate_runs_alone_before_local_steps(monkeypatch, fresh_actions, runs_blocked):
-    # degree 5 in blocks of 48, 48 and 24 (GATE_BLOCK 50): a gate on
-    # position 0 (period 120) reads other blocks of its input, so it is a
-    # run of its own, and the local steps after it, which overwrite that
-    # input block by block, form the next run; references from whole rows
+    # degree 5 in five blocks of 24 (GATE_BLOCK 50): a gate on position 0
+    # (period 120) reads other blocks of its input, so it is a run of its
+    # own, and the local steps after it, which overwrite that input block
+    # by block, form the next run; references from whole rows
     monkeypatch.setattr(feasible, "GATE_BLOCK", 50)
     n = 5
-    assert feasible._block(factorial(n)) == 48
+    assert feasible._block(factorial(n)) == 24
     vec = TourCost(random_instance(n + 1, seed=5), reduced=True).vector()
     wide, near, far = transposition(n, 0, 1), transposition(n, 2, 3), transposition(n, 3, 4)
     steps = [(involution_action(wide), 0), (involution_action(near), 1), (vec, 2),
@@ -450,7 +452,7 @@ def test_out_returns_the_given_state_and_leaves_input():
 def test_action_tables_check(monkeypatch, fresh_actions):
     ok, detail = check_action_tables()
     assert ok, detail
-    # blocks shorter than the periods: gathers straddle period boundaries
+    # blocks of 6, shorter than most periods
     monkeypatch.setattr(feasible, "GATE_BLOCK", 7)
     involution_action.cache_clear()
     ok, detail = check_action_tables(every=range(1, 5), constructions=range(5, 7))
@@ -471,8 +473,9 @@ def straddling_cases(n):
 
 @pytest.mark.parametrize("block", [7, 100])
 def test_straddling_gates_are_bit_identical(monkeypatch, fresh_actions, block):
-    # 720 amplitudes: periods of 720, 120 and 24 end inside blocks of 7,
-    # and 120 inside blocks of 100; periods of 6 and 2 are tiled
+    # 720 amplitudes: blocks of 6 (GATE_BLOCK 7) lie inside periods of
+    # 720, 120 and 24, and blocks of 24 (GATE_BLOCK 100) inside periods of
+    # 720 and 120; shorter periods are gathered whole
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     n = 6
     state = phased_uniform_state(n)
@@ -482,12 +485,14 @@ def test_straddling_gates_are_bit_identical(monkeypatch, fresh_actions, block):
         want = bits(reference_gate(state, scalar_table(h), 0.9))
         assert bits(apply_involution_exp(state, action, 0.9)) == want, h
         assert bits(apply_involution_exp(state, action, 0.9, out=spare_like(state))) == want, h
-    assert {p for p in periods if p > block and p % block} and min(periods) < block
+    grid = feasible._block(factorial(n))
+    assert {p for p in periods if p > grid} and {p for p in periods if p < grid}
 
 
 def test_default_block_gates_on_degree_8_are_bit_identical():
-    # 40320 amplitudes in blocks of 16384: periods of 8! span the state,
-    # those of 7! and less are tiled; references from whole rows
+    # 40320 amplitudes in two blocks of 20160: each lies inside a period
+    # of 8!, and holds whole periods of 7! and less; references from
+    # whole rows
     state = phased_uniform_state(8)
     for h, action in straddling_cases(8):
         assert bits(apply_involution_exp(state, action, 0.9)) == bits(
@@ -503,7 +508,7 @@ def test_straddling_gradient_is_bit_identical(monkeypatch, fresh_actions):
     x = np.random.default_rng(6).uniform(0, np.pi, len(seq))
     monkeypatch.setattr(feasible, "GATE_BLOCK", 100)
     got = expectation_gradient(uniform_feasible_state(n), circuit_steps(seq), x, vec)
-    monkeypatch.setattr(feasible, "GATE_BLOCK", factorial(n))  # flat tables, one window
+    monkeypatch.setattr(feasible, "GATE_BLOCK", factorial(n))  # flat tables, one block
     flat = [(Action.of(n, reference_table(h)), k) for k, h in enumerate(seq.elements)]
     assert all(len(a.head) == factorial(n) for a, _ in flat)
     monkeypatch.setattr(feasible, "GATE_BLOCK", 100)
@@ -511,16 +516,17 @@ def test_straddling_gradient_is_bit_identical(monkeypatch, fresh_actions):
     assert got.tobytes() == want.tobytes()
 
 
-def test_default_block_straddles_at_degree_9():
+def test_default_blocks_lie_in_one_period_at_degree_9():
     # an element first moving position 1 has a period of 8! = 40320 ranks,
-    # which ends inside the block from 32768: its head holds the period
-    # and one block more, so that block lies in a window of two periods;
-    # references from whole rows
+    # which holds two whole blocks of 20160: its head is the period alone,
+    # and each block gathers from the one period it lies in; references
+    # from whole rows
     n = 9
     state = phased_uniform_state(n)
+    assert 2 * feasible._block(factorial(n)) == factorial(8)
     for h in (transposition(n, 1, 2), transposition(n, 1, 8)):
         action = Action.of(n, right_action(h))
-        assert action.period == 40320 and len(action.head) == 40320 + feasible.GATE_BLOCK
+        assert action.period == len(action.head) == factorial(8) and action.index is None
         assert bits(apply_involution_exp(state, action, 0.9)) == bits(
             reference_gate(state, reference_table(h), 0.9))
 
@@ -540,14 +546,15 @@ def test_period_entry_equal_to_p_raises(monkeypatch, fresh_actions, block):
     for h in (transposition(5, 0, 1), transposition(5, 1, 2)):
         with pytest.raises(IndexError, match="outside 0.."):
             Action.of(5, period_with_p(h))
-    # blocks of 100 over periods of 120 at degree 6: the good head holds
-    # the period and one block, and its gate is the reference's bit for bit
+    # blocks of 24 (GATE_BLOCK 100) inside periods of 120 at degree 6: the
+    # good head is the period alone, and its gate is the reference's bit
+    # for bit
     monkeypatch.setattr(feasible, "GATE_BLOCK", 100)
     h = transposition(6, 1, 2)
     with pytest.raises(IndexError, match="outside 0.."):
         Action.of(6, period_with_p(h))
     good = Action.of(6, right_action(h))
-    assert good.period == 120 and len(good.head) == 220
+    assert good.period == len(good.head) == 120 and good.index is None
     state = phased_uniform_state(6)
     assert bits(apply_involution_exp(state, good, 0.3)) == bits(
         reference_gate(state, reference_table(h), 0.3))
@@ -613,13 +620,54 @@ def test_a_period_must_divide_the_state():
         Action.of(4, np.arange(0))
 
 
+# every `GATE_BLOCK` the tests and checks set: check_parallel_steps sets
+# 6!/9 and 7!/9, and whole states of 5! and 6!
+GRID_BOUNDS = [2, 7, 40, 50, 80, 100, 120, 560, 720, 16384, 20160]
+
+
+@pytest.mark.parametrize("bound", GRID_BOUNDS)
+def test_no_block_straddles_a_period(monkeypatch, bound):
+    # every period (n-s)! divides the block or is a multiple of it, and a
+    # block shorter than the state is even and divides it, so every block
+    # is whole
+    monkeypatch.setattr(feasible, "GATE_BLOCK", bound)
+    for n in range(2, 12):
+        size = factorial(n)
+        block = feasible._block(size)
+        if size <= bound:
+            assert block == size
+        else:
+            assert block <= bound and block % 2 == 0 and size % block == 0, n
+        for k in range(1, n + 1):
+            assert block % factorial(k) == 0 or factorial(k) % block == 0, (n, k)
+
+
+def test_a_period_that_fits_no_block_is_refused(monkeypatch, fresh_actions):
+    # 128 ranks divide 9! but neither divide 20160 = 2^6 * 315 nor are a
+    # multiple of it; at blocks of 6, 4 ranks divide 5! and fit neither
+    message = "^a period of {} ranks neither divides a block of {} ranks nor is a multiple of it$"
+    with pytest.raises(ValueError, match=message.format(128, 20160)):
+        Action.of(9, np.arange(128))
+    # a one-block state takes any period that divides it
+    assert Action.of(4, np.arange(4)).head.tolist() == list(range(24))
+    monkeypatch.setattr(feasible, "GATE_BLOCK", 7)
+    with pytest.raises(ValueError, match=message.format(4, 6)):
+        Action.of(5, np.arange(4))
+
+
 def test_circuit_tables_hold_periods():
-    # at degree 8 a binary-insertion circuit's 17 actions hold 2.9 MB,
-    # against 5.5 MB for one flat 8-B table per element; each head holds
-    # its period and one block, 171.4 KB for a period of 5040 ranks, or
-    # the whole table of 8! ranks
+    # at degree 8 a binary-insertion circuit's 17 actions hold 1.25 MB,
+    # against 5.5 MB for one flat 8-B table per element: each head is its
+    # period, read-only, and a period that divides the block (7! ranks or
+    # fewer) has one writeable copy of its own for `np.take`
     steps = circuit_steps(binary_insertion_sequence(8))
     held = sum(a.nbytes for a, _ in steps)
-    assert held == sum(a.head.nbytes for a, _ in steps)
+    assert held == sum(a.head.nbytes + (0 if a.index is None else a.index.nbytes) for a, _ in steps)
     assert held < len(steps) * factorial(8) * 8
-    assert all(len(a.head) == min(a.period + feasible.GATE_BLOCK, factorial(8)) for a, _ in steps)
+    for a, _ in steps:
+        assert len(a.head) == a.period and not a.head.flags.writeable
+        if a.period < factorial(8):
+            assert np.array_equal(a.index, a.head) and a.index.flags.writeable
+            assert not np.shares_memory(a.index, a.head)
+        else:
+            assert a.index is None

@@ -150,7 +150,7 @@ def test_a_pass_that_raises_leaves_no_checkpoint_behind(monkeypatch):
 
 @pytest.mark.parametrize("block", [7, 40])
 def test_gradient_is_independent_of_the_block_size(monkeypatch, block):
-    # 120 amplitudes: blocks of 7 leave a partial last block, 40 divides
+    # 120 amplitudes in blocks of 6 (GATE_BLOCK 7) or of 24 (GATE_BLOCK 40)
     n = 5
     cost = TourCost(random_instance(n + 1, seed=5), reduced=True)
     rng = np.random.default_rng(block)
@@ -165,8 +165,8 @@ def test_gradient_is_independent_of_the_block_size(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [7, 16384])
 def test_gradient_refuses_an_out_of_range_table(monkeypatch, fresh_actions, block):
-    # a period of 24 ranks, the gate's gather checking it at blocks of 7,
-    # its tiling at the default
+    # a period of 24 ranks, refused as the action is built, whether blocks
+    # of 6 lie inside it (GATE_BLOCK 7) or the state is one block
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     steps = circuit_steps(bubble_sequence(5))
     bad = right_action(bubble_sequence(5).elements[1]).copy()

@@ -57,12 +57,12 @@ def test_parallel_steps_check(team_blocks):
     assert ok, detail
     assert team_blocks and min(team_blocks) >= 9
     # the check leaves the block, the worker count and the action cache as they were
-    assert feasible.GATE_BLOCK == 16384 and workers.WORKERS >= 1
+    assert feasible.GATE_BLOCK == 20160 and workers.WORKERS >= 1
     assert involution_action.cache_info().currsize == 0
 
 
 def test_degree_9_team_matches_one_worker(monkeypatch, team_blocks):
-    # 362 880 amplitudes, 24 blocks of 15 120 at the default block:
+    # 362 880 amplitudes, 18 blocks of 20 160 at the default block:
     # forward amplitudes of every circuit kind, and the gradients of
     # binary insertion and QAOA (a lone phase step, and phases in runs)
     n = 9
@@ -79,23 +79,24 @@ def test_degree_9_team_matches_one_worker(monkeypatch, team_blocks):
             if graded:
                 got[size].append(expectation_gradient(initial(), steps, x, vec).tobytes())
         assert got[2] == got[1], name
-    assert team_blocks and set(team_blocks) == {24}
+    assert team_blocks and set(team_blocks) == {18}
 
 
 def bad_copy(action, position, value):
     """`action` with head[position] set to `value`, built directly so that
-    `Action.of` does not refuse it."""
+    `Action.of` does not refuse it; a period that divides the block is also
+    the writeable copy that `np.take` gathers through."""
     head = action.head.copy()
     head[position] = value
-    return Action(action.n, action.period, head)
+    return Action(action.n, action.period, head, None if action.index is None else head)
 
 
 @pytest.mark.parametrize("position", [0, 300, 719])
 def test_a_bad_head_raises_from_the_team_and_the_team_stays_usable(
         monkeypatch, fresh_actions, team_blocks, position):
-    # degree 6 in 15 blocks of 48 (GATE_BLOCK 50): the bad entry of a
-    # whole-table head fails one block; the bad entry of a local head
-    # fails every block of a run
+    # degree 6 in 30 blocks of 24 (GATE_BLOCK 50): the bad entry of a
+    # period of the whole table fails one block; the bad entry of a local
+    # period fails every block of a run
     monkeypatch.setattr(feasible, "GATE_BLOCK", 50)
     monkeypatch.setattr(workers, "WORKERS", 2)
     n = 6
@@ -103,7 +104,7 @@ def test_a_bad_head_raises_from_the_team_and_the_team_stays_usable(
     spare = FeasibleState(n, np.empty_like(state.amps))
     wide = involution_action(transposition(n, 0, 1))
     local = involution_action(transposition(n, 2, 3))
-    assert (wide.period, len(wide.head), local.period) == (720, 720, 24)
+    assert (wide.period, len(wide.head), local.period, len(local.index)) == (720, 720, 24, 24)
     steps = [(local, 0), (wide, 1), (local, 0)]
     x = np.array([0.3, 1.1])
     monkeypatch.setattr(workers, "WORKERS", 1)
@@ -111,8 +112,8 @@ def test_a_bad_head_raises_from_the_team_and_the_team_stays_usable(
     want_run = run_steps(phased_uniform_state(n), steps, x).amps.tobytes()
     monkeypatch.setattr(workers, "WORKERS", 2)
     for bad_steps in ([(bad_copy(wide, position, 720), 0)],
-                      [(bad_copy(local, position % 48, 10 ** 6), 0)],
-                      [(local, 0), (bad_copy(local, position % 48, -10 ** 6), 0)]):
+                      [(bad_copy(local, position % 24, 10 ** 6), 0)],
+                      [(local, 0), (bad_copy(local, position % 24, -10 ** 6), 0)]):
         bad = bad_steps[-1][0]
         with pytest.raises(IndexError):
             if bad.period == 720:
