@@ -34,6 +34,7 @@ from .perms import (
     perm_table,
     rank,
     rank_rows,
+    right_action,
     transposition,
     unrank,
 )
@@ -295,14 +296,18 @@ def check_reachability(degrees=(4, 5), all_starts=(4,), extra_starts=((2, 0, 4, 
 
 
 def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[bool, str]:
-    """Every `Action`'s rank table, built whole from its period by
+    """Every `Action`'s rank table, built whole from its chunk ranks by
     `Action.take`, equals the ranks of the permuted rows of `perm_table`:
     the `involution_action` of every involution of S_n on
     both sides, n in `every`, and for n in `constructions` of every
     element of both constructions on both sides and every QAOA slot's
     `mixer_slot_action`.  The left action of h is J[R_h[J]], for R_h the
-    right one and J = `inverse_ranks`."""
-    checked = 0
+    right one and J = `inverse_ranks`.  For every right action that moves
+    chunks of more than one rank, the blocked gather through its chunk
+    ranks (`feasible._gathered`) lists the same ranks on blocks of every
+    k! >= 2 amplitudes: parts of one chunk, whole chunks of one period and
+    whole periods."""
+    checked = gathered = 0
     for n in sorted(set(every) | set(constructions)):
         tours = perm_table(n)
         if n in every:
@@ -317,12 +322,24 @@ def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[b
         for h, side, action in cases:
             got = action.take(ranks) if side == "right" else j[action.take(ranks)[j]]
             rows = tours[:, list(h)] if side == "right" else np.asarray(h)[tours]
-            if not np.array_equal(got, rank_rows(rows, n)):
-                return False, (f"{side} action of {h} (period {action.period}, "
-                               f"{len(action.head)} head entries) gathers the wrong ranks")
+            want = rank_rows(rows, n)
+            if not np.array_equal(got, want):
+                return False, (f"{side} action of {h} (period {action.period}, chunk "
+                               f"{action.chunk}, {len(action.index)} index entries) gathers the wrong ranks")
+            if side == "right" and action.chunk > 1:
+                if len(action.index) == len(ranks):  # built for one block: the whole table
+                    action = fs.Action(n, action.period, action.chunk, right_action(h)[0])
+                for k in range(2, n + 1):
+                    block = factorial(k)
+                    got = [fs._gathered(ranks, action, i, i + block) for i in range(0, len(ranks), block)]
+                    if not np.array_equal(np.concatenate(got), want):
+                        return False, (f"the chunk gather of {h} (period {action.period}, chunk "
+                                       f"{action.chunk}) on blocks of {block} gathers the wrong ranks")
+                gathered += 1
         checked += len(cases)
     return True, (f"{checked} actions: every involution on both sides for {_degrees(every)}, "
-                  f"construction elements and QAOA slots for {_degrees(constructions)}")
+                  f"construction elements and QAOA slots for {_degrees(constructions)}; "
+                  f"{gathered} chunk gathers on blocks of every k!")
 
 
 def check_norm_preservation(seed: int = 3, gates: int = 1000) -> tuple[bool, str]:

@@ -6,11 +6,12 @@ this representation.  Exponentials of involutory permutation operators
 reduce to cos(theta) * amps - i sin(theta) * gathered amps, so a gate is
 one vectorised gather-and-mix pass through the involution's rank table.
 
-An `Action` holds that table as one period: an element that first moves
-position s maps each run of P = (n-s)! consecutive ranks onto itself,
-the same way in each, so `perms.right_action` builds only the P local
-ranks of one run.  A left action is a right action between two
-relabellings by J, the rank table of p -> p^-1.  A circuit
+An `Action` holds that table as a map of chunks: an element that moves
+positions s..e maps each run of P = (n-s)! consecutive ranks onto
+itself, the same way in each, and within a run moves whole chunks of
+B = (n-e-1)! consecutive ranks, so `perms.right_action` builds only the
+K = P/B chunk ranks of one run.  A left action is a right action between
+two relabellings by J, the rank table of p -> p^-1.  A circuit
 is a list of steps, each a generator (an `Action` or a diagonal cost
 vector) tied to an angle; `run_steps` alternates its steps between two
 states through the `out` argument of the gate and phase functions.
@@ -18,11 +19,12 @@ states through the `out` argument of the gate and phase functions.
 Every step goes through one block loop, `_blocked`, on one grid: a state
 of at most `GATE_BLOCK` amplitudes is one block, and a longer one is cut
 into equal blocks of c * m! amplitudes with c dividing m + 1 (`_block`).
-Every period (n-s)! then either divides the block or is a multiple of
-it, so no block straddles a period: a gate gathers a block of whole
-periods through its period along each, and a block inside one period
-from that period alone, bounds-checked by numpy indexing either way, with
-the same amplitudes, bit for bit, whether or not `out` is given.  A run
+Every period (n-s)! and every chunk (n-e-1)! then either divides the
+block or is a multiple of it, so no block straddles a period or a chunk:
+a gate gathers a block of whole periods, whole chunks of one period, or
+part of one chunk, each through the chunk ranks (`_gathered`),
+bounds-checked by numpy indexing, with the same amplitudes, bit for bit,
+whether or not `out` is given.  A run
 of consecutive local steps (phase steps, and gates whose period divides
 the block) maps each block onto itself, so it goes block by block, every
 step of the run on one block while the block stays in cache, with the
@@ -117,73 +119,88 @@ def uniform_feasible_state(n: int) -> FeasibleState:
 
 @dataclass(frozen=True, eq=False)
 class Action:
-    """How a permutation acts on the Lehmer ranks of degree-n tours: rank
-    r goes to head[r % period] + r - r % period.
+    """How a permutation acts on the Lehmer ranks of degree-n tours: in
+    every period of `period` = P ranks it moves whole chunks of `chunk` =
+    B consecutive ranks, local rank k*B + b going to mid[k]*B + b, for
+    mid the K = P/B chunk ranks of `perms.right_action`.
 
-    `head` is read-only and holds the first entries of the rank table:
-    all n! of them when the action was built for a state of one block
-    (n! <= `GATE_BLOCK`), so that a gate is one gather, and the period
-    alone for a longer state.  When that period divides the block,
-    `index` is a writeable copy of it, for `np.take`, which copies a
-    read-only index on every call.
+    On a state of more than `GATE_BLOCK` amplitudes, `index` is mid, the
+    one index array, writeable for `np.take`, which copies a read-only
+    index on every call; for B = 1 it is the period.  On a one-block
+    state (n! <= `GATE_BLOCK`) it is the whole n!-entry rank table,
+    read-only, so that a gate is one gather.
     """
 
     n: int
     period: int
-    head: np.ndarray
-    index: np.ndarray | None = None
+    chunk: int
+    index: np.ndarray
 
     @classmethod
-    def of(cls, n: int, period: np.ndarray) -> "Action":
-        """The degree-n action whose table has one period `period`, which
-        must hold local ranks 0..P-1 (IndexError otherwise), and must
-        divide the block (`_block`) or be a multiple of it (ValueError
-        otherwise), as every factorial does.  On a one-block state the
-        head repeats the period, each repeat shifted by P, over all n!
-        ranks; elsewhere, and for a period of n! ranks, the period is the
-        head."""
-        size, p = factorial(n), len(period)
+    def of(cls, n: int, mid: np.ndarray, chunk: int = 1) -> "Action":
+        """The degree-n action that moves chunks of `chunk` ranks by the
+        chunk ranks `mid` in every period of P = len(mid) * chunk ranks
+        (with the default chunk of 1, `mid` is the period).  `mid` must
+        hold ranks in 0..K-1 (IndexError otherwise).  P must divide the
+        block (`_block`) or be a multiple of it, and so must the chunk
+        when P does not divide the block (ValueError otherwise), as every
+        factorial does.  On a one-block state the index is the whole
+        table, built from `mid`; elsewhere it is `mid` itself."""
+        size, k = factorial(n), len(mid)
+        p = k * chunk
         if not p or size % p:
             raise ValueError(f"a period of {p} ranks does not divide {n}! = {size}")
         block = _block(size)
         if block % p and p % block:
             raise ValueError(f"a period of {p} ranks neither divides a block of {block} "
                              "ranks nor is a multiple of it")
-        if period.min() < 0 or period.max() >= p:
-            raise IndexError(f"a period of {p} ranks has entries outside 0..{p - 1}")
-        if block == size and p < size:
-            head = (np.arange(0, size, p)[:, None] + period).reshape(-1)
+        if block % p and block % chunk and chunk % block:
+            raise ValueError(f"a chunk of {chunk} ranks neither divides a block of {block} "
+                             "ranks nor is a multiple of it")
+        if mid.min() < 0 or mid.max() >= k:
+            raise IndexError(f"{k} chunk ranks have entries outside 0..{k - 1}")
+        if block == size:
+            index = _table(size, mid, chunk)
+            index.setflags(write=False)
         else:
-            head = period.view()
-        head.setflags(write=False)
-        return cls(n, p, head, period.copy() if block < size and block % p == 0 else None)
+            index = mid
+        return cls(n, p, chunk, index)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the index arrays."""
-        return self.head.nbytes + (0 if self.index is None else self.index.nbytes)
+        """Bytes of the index array: 8 a chunk rank, or 8 a rank of a
+        whole table."""
+        return self.index.nbytes
 
     def take(self, values: np.ndarray) -> np.ndarray:
         """values[table] for all n! ranks, through the whole table built
-        from the period; a new array."""
+        from the chunk ranks; a new array."""
         size = factorial(self.n)
         if len(values) != size:
             raise ValueError(f"{len(values)} values for a degree-{self.n} action")
-        period = self.head[:self.period]
-        return values[(np.arange(0, size, self.period)[:, None] + period).reshape(-1)]
+        if len(self.index) == size:
+            return values[self.index]
+        return values[_table(size, self.index, self.chunk)]
+
+
+def _table(size: int, mid: np.ndarray, chunk: int) -> np.ndarray:
+    """The whole rank table of the map that moves chunks of `chunk` ranks
+    by `mid` in every period of len(mid) * chunk ranks, over `size` ranks."""
+    starts = np.arange(0, size, len(mid) * chunk)[:, None, None]
+    return (starts + (mid * chunk)[:, None] + np.arange(chunk)).reshape(-1)
 
 
 @lru_cache(maxsize=None)
 def involution_action(element: Perm) -> Action:
     """The `Action` of one involution on all of S_n, mapping rank(p) ->
-    rank(p . element) (slot semantics), with the period of
+    rank(p . element) (slot semantics), with the chunk ranks of
     `perms.right_action`.  The table is itself an involution on 0..n!-1.
     """
     if not is_involution(element):
         raise ValueError(f"element is not an involution: {element}")
     n = len(element)
     limits.check("state", n)
-    return Action.of(n, right_action(element))
+    return Action.of(n, *right_action(element))
 
 
 def apply_involution_exp(state: FeasibleState, action: Action, theta: float,
@@ -386,20 +403,29 @@ def _kernel(arrays, steps, factors, costate, i: int = 0, j: int | None = None) -
 
 def _gathered(amps: np.ndarray, action: Action, i: int, j: int | None) -> np.ndarray:
     """amps[table[i:j]], a new array, for ranks i..j-1 of one block, or
-    for the whole state when j is None (in one gather when the head holds
-    the whole table).  A block of whole periods is gathered through the
-    period along each; a block inside one period, from that period alone.
-    numpy checks every index against the period's length."""
-    head, p = action.head, action.period
+    for the whole state when j is None (in one gather when the index is
+    the whole table).  Through the K chunk ranks of a period of P = K*B
+    ranks, a block of whole periods is taken along the middle axis of its
+    (periods, K, B) view (of its (periods, K) view for B = 1); a block
+    inside one chunk (B >= the block) copies part of one row of the
+    period's (K, B) view; and a block of whole chunks of one period takes
+    its chunks' rows of that view.  numpy checks every chunk rank against
+    K."""
+    index, chunk = action.index, action.chunk
+    if len(index) == len(amps):  # the whole table, or chunk ranks of n! ranks
+        return amps[index] if j is None else amps[index[i:j]]
     if j is None:
-        if len(head) == len(amps):
-            return amps[head]
         i, j = 0, len(amps)
+    k, p = len(index), action.period
     if (j - i) % p == 0:
-        index = head[:p] if action.index is None else action.index
-        return np.take(amps[i:j].reshape(-1, p), index, axis=1).reshape(-1)
+        runs = amps[i:j].reshape(-1, k) if chunk == 1 else amps[i:j].reshape(-1, k, chunk)
+        return np.take(runs, index, axis=1).reshape(-1)
     base = i - i % p
-    return amps[base:base + p][head[i - base:j - base]]
+    rows = amps[base:base + p].reshape(k, chunk)
+    first, offset = divmod(i - base, chunk)
+    if chunk >= j - i:
+        return rows[index[first], offset:offset + j - i].copy()
+    return np.take(rows, index[first:first + (j - i) // chunk], axis=0).reshape(-1)
 
 
 def _mix(c, block: np.ndarray, s, gathered: np.ndarray, dest: np.ndarray, lam=None) -> complex:

@@ -29,13 +29,14 @@ class Cap:
 
 
 CAPS = {
-    # an action keeps its period of P = (n-s)! ranks, or the full table on
-    # a one-block state: the 26 cached actions of a degree-10 run of every
-    # method hold 158.0 MB (755 MB as flat tables), and the run peaks near
-    # 479 MB.  At 11 one binary-insertion circuit's actions would hold
-    # 1.41 GB and a run's `Circuit` its 8 states (4 checkpoints, 2 for the
-    # pass, 2 for the costate), 5.11 GB, not yet measured.  The product
-    # sweep of `verify_generating` needs 10 B a tour and one period
+    # an action keeps its K = P/B chunk ranks, or the full table on a
+    # one-block state: the 26 cached actions of a degree-10 run of every
+    # method hold 78.8 MB (158.0 MB as periods, 755 MB as flat tables),
+    # and the benchmark's degree-10 circuits peak near 375 MB RSS.  At 11
+    # one binary-insertion circuit's actions would hold 0.42 GB and a
+    # run's `Circuit` its 8 states (4 checkpoints, 2 for the pass, 2 for
+    # the costate), 5.11 GB, not yet measured.  The product sweep of
+    # `verify_generating` needs 10 B a tour and K chunk ranks
     "state": Cap("state", "degree {}", 10, factorial, 16, "a copy"),
     # n^2 float64 weights, drawn before any other size is known
     "instance": Cap("instance", "{} cities", 4096, lambda n: n * n, 8),

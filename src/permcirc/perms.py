@@ -12,10 +12,11 @@ its position in lexicographic order, so ``itertools.permutations`` and
 p[i], so it is fixed by the values at positions 0..i: the first m digits
 are the rank of the m-entry prefix among the arrangements of m out of n
 values.  `rank_rows` ranks such prefixes in bulk, and `right_action`
-builds one period of the rank table of p -> p . g, which gates and the
-product sweep share: g keeps the digits before the first position s it
-moves, so the table maps each run of (n-s)! consecutive ranks onto
-itself, the same way in each; `inverse_ranks` turns it into p -> g . p.
+builds the rank map of p -> p . g, which gates and the product sweep
+share: g keeps the digits before the first position s it moves, so the
+map sends each run of (n-s)! consecutive ranks onto itself, the same way
+in each, moving whole chunks of consecutive ranks, one per value of the
+digits g changes; `inverse_ranks` turns it into p -> g . p.
 """
 
 from functools import lru_cache
@@ -156,7 +157,7 @@ def rank_rows(rows: np.ndarray, n: int | None = None) -> np.ndarray:
     ``itertools.permutations(range(n), m)``: the Lehmer digit of column i
     is its value minus the number of earlier columns holding a smaller
     value, a digit in 0..n-1-i, and Horner's rule combines the digits in
-    the mixed radix n, n-1, ..., n-m+1.
+    the mixed radix n, n-1, ..., n-m+1.  The ranks are int64.
     """
     rows = np.asarray(rows)
     m = rows.shape[1]
@@ -165,7 +166,10 @@ def rank_rows(rows: np.ndarray, n: int | None = None) -> np.ndarray:
     if m > n:
         raise ValueError(f"{m}-entry rows are not prefixes of degree-{n} permutations")
     cols = np.ascontiguousarray(rows.T, dtype=np.int8)
-    out = np.zeros(rows.shape[0], dtype=np.int64)
+    # the n!/(n-m)! ranks fit int32 within the "permutations" cap (11! <
+    # 2^31), which sums faster than int64
+    small = factorial(n) // factorial(n - m) < 2**31
+    out = np.zeros(rows.shape[0], dtype=np.int32 if small else np.int64)
     less = np.empty(rows.shape[0], dtype=bool)
     for i in range(m):
         digit = cols[i].copy()
@@ -174,7 +178,7 @@ def rank_rows(rows: np.ndarray, n: int | None = None) -> np.ndarray:
             digit -= less.view(np.int8)
         out *= n - i
         out += digit
-    return out
+    return out.astype(np.int64, copy=False)
 
 
 def inverse_ranks(n: int) -> np.ndarray:
@@ -188,35 +192,36 @@ def inverse_ranks(n: int) -> np.ndarray:
     return rank_rows(inverses, n)
 
 
-def right_action(element: Perm) -> np.ndarray:
-    """One period of the rank table of p -> p . element: the int64 array
-    t of P = (n-s)! local ranks, s the first position the element moves,
-    with rank(p . element) = t[r % P] + r - r % P for r = rank(p).
+def right_action(element: Perm) -> tuple[np.ndarray, int]:
+    """The rank map of p -> p . element as (mid, B): local rank k*B + b
+    of every period of P = K*B ranks, K = len(mid), goes to mid[k]*B + b,
+    so that rank(p . element) = r + (mid[k] - k)*B for r = rank(p) and
+    k = (r % P) // B.  mid is an int64 array of the K chunk ranks.
 
-    Digits 0..s-1 of a rank are its values at positions 0..s-1, which the
-    element keeps, so it maps every run of P ranks that share them onto
-    itself, the same way in each run.  An element that moves positions
-    s..e changes only digits s..e, the rank of the m = e-s+1 leading
-    values of the tour restricted to positions s.., an arrangement of m
-    out of N = n-s values.  So local rank k*B + b, with B = (N-m)!, maps
-    to mid[k]*B + b, where mid re-ranks the N!/B arrangements after the
-    element permutes their entries.  The identity moves nothing: its
-    period is one rank.  `element` is any permutation; its degree is
-    within the "state" row of `limits.CAPS`.
+    s is the first position the element moves.  Digits 0..s-1 of a rank
+    are its values at positions 0..s-1, which the element keeps, so it
+    maps every run of P = (n-s)! ranks that share them onto itself, the
+    same way in each run.  An element that moves positions s..e changes
+    only digits s..e, the rank of the m = e-s+1 leading values of the
+    tour restricted to positions s.., an arrangement of m out of N = n-s
+    values; the digits after e keep their values, so each chunk of B =
+    (N-m)! consecutive ranks moves whole.  mid re-ranks the K = N!/B
+    arrangements after the element permutes their entries.  The identity
+    moves nothing: its map is one rank.  `element` is any permutation;
+    its degree is within the "state" row of `limits.CAPS`.
     """
     check_perm(element)
     n = len(element)
     limits.check("state", n)
     moved = [i for i, v in enumerate(element) if v != i]
     if not moved:
-        return np.zeros(1, dtype=np.int64)
+        return np.zeros(1, dtype=np.int64), 1
     s, e = moved[0], moved[-1]
     big, m = n - s, e - s + 1
-    block = factorial(big - m)
-    arrangements = perm_table(big)[::block, :m]
+    chunk = factorial(big - m)
+    arrangements = perm_table(big)[::chunk, :m]
     local = np.asarray(element[s:e + 1]) - s
-    mid = rank_rows(arrangements[:, local], big)
-    return (mid[:, None] * block + np.arange(block)).reshape(-1)
+    return rank_rows(arrangements[:, local], big), chunk
 
 
 def format_perm(p: Perm) -> str:

@@ -14,7 +14,7 @@ A sequence's `kind` is read from its elements, "custom" unless they are
 exactly one construction.  `decompose` finds a bit mask whose `recompose`
 product equals a given permutation; `verify_generating` certifies a
 sequence by sweeping its products layer by layer over Lehmer ranks, with
-the right-action periods the gates use, so that one array records the
+the right-action chunk maps the gates use, so that one array records the
 first layer reaching each inverse product: all 2^d masks in d gathers of
 n! entries, which a custom `decompose` walks back.
 """
@@ -216,8 +216,9 @@ def _first_layers(seq: GeneratingSequence) -> np.ndarray:
 
     Layer k is layer k-1 plus h_k . p for each p in it, and
     (h_k . p)^-1 = p^-1 . h_k^-1, so q is in layer k exactly when q or
-    q . h_k is in layer k-1: one gather per element, through the period of
-    its right action in every run of P ranks (`perms.right_action`).
+    q . h_k is in layer k-1: one gather per element, through the chunk
+    ranks of its right action in every run of P ranks
+    (`perms.right_action`), as a gate gathers a block of whole periods.
     Memory is 4 B a tour for `first`, 4 B for the gathered layer and 2 B
     of masks, within the "state" row of `limits.CAPS`.
     """
@@ -229,9 +230,9 @@ def _first_layers(seq: GeneratingSequence) -> np.ndarray:
     first = np.full(factorial(n), d + 1, dtype=np.int32)
     first[0] = 0  # the identity
     for k, h in enumerate(seq.elements, 1):
-        period = right_action(h)
-        runs = first.reshape(-1, len(period))
-        first[(first > d) & (np.take(runs, period, axis=1) < k).reshape(-1)] = k
+        mid, chunk = right_action(h)
+        runs = first.reshape(-1, len(mid), chunk)
+        first[(first > d) & (np.take(runs, mid, axis=1) < k).reshape(-1)] = k
     return first
 
 

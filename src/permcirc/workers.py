@@ -8,9 +8,11 @@ counter until none is left, so a thread whose CPU is busy (a guest on
 the other core, say) takes fewer; the order in which blocks run must not
 matter to the task.  A call that raises on any thread (numpy's bounds
 check, say) is raised in the caller once every thread is done, and the
-team stays usable.  The team uses `threading` only: numpy releases the
-interpreter lock in its gathers, ufuncs and BLAS calls, which do the
-work of a block.
+team stays usable.  An interrupt in the caller (`KeyboardInterrupt`, say)
+is raised once the other threads have finished their blocks and exited;
+the next shared step starts a new team.  The team uses `threading` only:
+numpy releases the interpreter lock in its gathers, ufuncs and BLAS
+calls, which do the work of a block.
 
 The team assumes a single-threaded BLAS (OPENBLAS_NUM_THREADS=1): a
 gradient's overlaps call BLAS once a block, and a threaded BLAS keeps
@@ -80,8 +82,10 @@ class _Team:
             _work(task, blocks, tickets, errors)
             self._barrier.wait()
         except BaseException:  # an interrupt: stop the other threads for good
-            errors.append(None)
+            errors.append(None)  # no thread takes another block
             self._barrier.abort()
+            for thread in self._threads:
+                thread.join()  # a block under way writes nothing once this returns
             raise
         finally:
             self._job = None

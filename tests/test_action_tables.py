@@ -1,5 +1,5 @@
 """The index layer: prefix-recursive `perm_table`, prefix ranking,
-period-built action tables, the block grid, the blocked gate kernel and
+action tables of chunk ranks, the block grid, the blocked gate kernel and
 blocked step runs."""
 
 import tracemalloc
@@ -82,6 +82,19 @@ def period_of(h):
     return factorial(len(h) - moved[0]) if moved else 1
 
 
+def chunk_of(h):
+    """(n - e - 1)! for the last position e that h moves, 1 for the identity."""
+    moved = [i for i, v in enumerate(h) if v != i]
+    return factorial(len(h) - moved[-1] - 1) if moved else 1
+
+
+def period(h):
+    """The P local ranks of one period of h's right action, expanded from
+    its chunk ranks: local rank k*B + b goes to mid[k]*B + b."""
+    mid, chunk = right_action(h)
+    return (mid[:, None] * chunk + np.arange(chunk)).reshape(-1)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_involution_action_matches_composition(n):
     # enumeration order is rank order (test_perms); the dict stands in for
@@ -91,9 +104,10 @@ def test_involution_action_matches_composition(n):
     j = inverse_ranks(n)
     for h in elements(n):
         action = involution_action(h)
-        assert action.head.dtype == np.int64 and not action.head.flags.writeable
-        assert (action.n, action.period) == (n, period_of(h))
-        assert len(action.head) == min(period_of(h) + feasible.GATE_BLOCK, factorial(n))
+        assert action.index.dtype == np.int64 and not action.index.flags.writeable
+        assert (action.n, action.period, action.chunk) == (n, period_of(h), chunk_of(h))
+        # a one-block state: the index is the whole table
+        assert len(action.index) == factorial(n)
         # the left action is the right action between relabellings by J
         right = images(action)
         left = j[right[j]]
@@ -106,17 +120,20 @@ def test_involution_action_matches_composition(n):
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_right_action_matches_composition(n):
-    # every permutation, involution or not, the identity included: the
-    # period repeats over every run of P ranks, shifted by the run's start;
-    # for involutions it begins the gates' cached head
+    # every permutation, involution or not, the identity included: chunk
+    # k of B ranks goes to chunk mid[k] of the same period, and the period
+    # repeats over every run of P ranks, shifted by the run's start; for
+    # involutions it is the gates' cached whole table at these degrees
     tours = [unrank(r, n) for r in range(factorial(n))]
     for g in tours:
-        period = right_action(g)
-        assert period.dtype == np.int64 and len(period) == period_of(g)
-        table = (np.arange(factorial(n) // len(period))[:, None] * len(period) + period).reshape(-1)
+        mid, chunk = right_action(g)
+        assert mid.dtype == np.int64 and chunk == chunk_of(g)
+        assert len(mid) * chunk == period_of(g) and sorted(mid) == list(range(len(mid)))
+        local = period(g)
+        table = (np.arange(factorial(n) // len(local))[:, None] * len(local) + local).reshape(-1)
         assert list(table) == [rank(compose(p, g)) for p in tours]
         if is_involution(g):
-            assert np.array_equal(involution_action(g).head[:len(period)], period)
+            assert np.array_equal(involution_action(g).index, table)
     with pytest.raises(ValueError, match="not a permutation"):
         right_action((0, 0))
 
@@ -229,7 +246,7 @@ def test_default_block_gate_on_degree_8():
     state = phased_uniform_state(8)
     h = binary_insertion_sequence(8).elements[0]
     action, j = involution_action(h), inverse_ranks(8)
-    assert action.period == 2 and len(action.head) == 2
+    assert (action.period, action.chunk, len(action.index)) == (2, 1, 2)
     assert bits(apply_involution_exp(state, action, 0.9)) == bits(
         reference_gate(state, reference_table(h), 0.9))
     relabelled = FeasibleState(8, state.amps[j])
@@ -411,14 +428,21 @@ def test_out_of_range_table_raises_on_both_paths(monkeypatch, fresh_actions, blo
     bad = np.arange(6)
     bad[2] = 6
     # the start of a longer table
-    view = right_action(transposition(4, 0, 1))[:6]
-    corrupted = right_action(transposition(3, 0, 1)).copy()
+    view = period(transposition(4, 0, 1))[:6]
+    corrupted = period(transposition(3, 0, 1))
     corrupted[0] = 99
-    negative = right_action(transposition(3, 1, 2)).copy()
+    negative = period(transposition(3, 1, 2))
     negative[0] = -1
-    for period in (bad, view, corrupted, negative):
+    for bad_period in (bad, view, corrupted, negative):
         with pytest.raises(IndexError, match="outside 0.."):
-            apply_involution_exp(state, Action.of(3, period), 0.3, out=spare)
+            apply_involution_exp(state, Action.of(3, bad_period), 0.3, out=spare)
+    # the chunk ranks of (0 1) at degree 4 (12 chunks of 2 ranks), one too large
+    mid, chunk = right_action(transposition(4, 0, 1))
+    assert (len(mid), chunk) == (12, 2)
+    mid = mid.copy()
+    mid[1] = len(mid)
+    with pytest.raises(IndexError, match="outside 0.."):
+        Action.of(4, mid, chunk)
     assert bits(spare) == before
     # an action of another degree is refused
     with pytest.raises(ValueError):
@@ -489,6 +513,32 @@ def test_straddling_gates_are_bit_identical(monkeypatch, fresh_actions, block):
     assert {p for p in periods if p > grid} and {p for p in periods if p < grid}
 
 
+@pytest.mark.parametrize("h, chunk, index", [
+    (transposition(6, 0, 1), 24, 30),  # blocks inside one chunk
+    (transposition(6, 1, 2), 6, 20),  # whole chunks of a longer period
+    (transposition(6, 4, 5), 1, 2),  # whole periods of a local gate
+])
+def test_each_chunk_gather_is_bit_identical_to_take(monkeypatch, fresh_actions, h, chunk, index):
+    # degree 6 in 30 blocks of 24 (GATE_BLOCK 50): each case of the blocked
+    # gather lists the ranks of the whole table `Action.take` builds, and
+    # its gate is the reference's through that table, bit for bit
+    monkeypatch.setattr(feasible, "GATE_BLOCK", 50)
+    n = 6
+    size, block = factorial(n), feasible._block(factorial(n))
+    assert block == 24
+    action = involution_action(h)
+    assert (action.chunk, len(action.index)) == (chunk, index)
+    ranks = np.arange(size)
+    table = action.take(ranks)
+    assert np.array_equal(table, reference_table(h))
+    gathered = [feasible._gathered(ranks, action, i, i + block) for i in range(0, size, block)]
+    assert np.array_equal(np.concatenate(gathered), table)
+    state = phased_uniform_state(n)
+    want = bits(reference_gate(state, table, 0.9))
+    assert bits(apply_involution_exp(state, action, 0.9)) == want
+    assert bits(apply_involution_exp(state, action, 0.9, out=spare_like(state))) == want
+
+
 def test_default_block_gates_on_degree_8_are_bit_identical():
     # 40320 amplitudes in two blocks of 20160: each lies inside a period
     # of 8!, and holds whole periods of 7! and less; references from
@@ -510,7 +560,7 @@ def test_straddling_gradient_is_bit_identical(monkeypatch, fresh_actions):
     got = expectation_gradient(uniform_feasible_state(n), circuit_steps(seq), x, vec)
     monkeypatch.setattr(feasible, "GATE_BLOCK", factorial(n))  # flat tables, one block
     flat = [(Action.of(n, reference_table(h)), k) for k, h in enumerate(seq.elements)]
-    assert all(len(a.head) == factorial(n) for a, _ in flat)
+    assert all(len(a.index) == factorial(n) for a, _ in flat)
     monkeypatch.setattr(feasible, "GATE_BLOCK", 100)
     want = expectation_gradient(uniform_feasible_state(n), flat, x, vec)
     assert got.tobytes() == want.tobytes()
@@ -518,24 +568,34 @@ def test_straddling_gradient_is_bit_identical(monkeypatch, fresh_actions):
 
 def test_default_blocks_lie_in_one_period_at_degree_9():
     # an element first moving position 1 has a period of 8! = 40320 ranks,
-    # which holds two whole blocks of 20160: its head is the period alone,
-    # and each block gathers from the one period it lies in; references
-    # from whole rows
+    # which holds two whole blocks of 20160: its index is the K chunk ranks
+    # alone (56 chunks of 6! for (1 2), 8! chunks of one rank for (1 8)),
+    # and each block gathers its whole chunks from the one period it lies
+    # in; references from whole rows
     n = 9
     state = phased_uniform_state(n)
     assert 2 * feasible._block(factorial(n)) == factorial(8)
-    for h in (transposition(n, 1, 2), transposition(n, 1, 8)):
-        action = Action.of(n, right_action(h))
-        assert action.period == len(action.head) == factorial(8) and action.index is None
+    for h, chunk in ((transposition(n, 1, 2), factorial(6)), (transposition(n, 1, 8), 1)):
+        action = Action.of(n, *right_action(h))
+        assert (action.period, action.chunk) == (factorial(8), chunk)
+        assert len(action.index) == factorial(8) // chunk and action.index.flags.writeable
         assert bits(apply_involution_exp(state, action, 0.9)) == bits(
             reference_gate(state, reference_table(h), 0.9))
 
 
 def period_with_p(h):
     """The right-action period of h with its last entry set to P."""
-    period = right_action(h).copy()
-    period[-1] = len(period)
-    return period
+    bad = period(h)
+    bad[-1] = len(bad)
+    return bad
+
+
+def mid_with_k(h):
+    """The chunk ranks of h's right action, the last set to K, and the chunk."""
+    mid, chunk = right_action(h)
+    mid = mid.copy()
+    mid[-1] = len(mid)
+    return mid, chunk
 
 
 @pytest.mark.parametrize("block", [7, 16384])
@@ -546,15 +606,19 @@ def test_period_entry_equal_to_p_raises(monkeypatch, fresh_actions, block):
     for h in (transposition(5, 0, 1), transposition(5, 1, 2)):
         with pytest.raises(IndexError, match="outside 0.."):
             Action.of(5, period_with_p(h))
+        with pytest.raises(IndexError, match="outside 0.."):
+            Action.of(5, *mid_with_k(h))
     # blocks of 24 (GATE_BLOCK 100) inside periods of 120 at degree 6: the
-    # good head is the period alone, and its gate is the reference's bit
-    # for bit
+    # good index is the 20 chunk ranks alone, and its gate is the
+    # reference's bit for bit
     monkeypatch.setattr(feasible, "GATE_BLOCK", 100)
     h = transposition(6, 1, 2)
     with pytest.raises(IndexError, match="outside 0.."):
         Action.of(6, period_with_p(h))
-    good = Action.of(6, right_action(h))
-    assert good.period == len(good.head) == 120 and good.index is None
+    with pytest.raises(IndexError, match="outside 0.."):
+        Action.of(6, *mid_with_k(h))
+    good = Action.of(6, *right_action(h))
+    assert (good.period, good.chunk, len(good.index)) == (120, 6, 20)
     state = phased_uniform_state(6)
     assert bits(apply_involution_exp(state, good, 0.3)) == bits(
         reference_gate(state, reference_table(h), 0.3))
@@ -562,13 +626,16 @@ def test_period_entry_equal_to_p_raises(monkeypatch, fresh_actions, block):
 
 def test_sweep_undo_refuses_a_period_entry_equal_to_p(monkeypatch, fresh_actions):
     # a bad step for the sweep to undo cannot be built: its period of 24
-    # ranks is refused at blocks of 7, before any state is written
+    # ranks, or its 12 chunk ranks, are refused at blocks of 7, before any
+    # state is written
     monkeypatch.setattr(feasible, "GATE_BLOCK", 7)
     n = 5
     element = bubble_sequence(n).elements[1]
-    assert len(right_action(element)) == 24
+    assert len(period(element)) == 24
     with pytest.raises(IndexError, match="outside 0.."):
         Action.of(n, period_with_p(element))
+    with pytest.raises(IndexError, match="outside 0.."):
+        Action.of(n, *mid_with_k(element))
 
 
 def test_an_action_of_another_degree_is_refused():
@@ -649,25 +716,28 @@ def test_a_period_that_fits_no_block_is_refused(monkeypatch, fresh_actions):
     with pytest.raises(ValueError, match=message.format(128, 20160)):
         Action.of(9, np.arange(128))
     # a one-block state takes any period that divides it
-    assert Action.of(4, np.arange(4)).head.tolist() == list(range(24))
+    assert Action.of(4, np.arange(4)).index.tolist() == list(range(24))
     monkeypatch.setattr(feasible, "GATE_BLOCK", 7)
     with pytest.raises(ValueError, match=message.format(4, 6)):
         Action.of(5, np.arange(4))
+    # a period of 5! holds whole blocks of 6, and its chunks of 4 ranks
+    # fit no block
+    chunks = "^a chunk of 4 ranks neither divides a block of 6 ranks nor is a multiple of it$"
+    with pytest.raises(ValueError, match=chunks):
+        Action.of(5, np.arange(30), 4)
 
 
-def test_circuit_tables_hold_periods():
-    # at degree 8 a binary-insertion circuit's 17 actions hold 1.25 MB,
-    # against 5.5 MB for one flat 8-B table per element: each head is its
-    # period, read-only, and a period that divides the block (7! ranks or
-    # fewer) has one writeable copy of its own for `np.take`
+def test_circuit_tables_hold_chunk_ranks():
+    # at degree 8 a binary-insertion circuit's 17 actions hold 0.40 MB
+    # (1.25 MB as periods), against 5.5 MB for one flat 8-B table per
+    # element: each index is its
+    # K = P/B chunk ranks alone, writeable for `np.take`, and no action
+    # holds a period of P ranks unless its chunk is one rank
     steps = circuit_steps(binary_insertion_sequence(8))
     held = sum(a.nbytes for a, _ in steps)
-    assert held == sum(a.head.nbytes + (0 if a.index is None else a.index.nbytes) for a, _ in steps)
-    assert held < len(steps) * factorial(8) * 8
+    assert held == sum(a.index.nbytes for a, _ in steps)
+    assert held < 0.4e6 and held < len(steps) * factorial(8) * 8
     for a, _ in steps:
-        assert len(a.head) == a.period and not a.head.flags.writeable
-        if a.period < factorial(8):
-            assert np.array_equal(a.index, a.head) and a.index.flags.writeable
-            assert not np.shares_memory(a.index, a.head)
-        else:
-            assert a.index is None
+        assert a.index.dtype == np.int64 and a.index.flags.writeable
+        assert len(a.index) * a.chunk == a.period
+    assert {a.chunk for a, _ in steps} > {1}

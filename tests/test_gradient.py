@@ -165,15 +165,17 @@ def test_gradient_is_independent_of_the_block_size(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [7, 16384])
 def test_gradient_refuses_an_out_of_range_table(monkeypatch, fresh_actions, block):
-    # a period of 24 ranks, refused as the action is built, whether blocks
-    # of 6 lie inside it (GATE_BLOCK 7) or the state is one block
+    # the 12 chunk ranks of a period of 24 ranks, refused as the action is
+    # built, whether blocks of 6 lie inside the period (GATE_BLOCK 7) or
+    # the state is one block
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     steps = circuit_steps(bubble_sequence(5))
-    bad = right_action(bubble_sequence(5).elements[1]).copy()
+    mid, chunk = right_action(bubble_sequence(5).elements[1])
+    bad = mid.copy()
     bad[-1] = len(bad)
     vec = TourCost(random_instance(6, seed=1), reduced=True).vector()
     with pytest.raises(IndexError):
-        steps[1] = (Action.of(5, bad), steps[1][1])
+        steps[1] = (Action.of(5, bad, chunk), steps[1][1])
         expectation_gradient(uniform_feasible_state(5), steps, np.full(len(steps), 0.4), vec)
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from math import factorial
 from pathlib import Path
@@ -82,21 +83,23 @@ def test_degree_9_team_matches_one_worker(monkeypatch, team_blocks):
     assert team_blocks and set(team_blocks) == {18}
 
 
-def bad_copy(action, position, value):
-    """`action` with head[position] set to `value`, built directly so that
-    `Action.of` does not refuse it; a period that divides the block is also
-    the writeable copy that `np.take` gathers through."""
-    head = action.head.copy()
-    head[position] = value
-    return Action(action.n, action.period, head, None if action.index is None else head)
+def bad_copy(action, rank, value):
+    """`action` with the chunk rank that moves local rank `rank` of a
+    period set to `value`, built directly so that `Action.of` does not
+    refuse it."""
+    index = action.index.copy()
+    index[rank % action.period // action.chunk] = value
+    return Action(action.n, action.period, action.chunk, index)
 
 
 @pytest.mark.parametrize("position", [0, 300, 719])
 def test_a_bad_head_raises_from_the_team_and_the_team_stays_usable(
         monkeypatch, fresh_actions, team_blocks, position):
-    # degree 6 in 30 blocks of 24 (GATE_BLOCK 50): the bad entry of a
-    # period of the whole table fails one block; the bad entry of a local
-    # period fails every block of a run
+    # degree 6 in 30 blocks of 24 (GATE_BLOCK 50): the bad chunk rank of a
+    # gate on positions 0..1 (a period of the whole table in 30 chunks of
+    # 24 ranks, one a block) fails one block; the bad chunk rank of a local
+    # gate (a period of 24 ranks, one a block, in 12 chunks of 2) fails
+    # every block of a run
     monkeypatch.setattr(feasible, "GATE_BLOCK", 50)
     monkeypatch.setattr(workers, "WORKERS", 2)
     n = 6
@@ -104,16 +107,17 @@ def test_a_bad_head_raises_from_the_team_and_the_team_stays_usable(
     spare = FeasibleState(n, np.empty_like(state.amps))
     wide = involution_action(transposition(n, 0, 1))
     local = involution_action(transposition(n, 2, 3))
-    assert (wide.period, len(wide.head), local.period, len(local.index)) == (720, 720, 24, 24)
+    assert (wide.period, wide.chunk, len(wide.index)) == (720, 24, 30)
+    assert (local.period, local.chunk, len(local.index)) == (24, 2, 12)
     steps = [(local, 0), (wide, 1), (local, 0)]
     x = np.array([0.3, 1.1])
     monkeypatch.setattr(workers, "WORKERS", 1)
     want_gate = apply_involution_exp(state, wide, 0.7).amps.tobytes()
     want_run = run_steps(phased_uniform_state(n), steps, x).amps.tobytes()
     monkeypatch.setattr(workers, "WORKERS", 2)
-    for bad_steps in ([(bad_copy(wide, position, 720), 0)],
-                      [(bad_copy(local, position % 24, 10 ** 6), 0)],
-                      [(local, 0), (bad_copy(local, position % 24, -10 ** 6), 0)]):
+    for bad_steps in ([(bad_copy(wide, position, 30), 0)],
+                      [(bad_copy(local, position, 10 ** 6), 0)],
+                      [(local, 0), (bad_copy(local, position, -10 ** 6), 0)]):
         bad = bad_steps[-1][0]
         with pytest.raises(IndexError):
             if bad.period == 720:
@@ -149,6 +153,31 @@ def test_a_worker_exception_is_raised_in_the_caller():
     nested = []
     assert team.run(lambda t: nested.append(team.run(lambda u: None, 1)), 1)
     assert nested == [False]
+
+
+def test_an_interrupt_returns_once_the_team_is_done(monkeypatch):
+    # the caller's block raises KeyboardInterrupt while the worker is mid
+    # block: `run` re-raises only after that block has finished and the
+    # worker has exited, and no thread dies of an uncaught exception
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    team = workers._Team(2)
+    started = threading.Event()
+    finished = []
+
+    def task(t):
+        if threading.current_thread() is threading.main_thread():
+            assert started.wait(timeout=30)
+            raise KeyboardInterrupt
+        started.set()
+        time.sleep(0.2)
+        finished.append(t)
+
+    with pytest.raises(KeyboardInterrupt):
+        team.run(task, 2)
+    assert len(finished) == 1 and team._job is None
+    assert not any(thread.is_alive() for thread in team._threads) and team.broken
+    assert hooked == []
 
 
 def test_the_team_hands_out_every_block_once():

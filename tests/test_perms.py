@@ -146,3 +146,19 @@ def test_rank_rows_matches_scalar_rank(p, q):
     p, q = tuple(p), tuple(q)
     rows = np.array([p, q], dtype=np.int8)
     assert list(rank_rows(rows)) == [rank(p), rank(q)]
+
+
+def test_rank_rows_matches_rank_at_degree_11():
+    # the largest degree the "permutations" cap allows: the ranks reach
+    # 11! - 1 and are summed in int32, then returned as int64; the rank of
+    # an m-entry prefix is the whole rank's first m digits
+    rng = np.random.default_rng(11)
+    tours = [tuple(rng.permutation(11).tolist()) for _ in range(200)]
+    tours += [identity(11), tuple(range(10, -1, -1))]
+    rows = np.array(tours, dtype=np.int8)
+    want = np.array([rank(p) for p in tours])
+    got = rank_rows(rows)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert got[-1] == factorial(11) - 1
+    for m in (1, 5, 10):
+        assert np.array_equal(rank_rows(rows[:, :m], 11), want // factorial(11 - m))

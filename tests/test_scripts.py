@@ -1,9 +1,14 @@
-"""The benchmark script runs end to end at a toy size."""
+"""The benchmark script runs end to end at a toy size, and the A/B pair
+script summarises canned results."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,3 +26,43 @@ def test_run_benchmark_writes_one_trace_per_variant(tmp_path):
         rows = (tmp_path / name).read_text().splitlines()
         assert rows[0].startswith("iteration,objective,ratio,theta_1")
         assert len(rows) == 4  # header, the start and two iterations
+
+
+def load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(wall, ratio, correct=True):
+    """The last line `perfbench/run.py` prints, with two metrics."""
+    return json.dumps({"correct": correct, "attempted": 3, "failed": 0 if correct else 1,
+                       "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                                   "final_ratio_mean": {"value": ratio, "unit": "ratio"}}})
+
+
+def test_ab_pairs_summary_of_canned_runs():
+    ab = load_ab_pairs()
+    head = "# workload circuit10 seed 0 trace 0 passes=3\nwall_s  2.0 s\n"
+    base = [ab.parse(head + result_line(w, 0.5)) for w in (2.0, 2.2, 2.4, 2.6)]
+    change = [ab.parse(head + result_line(w, r, correct=(i != 2)))
+              for i, (w, r) in enumerate(((1.9, 0.6), (2.3, 0.5), (2.0, 0.4), (2.6, 0.5)))]
+    pairs = list(zip(base, change))
+    rows = {r["metric"]: r for r in ab.summarize(pairs, {"wall_s": "lower", "peak_rss_mb": "lower",
+                                                         "final_ratio_mean": "higher"})}
+    # no run reports peak_rss_mb, so it has no row
+    assert set(rows) == {"wall_s", "final_ratio_mean"}
+    wall = rows["wall_s"]
+    assert (wall["won"], wall["tied"], wall["lost"], wall["pairs"]) == (2, 1, 1, 4)
+    assert wall["base"] == pytest.approx(2.3) and wall["change"] == pytest.approx(2.15)
+    assert wall["base_iqr"] == pytest.approx(0.3)  # quartiles 2.15 and 2.45
+    assert wall["ratio"] == pytest.approx(2.15 / 2.3)
+    ratio = rows["final_ratio_mean"]  # higher is better
+    assert (ratio["won"], ratio["tied"], ratio["lost"]) == (1, 2, 1)
+    assert ratio["base_iqr"] == 0
+    assert ab.failures(pairs) == ["change pair 2"]
+    table = ab.render(ab.summarize(pairs, {"wall_s": "lower"}), ab.failures(pairs))
+    assert "2/1/1 of 4" in table and table.endswith("failed runs: change pair 2")
+    with pytest.raises(ValueError):
+        ab.parse("")
