@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600  # a run still going after this long is killed and counts as failed
 
 
 def parse(stdout: str) -> dict:
@@ -87,16 +88,15 @@ def render(rows, bad) -> str:
     return "\n".join(lines)
 
 
-def run_once(tree: Path, workload: str, seconds: float, timeout: float) -> dict:
+def run_once(tree: Path, workload: str) -> dict:
     """One untraced run of `workload` from the root of `tree`, as `parse`
     returns it, or a failed result when the run is killed or prints none."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"]
     try:
-        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S)
         return parse(proc.stdout)
     except subprocess.TimeoutExpired:
-        return {"correct": False, "failed": 1, "error": f"killed after {timeout:g} s"}
+        return {"correct": False, "failed": 1, "error": f"killed after {TIMEOUT_S} s"}
     except ValueError as e:
         return {"correct": False, "failed": 1, "error": f"{e}: {proc.stderr[-500:]}"}
 
@@ -107,8 +107,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, default=ROOT, help="root of the changed tree")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0, help="each run's --seconds")
-    ap.add_argument("--timeout", type=float, default=600.0, help="seconds before a run is killed")
     ap.add_argument("--log", type=Path, help="append every run's result here, one JSON a line")
     args = ap.parse_args(argv)
     better = {m["name"]: m["better"]
@@ -119,7 +117,7 @@ def main(argv=None) -> int:
         result = {}
         for side in order:
             tree = args.base if side == "base" else args.change
-            result[side] = run_once(tree.resolve(), args.workload, args.seconds, args.timeout)
+            result[side] = run_once(tree.resolve(), args.workload)
             if args.log:
                 with args.log.open("a") as log:
                     log.write(json.dumps({"pair": i, "side": side, "workload": args.workload,

@@ -303,10 +303,11 @@ def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[b
     element of both constructions on both sides and every QAOA slot's
     `mixer_slot_action`.  The left action of h is J[R_h[J]], for R_h the
     right one and J = `inverse_ranks`.  For every right action that moves
-    chunks of more than one rank, the blocked gather through its chunk
-    ranks (`feasible._gathered`) lists the same ranks on blocks of every
-    k! >= 2 amplitudes: parts of one chunk, whole chunks of one period and
-    whole periods."""
+    chunks of B = b! > 1 ranks in periods of P = p! ranks, the blocked
+    gather through its chunk ranks (`feasible._gathered`) lists the same
+    ranks on blocks of B/2 (halves of one chunk), of (p-1)! (whole chunks
+    of one period, or one chunk when p = b + 1) and of (p+1)! (whole
+    periods; one period when p = n)."""
     checked = gathered = 0
     for n in sorted(set(every) | set(constructions)):
         tours = perm_table(n)
@@ -329,8 +330,8 @@ def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[b
             if side == "right" and action.chunk > 1:
                 if len(action.index) == len(ranks):  # built for one block: the whole table
                     action = fs.Action(n, action.period, action.chunk, right_action(h)[0])
-                for k in range(2, n + 1):
-                    block = factorial(k)
+                p = next(m for m in range(n + 1) if factorial(m) == action.period)
+                for block in (action.chunk // 2, factorial(p - 1), factorial(min(p + 1, n))):
                     got = [fs._gathered(ranks, action, i, i + block) for i in range(0, len(ranks), block)]
                     if not np.array_equal(np.concatenate(got), want):
                         return False, (f"the chunk gather of {h} (period {action.period}, chunk "
@@ -339,7 +340,7 @@ def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[b
         checked += len(cases)
     return True, (f"{checked} actions: every involution on both sides for {_degrees(every)}, "
                   f"construction elements and QAOA slots for {_degrees(constructions)}; "
-                  f"{gathered} chunk gathers on blocks of every k!")
+                  f"{gathered} chunk gathers on blocks inside a chunk, of chunks and of periods")
 
 
 def check_norm_preservation(seed: int = 3, gates: int = 1000) -> tuple[bool, str]:

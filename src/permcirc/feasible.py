@@ -406,11 +406,10 @@ def _gathered(amps: np.ndarray, action: Action, i: int, j: int | None) -> np.nda
     for the whole state when j is None (in one gather when the index is
     the whole table).  Through the K chunk ranks of a period of P = K*B
     ranks, a block of whole periods is taken along the middle axis of its
-    (periods, K, B) view (of its (periods, K) view for B = 1); a block
-    inside one chunk (B >= the block) copies part of one row of the
-    period's (K, B) view; and a block of whole chunks of one period takes
-    its chunks' rows of that view.  numpy checks every chunk rank against
-    K."""
+    (periods, K, B) view; a block inside one chunk (B >= the block)
+    copies part of one row of the period's (K, B) view; and a block of
+    whole chunks of one period takes its chunks' rows of that view.  numpy
+    checks every chunk rank against K."""
     index, chunk = action.index, action.chunk
     if len(index) == len(amps):  # the whole table, or chunk ranks of n! ranks
         return amps[index] if j is None else amps[index[i:j]]
@@ -418,8 +417,7 @@ def _gathered(amps: np.ndarray, action: Action, i: int, j: int | None) -> np.nda
         i, j = 0, len(amps)
     k, p = len(index), action.period
     if (j - i) % p == 0:
-        runs = amps[i:j].reshape(-1, k) if chunk == 1 else amps[i:j].reshape(-1, k, chunk)
-        return np.take(runs, index, axis=1).reshape(-1)
+        return np.take(amps[i:j].reshape(-1, k, chunk), index, axis=1).reshape(-1)
     base = i - i % p
     rows = amps[base:base + p].reshape(k, chunk)
     first, offset = divmod(i - base, chunk)
