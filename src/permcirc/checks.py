@@ -539,13 +539,71 @@ def check_gradient(tol: float = 1e-7) -> tuple[bool, str]:
                   "(sequences both sides, QAOA both starts and slot sets, n = 4..6)")
 
 
+def _bounded_gradient(circuit: fs.Circuit, x, stop_above) -> tuple[np.ndarray, int]:
+    """circuit.gradient(x, stop_above) and the number of steps its sweep
+    undid."""
+    before = circuit.sweep_steps
+    grad = circuit.gradient(x, stop_above=stop_above)
+    return grad, circuit.sweep_steps - before
+
+
+def _cut(full: np.ndarray, circuit: fs.Circuit, ran: int) -> np.ndarray:
+    """`full` with 0 for every angle whose first step lies before the
+    last `ran` steps of `circuit`, as a sweep cut after `ran` steps
+    returns it."""
+    return np.where(circuit._first >= len(circuit.steps) - ran, full, 0.0)
+
+
+def check_bounded_gradient(degrees=range(4, 7), seed: int = 43) -> tuple[bool, str]:
+    """`Circuit.gradient` with a bound, for every circuit kind at each of
+    `degrees` and bounds at 0.5, 1, 1 + 1e-12 and 2 times the full
+    gradient's norm and at 1e-300: its norm is below the bound exactly
+    when the full gradient's is, its finished components (each angle's
+    first step undone) are `expectation_gradient`'s bit for bit and the
+    rest 0, and without a bound it is `expectation_gradient` bit for
+    bit.  A bubble circuit whose steps take two angles in turn has
+    unfinished components with terms in them when its sweep stops."""
+    rng = np.random.default_rng(seed)
+    sweeps = cut = 0
+    for n in degrees:
+        cost = TourCost(random_instance(n + 1, seed=seed + n), reduced=True)
+        start = tuple(rng.permutation(n).tolist())
+        cases = [case[:5] for case in gradient_cases(cost, start)]
+        alternate = [(generator, k % 2) for generator, k in fs.circuit_steps(bubble_sequence(n))]
+        cases.append(("bubble on two alternate angles", 2, lambda: fs.basis_state(start),
+                      alternate, cost.vector()))
+        for name, d, initial, steps, vec in cases:
+            x = rng.uniform(0, np.pi, d)
+            full = fs.expectation_gradient(initial(), steps, x, vec)
+            norm = float(np.linalg.norm(full))
+            circuit = fs.Circuit(initial(), steps, vec)
+            if circuit.gradient(x).tobytes() != full.tobytes():
+                return False, f"{name} n={n}: gradient without a bound differs from expectation_gradient"
+            for stop_above in (0.5 * norm, norm, norm * (1 + 1e-12), 2 * norm, 1e-300):
+                got, ran = _bounded_gradient(circuit, x, stop_above)
+                where = f"{name} n={n} stop_above={stop_above!r}"
+                if (np.linalg.norm(got) < stop_above) != (norm < stop_above):
+                    return False, f"{where}: norm {np.linalg.norm(got)!r} decides otherwise than {norm!r}"
+                if got.tobytes() != _cut(full, circuit, ran).tobytes():
+                    return False, f"{where}: differs from expectation_gradient cut after {ran} steps"
+                sweeps += 1
+                cut += ran < len(steps)
+    if not cut:
+        return False, "no bounded sweep stopped early"
+    return True, (f"bounded gradients decide the stop rule as the full one does, finished components "
+                  f"bit-identical, over every circuit kind at {_degrees(degrees)}; "
+                  f"{cut} of {sweeps} sweeps stopped early")
+
+
 def check_circuit_reuse(n: int = 5, seed: int = 31) -> tuple[bool, str]:
     """A `Circuit` of every circuit kind, walked through a repeated point,
     a middle angle flipped from 0.0 to -0.0 and back, one-angle changes at
     its first, middle and last angle, a gradient right after a value at
     the same point, a state after a gradient and a value after a state,
     gives each value, gradient and state bit for bit as `run_steps` and
-    `expectation_gradient` do from the initial state."""
+    `expectation_gradient` do from the initial state.  The walk also
+    takes a gradient bounded at 1e-300, whose sweep stops early and
+    leaves the checkpoints for the value and the state after it."""
     rng = np.random.default_rng(seed)
     cost = TourCost(random_instance(n + 1, seed=seed), reduced=True)
     start = tuple(rng.permutation(n).tolist())
@@ -562,16 +620,23 @@ def check_circuit_reuse(n: int = 5, seed: int = 31) -> tuple[bool, str]:
             x = x.copy()
             x[i] = rng.uniform(0, np.pi)
             walk.append(("value", x))
-        walk += [("gradient", x), ("state", x), ("value", x)]
+        walk += [("bounded", x), ("value", x), ("state", x),
+                 ("gradient", x), ("state", x), ("value", x)]
         circuit = fs.Circuit(initial(), steps, vec)
         for step, (call, x) in enumerate(walk):
-            got = getattr(circuit, call)(x)
-            if call == "value":
+            if call == "bounded":
+                got, ran = _bounded_gradient(circuit, x, 1e-300)
+                full = fs.expectation_gradient(initial(), steps, x, vec)
+                same = ran < len(steps) and got.tobytes() == _cut(full, circuit, ran).tobytes()
+            elif call == "value":
+                got = circuit.value(x)
                 want = fs.expectation(fs.run_steps(initial(), steps, x), vec)
                 same = got == want
             elif call == "gradient":
+                got = circuit.gradient(x)
                 same = got.tobytes() == fs.expectation_gradient(initial(), steps, x, vec).tobytes()
             else:
+                got = circuit.state(x)
                 same = got.amps.tobytes() == fs.run_steps(initial(), steps, x).amps.tobytes()
             if not same:
                 return False, f"{name}: {call} at walk step {step} differs from a fresh pass"
@@ -689,6 +754,7 @@ QUICK_CHECKS = [
     ("norm-preservation", check_norm_preservation),
     ("optimizer", check_optimizer),
     ("gradient", check_gradient),
+    ("bounded-gradient", check_bounded_gradient),
     ("circuit-reuse", check_circuit_reuse),
 ]
 

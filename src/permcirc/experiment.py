@@ -8,7 +8,8 @@ uses the sequential swap mixer with 2p angles.  Sequence angles and
 mixer angles live on [0, pi) tori and are reduced periodically before
 evaluation; phase-separator angles are unconstrained.  The optimiser's
 stop rule reads the exact gradient of the expectation from one reverse
-sweep over the same circuit.  One `feasible.Circuit` serves the
+sweep over the same circuit, cut short once its norm is known to be past
+the stop rule's threshold.  One `feasible.Circuit` serves the
 objective, the gradient and the final state: it keeps the final state
 and a few prefix checkpoints of its last forward pass, so a repeated
 point runs no step and a point that changes only later angles resumes
@@ -118,7 +119,9 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
     """Optimise the configured preparation; returns the trace and a
     summary with the quantities the CLI prints.  The objective, the
     stop-rule gradient and the final state are one `Circuit`'s, which
-    resumes each forward pass from what the last one kept."""
+    resumes each forward pass from what the last one kept; the gradient's
+    sweep stops once its norm is past `grad_threshold`.  `sweep_steps`
+    counts the steps the sweeps undid, out of `full_sweep_steps`."""
     cost = TourCost(spec.instance, spec.reduced)
     vec = cost.vector()
     opt_perm, opt_cost = optimum(spec.instance, spec.reduced)
@@ -132,9 +135,12 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
         rng = np.random.default_rng(spec.random_init_seed)
         x0 = rng.uniform(0, np.pi, num_params)
 
+    def gradient(x):
+        return circuit.gradient(x, stop_above=spec.opt.grad_threshold)
+
     began = time.perf_counter()
     trace = minimize(circuit.value, x0, spec.opt, periods=periods,
-                     ratio_fn=_ratio_fn(spec, cost, opt_cost), gradient=circuit.gradient)
+                     ratio_fn=_ratio_fn(spec, cost, opt_cost), gradient=gradient)
     elapsed = time.perf_counter() - began
 
     final_state = circuit.state(trace.best_params)
@@ -150,6 +156,8 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
         "forward_reuses": circuit.forward_reuses,
         "steps_skipped": circuit.steps_skipped,
         "forward_steps": circuit.forward_steps,
+        "sweep_steps": circuit.sweep_steps,
+        "full_sweep_steps": trace.gradients * len(circuit.steps),
         "status": trace.status,
         "initial_objective": trace.points[0].value,
         "initial_ratio": trace.points[0].ratio,

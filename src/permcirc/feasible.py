@@ -488,22 +488,33 @@ def expectation_gradient(state: FeasibleState, steps, thetas, cost: np.ndarray) 
     thetas = _angles(steps, thetas)
     _fits_all(state, steps)
     psi, spare = _run(state, (state, _target(state, cost)), steps, thetas)
-    return _sweep(psi, spare, _target(psi, cost), _target(psi, cost), steps, thetas, cost)
+    return _sweep(psi, spare, _target(psi, cost), _target(psi, cost), steps, thetas, cost)[0]
 
 
 def _sweep(psi: FeasibleState, psi_spare: FeasibleState, lam: FeasibleState,
-           lam_spare: FeasibleState, steps, thetas: np.ndarray, cost: np.ndarray) -> np.ndarray:
+           lam_spare: FeasibleState, steps, thetas: np.ndarray, cost: np.ndarray,
+           first=None, stop_above=None) -> tuple:
     """The reverse sweep of `expectation_gradient` from psi = psi_final,
-    the state `steps` prepared at `thetas`.  It walks psi back through
-    `psi` and `psi_spare` and the costate through `lam` and `lam_spare`,
-    overwriting all four.  A gate undoes psi and lam in one `_blocked`
-    call at the negated angles, and a phase step with one exp(+i theta C),
-    computed in `lam_spare`."""
+    the state `steps` prepared at `thetas`, and the number of steps it
+    undid.  It walks psi back through `psi` and `psi_spare` and the
+    costate through `lam` and `lam_spare`, overwriting all four.  A gate
+    undoes psi and lam in one `_blocked` call at the negated angles, and
+    a phase step with one exp(+i theta C), computed in `lam_spare`.
+
+    Angle k's component is final, bit for bit, once the walk has undone
+    step first[k], the first step of angle k.  With `stop_above`, the
+    sweep adds up the squares of the finished components and returns as
+    soon as they pass stop_above^2 * (1 + 1e-9), with every unfinished
+    component 0: the norm of that vector and the full gradient's are then
+    both past `stop_above`, and the margin is far wider than the rounding
+    of any order of summing the squares."""
     _target(psi, cost, lam)  # a cost of the wrong length would broadcast
     np.multiply(cost, psi.amps, out=lam.amps)
     grad = np.zeros(thetas.shape)
     back = -thetas
-    for step in reversed(steps):
+    done, bound = 0.0, None if stop_above is None else stop_above ** 2 * (1 + 1e-9)
+    for i in reversed(range(len(steps))):
+        step = steps[i]
         generator, k = step
         if isinstance(generator, Action):
             overlap = _blocked([psi.amps, psi_spare.amps], [step], back, (lam.amps, lam_spare.amps))
@@ -516,7 +527,12 @@ def _sweep(psi: FeasibleState, psi_spare: FeasibleState, lam: FeasibleState,
         grad[k] += 2 * overlap.imag
         psi, psi_spare = psi_spare, psi
         lam, lam_spare = lam_spare, lam
-    return grad
+        if bound is not None and first[k] == i:
+            done += grad[k] ** 2
+            if done > bound:
+                grad[first < i] = 0
+                return grad, len(steps) - i
+    return grad, len(steps)
 
 
 class Circuit:
@@ -537,9 +553,10 @@ class Circuit:
     value or a gradient; `initial` becomes its own and is never written.
     A step or a cost that does not fit `initial` is refused here.
 
-    `forward_reuses` counts the passes that reused psi_final and
+    `forward_reuses` counts the passes that reused psi_final,
     `steps_skipped` the steps passes did not run, out of
-    `forward_steps`, the steps of a pass from `initial` each time.
+    `forward_steps`, the steps of a pass from `initial` each time, and
+    `sweep_steps` the steps that gradients' reverse sweeps undid.
     """
 
     def __init__(self, initial: FeasibleState, steps, cost: np.ndarray):
@@ -559,7 +576,7 @@ class Circuit:
         self._costate = (self._blank(), self._blank())
         self._x = None  # the angles the checkpoints hold, None when none hold
         self._final = None  # psi_final at _x, None once a sweep used it
-        self.forward_reuses = self.steps_skipped = self.forward_steps = 0
+        self.forward_reuses = self.steps_skipped = self.forward_steps = self.sweep_steps = 0
 
     @property
     def periods(self) -> list:
@@ -599,12 +616,20 @@ class Circuit:
         psi = self._forward(x)
         return expectation(psi, self.cost, out=self._spare(psi))
 
-    def gradient(self, x) -> np.ndarray:
+    def gradient(self, x, stop_above=None) -> np.ndarray:
         """expectation_gradient(initial, steps, x, cost); its sweep starts
-        from the kept psi_final and uses it up."""
+        from the kept psi_final and uses it up.  With `stop_above`, the
+        sweep stops once the components it has finished (each final at
+        the first step of its angle) have a norm past stop_above, with a
+        margin of 1e-9 in the sum of their squares, and returns them with
+        0 for the rest; so the norm of what it returns is below
+        stop_above exactly when the full gradient's is."""
         psi = self._forward(x)
         self._final = None
-        return _sweep(psi, self._spare(psi), *self._costate, self.steps, self._x, self.cost)
+        grad, ran = _sweep(psi, self._spare(psi), *self._costate, self.steps, self._x,
+                           self.cost, self._first, stop_above)
+        self.sweep_steps += ran
+        return grad
 
     def state(self, x) -> FeasibleState:
         """run_steps(initial, steps, x), handed over: the circuit forgets

@@ -7,7 +7,9 @@ trust radius; the radius halves after repeated non-improvement.  The
 steps use objective values only.  The stop rule reads the caller's
 gradient at the incumbent after every iteration (re-read only when the
 incumbent moved), and the run stops once its norm stays below a
-threshold for a window of consecutive iterations.  Everything is
+threshold for a window of consecutive iterations.  The rule reads only
+that norm, so the gradient may be a partial vector, provided its norm is
+below the threshold exactly when the full gradient's is.  Everything is
 deterministic: the same configuration always produces the same trace.
 """
 
@@ -94,12 +96,14 @@ def minimize(objective, x0, cfg: OptConfig, periods=None, ratio_fn=None, *,
     """Minimise a deterministic objective over R^d.
 
     `gradient` maps a point to the objective's gradient there; only the
-    stop rule reads it.  `periods` optionally declares a period per
-    coordinate (None entries are unconstrained); every evaluation of the
-    objective and its gradient happens at the periodically reduced point,
-    so neither sees values outside its declared range.  `ratio_fn` maps
-    an objective value to the reported approximation ratio (NaN when
-    absent).
+    stop rule reads it, and only its norm against `cfg.grad_threshold`,
+    so it may return a partial vector whose norm is below the threshold
+    exactly when the full gradient's is.  `periods` optionally declares
+    a period per coordinate (None entries are unconstrained); every
+    evaluation of the objective and its gradient happens at the
+    periodically reduced point, so neither sees values outside its
+    declared range.  `ratio_fn` maps an objective value to the reported
+    approximation ratio (NaN when absent).
     """
     x0 = np.asarray(x0, dtype=float)
     d = x0.size

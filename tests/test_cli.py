@@ -9,17 +9,20 @@ import pytest
 from permcirc.cli import main
 from permcirc.experiment import (
     RunSpec,
+    _circuit,
+    _ratio_fn,
     build_sequence,
     reach_report,
     run_experiment,
     top_k_rows,
+    trace_csv,
     write_trace_csv,
 )
 from permcirc.feasible import basis_state, expectation, run_exhaustive_circuit
 from permcirc.limits import TooLarge
-from permcirc.optimize import OptConfig, approximation_ratio
+from permcirc.optimize import OptConfig, approximation_ratio, minimize
 from permcirc.perms import identity
-from permcirc.qaoa import QaoaConfig, run_qaoa
+from permcirc.qaoa import QaoaConfig, default_layers, run_qaoa
 from permcirc.tsp import TourCost, load_instance, optimum, random_instance
 
 FAST = OptConfig(max_iters=10, grad_window=3)
@@ -218,10 +221,12 @@ def test_run_parameter_counts(tmp_path, capsys):
         lines = stdout.splitlines()
         at = next(i for i, ln in enumerate(lines) if ln.startswith("gradients"))
         assert 1 <= int(lines[at].split()[1]) <= 2
-        reuses, skipped = lines[at + 1].split(), lines[at + 2].split()
+        reuses, skipped, swept = (lines[at + i].split() for i in (1, 2, 3))
         assert reuses[0] == "forward_reuses" and int(reuses[1]) >= 0
         assert skipped[0] == "steps_skipped" and skipped[2] == "of"
         assert 0 <= int(skipped[1]) <= int(skipped[3])
+        assert swept[0] == "sweep_steps" and swept[2] == "of"
+        assert 1 <= int(swept[1]) <= int(swept[3])
 
 
 def test_run_traces_are_byte_identical(tmp_path):
@@ -379,6 +384,33 @@ def test_run_experiment_summary_consistency():
     assert summary["forward_steps"] == passes * summary["parameters"]
     assert (summary["forward_reuses"] * summary["parameters"]
             <= summary["steps_skipped"] < summary["forward_steps"])
+    assert summary["full_sweep_steps"] == summary["gradients"] * summary["parameters"]
+    assert summary["gradients"] <= summary["sweep_steps"] <= summary["full_sweep_steps"]
+
+
+@pytest.mark.parametrize("method, initial, status", [
+    ("bubble", None, "max-iters"),
+    ("binary-insertion", None, "gradient-window"),
+    ("qaoa", "basis", "max-iters"),
+    ("qaoa", "uniform", "max-iters"),
+])
+def test_bounded_sweeps_leave_the_run_unchanged(method, initial, status):
+    # run_experiment's stop rule cuts its sweeps short; minimize with the
+    # full gradient must write the same trace
+    inst = random_instance(7, seed=1)
+    cfg = None if initial is None else QaoaConfig(default_layers(6), initial=initial)
+    spec = RunSpec(inst, method=method, qaoa=cfg)
+    trace, summary = run_experiment(spec)
+    cost = TourCost(inst, reduced=True)
+    circuit = _circuit(spec, cost.vector())
+    full = minimize(circuit.value, np.zeros(len(circuit.periods)), spec.opt,
+                    periods=circuit.periods, ratio_fn=_ratio_fn(spec, cost, optimum(inst, True)[1]),
+                    gradient=circuit.gradient)
+    assert trace_csv(trace, dump_params=True) == trace_csv(full, dump_params=True)
+    assert trace.status == full.status == status
+    assert (trace.evaluations, trace.gradients) == (full.evaluations, full.gradients)
+    assert circuit.sweep_steps == summary["full_sweep_steps"]
+    assert summary["sweep_steps"] < summary["full_sweep_steps"]
 
 
 @pytest.mark.parametrize("method, initial", [
@@ -441,8 +473,9 @@ def test_verify_quick_passes(capsys):
     assert run_cli("verify", "--level", "quick") == 0
     assert time.perf_counter() - began < 10.0
     out = capsys.readouterr().out
-    assert out.endswith("16/16 checks passed (quick)\n")
+    assert out.endswith("17/17 checks passed (quick)\n")
     assert "PASS action-tables " in out
+    assert "PASS bounded-gradient " in out
     assert "PASS blocked-runs " in out
     assert "PASS parallel-steps " in out
 
@@ -450,7 +483,7 @@ def test_verify_quick_passes(capsys):
 def test_verify_full_passes(capsys):
     assert run_cli("verify", "--level", "full") == 0
     out = capsys.readouterr().out
-    assert out.endswith("21/21 checks passed (full)\n")
+    assert out.endswith("22/22 checks passed (full)\n")
     assert "PASS action-tables " in out
     assert "PASS generating-property-n10 " in out
     assert "PASS circuit-reuse " in out
@@ -482,7 +515,7 @@ assert "permcirc.checks" in sys.modules
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("16/16 checks passed (quick)\n")
+    assert proc.stdout.endswith("17/17 checks passed (quick)\n")
 
 
 def test_top_k_rows_order():

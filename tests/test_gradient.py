@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import permcirc.feasible as feasible
-from permcirc.checks import check_circuit_reuse, check_gradient, gradient_cases
+from permcirc.checks import (
+    check_bounded_gradient,
+    check_circuit_reuse,
+    check_gradient,
+    gradient_cases,
+)
 from permcirc.feasible import (
     Action,
     Circuit,
@@ -29,6 +34,11 @@ def forward_difference(f, x, step=1e-6):
 
 def test_gradient_check():
     ok, detail = check_gradient()
+    assert ok, detail
+
+
+def test_bounded_gradient_check():
+    ok, detail = check_bounded_gradient()
     assert ok, detail
 
 
