@@ -11,7 +11,8 @@ line of output is kept in --log, one JSON object a line, when given.  The
 summary lists, for every end-to-end metric of `BENCHMARK.json`, the
 base's median and interquartile range, the change's median, their ratio,
 and the pairs in which the change was better, equal and worse, by the
-metric's direction; and the runs that failed an operation.
+metric's direction; and the runs that failed an operation or exited
+non-zero.
 """
 
 import argparse
@@ -67,8 +68,8 @@ def summarize(pairs, better: dict) -> list[dict]:
 
 
 def failures(pairs) -> list[str]:
-    """The runs that failed an operation, each as "base pair i" or
-    "change pair i"."""
+    """The runs that failed an operation or exited non-zero (`run_once`
+    marks them not correct), each as "base pair i" or "change pair i"."""
     bad = []
     for i, pair in enumerate(pairs):
         for side, result in zip(("base", "change"), pair):
@@ -90,11 +91,15 @@ def render(rows, bad) -> str:
 
 def run_once(tree: Path, workload: str) -> dict:
     """One untraced run of `workload` from the root of `tree`, as `parse`
-    returns it, or a failed result when the run is killed or prints none."""
+    returns it, or a failed result when the run is killed, prints none or
+    exits non-zero (even after printing its result line)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"]
     try:
         proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S)
-        return parse(proc.stdout)
+        result = parse(proc.stdout)
+        if proc.returncode:
+            result.update(correct=False, error=f"exit status {proc.returncode}: {proc.stderr[-500:]}")
+        return result
     except subprocess.TimeoutExpired:
         return {"correct": False, "failed": 1, "error": f"killed after {TIMEOUT_S} s"}
     except ValueError as e:

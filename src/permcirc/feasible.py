@@ -13,8 +13,8 @@ B = (n-e-1)! consecutive ranks, so `perms.right_action` builds only the
 K = P/B chunk ranks of one run.  A left action is a right action between
 two relabellings by J, the rank table of p -> p^-1.  A circuit
 is a list of steps, each a generator (an `Action` or a diagonal cost
-vector) tied to an angle; `run_steps` alternates its steps between two
-states through the `out` argument of the gate and phase functions.
+vector) tied to an angle; `run_steps` alternates its steps between the
+state and one spare state, in runs of the block loop below.
 
 Every step goes through one block loop, `_blocked`, on one grid: a state
 of at most `GATE_BLOCK` amplitudes is one block, and a longer one is cut
@@ -41,11 +41,12 @@ states start none.  The amplitudes, and the gradient's terms summed in
 block order, are those of one thread bit for bit.
 
 `expectation_gradient` differentiates a circuit's expected cost over all
-its angles by one reverse sweep, which undoes each gate on the state and
-the costate in one call of the same block loop.  A `Circuit` keeps its
-last forward pass: the final state and a few prefix checkpoints, from
-which its value, its gradient's sweep and its final state at a nearby
-point resume, with the same amplitudes bit for bit.
+its angles by one reverse sweep, which undoes each step, gate or phase,
+on the state and the costate in one call of the same block loop, summing
+the step's overlap block by block.  A `Circuit` keeps its last forward
+pass: the final state and a few prefix checkpoints, from which its value,
+its gradient's sweep and its final state at a nearby point resume, with
+the same amplitudes bit for bit.
 """
 
 from bisect import bisect_right
@@ -349,12 +350,13 @@ def _blocked(arrays, steps, thetas, costate=None) -> complex:
     arrays[t+1], one block (`_block`) at a time, every step on a block
     before the worker takes another (`_share`), so every step but the
     first must be local (`_local`).  With a costate (lam, lam_out), the
-    run is one gate G, which is also applied to lam, written to lam_out,
-    and the call returns <lam|G psi> for psi = arrays[0], summed in block
-    order (0 without a costate).  Each amplitude goes through the same
-    operations whatever the block, bit for bit, because a phase is split
-    only on this grid of even-length blocks.  The callers check once that
-    the steps fit the arrays (`_fits_all`, `_target`)."""
+    run is one step exp(-i theta G), G a gate or a phase's cost vector,
+    which is also applied to lam, written to lam_out, and the call
+    returns <lam|G psi> for psi = arrays[0], summed in block order (0
+    without a costate).  Each amplitude goes through the same operations
+    whatever the block, bit for bit, because a phase is split only on
+    this grid of even-length blocks.  The callers check once that the
+    steps fit the arrays (`_fits_all`, `_target`)."""
     factors = [(np.cos(thetas[k]), 1j * np.sin(thetas[k])) if isinstance(generator, Action)
                else thetas[k] for generator, k in steps]
     size = len(arrays[0])
@@ -374,12 +376,14 @@ def _blocked(arrays, steps, thetas, costate=None) -> complex:
 def _kernel(arrays, steps, factors, costate, i: int = 0, j: int | None = None) -> complex:
     """Apply the steps of `_blocked` to ranks i..j-1, or to whole arrays
     when j is None: a gate as `_mix` of its gather with factors[t] =
-    (cos, i sin) of its angle, a phase as `_phase_factors` of factors[t],
-    its angle, and a multiply; a gate gathers its input through
-    `_gathered`.  Returns the costate's overlap on the block, 0 without a
-    costate.  It runs once a block, holding the interpreter
-    lock between numpy calls, so it slices each array once and keeps its
-    work per step small."""
+    (cos, i sin) of its angle, a phase C as exp(-i factors[t] C), for
+    factors[t] its angle, times its input; a gate gathers its input
+    through `_gathered`.  With a costate, the one step, gate or phase, is
+    also applied to lam, and its G psi (a gate's gather, or C psi written
+    to `dest` first) gives the block's overlap <lam|G psi>, which it
+    returns (0 without a costate).  It runs once a block, holding the
+    interpreter lock between numpy calls, so it slices each array once
+    and keeps its work per step small."""
     src = arrays[0] if j is None else arrays[0][i:j]
     lam = lam_out = None
     if costate is not None:
@@ -395,7 +399,14 @@ def _kernel(arrays, steps, factors, costate, i: int = 0, j: int | None = None) -
             if lam is not None:
                 _mix(c, lam, s, _gathered(costate[0], generator, i, j), lam_out)
         else:
-            _phase_factors(factors[t], generator if j is None else generator[i:j], dest)
+            cost = generator if j is None else generator[i:j]
+            if lam is not None:
+                np.multiply(cost, src, out=dest)
+                overlap = np.vdot(lam, dest)
+            np.multiply(-1j * factors[t], cost, out=dest)
+            np.exp(dest, out=dest)
+            if lam is not None:
+                np.multiply(dest, lam, out=lam_out)
             np.multiply(dest, src, out=dest)
         src = dest
     return overlap
@@ -435,12 +446,6 @@ def _mix(c, block: np.ndarray, s, gathered: np.ndarray, dest: np.ndarray, lam=No
     np.multiply(s, gathered, out=gathered)
     np.subtract(dest, gathered, out=dest)
     return overlap
-
-
-def _phase_factors(gamma: float, cost: np.ndarray, dest: np.ndarray) -> None:
-    """Write exp(-i gamma * cost) to `dest`."""
-    np.multiply(-1j * gamma, cost, out=dest)
-    np.exp(dest, out=dest)
 
 
 def _share(task, blocks: int, size: int) -> None:
@@ -497,9 +502,9 @@ def _sweep(psi: FeasibleState, psi_spare: FeasibleState, lam: FeasibleState,
     """The reverse sweep of `expectation_gradient` from psi = psi_final,
     the state `steps` prepared at `thetas`, and the number of steps it
     undid.  It walks psi back through `psi` and `psi_spare` and the
-    costate through `lam` and `lam_spare`, overwriting all four.  A gate
-    undoes psi and lam in one `_blocked` call at the negated angles, and
-    a phase step with one exp(+i theta C), computed in `lam_spare`.
+    costate through `lam` and `lam_spare`, overwriting all four.  Every
+    step, gate or phase, undoes psi and lam in one `_blocked` call at the
+    negated angles, which sums the step's overlap block by block.
 
     Angle k's component is final, bit for bit, once the walk has undone
     step first[k], the first step of angle k.  With `stop_above`, the
@@ -514,16 +519,8 @@ def _sweep(psi: FeasibleState, psi_spare: FeasibleState, lam: FeasibleState,
     back = -thetas
     done, bound = 0.0, None if stop_above is None else stop_above ** 2 * (1 + 1e-9)
     for i in reversed(range(len(steps))):
-        step = steps[i]
-        generator, k = step
-        if isinstance(generator, Action):
-            overlap = _blocked([psi.amps, psi_spare.amps], [step], back, (lam.amps, lam_spare.amps))
-        else:
-            np.multiply(generator, psi.amps, out=psi_spare.amps)
-            overlap = np.vdot(lam.amps, psi_spare.amps)
-            _phase_factors(back[k], generator, lam_spare.amps)
-            np.multiply(lam_spare.amps, psi.amps, out=psi_spare.amps)
-            np.multiply(lam_spare.amps, lam.amps, out=lam_spare.amps)
+        k = steps[i][1]
+        overlap = _blocked([psi.amps, psi_spare.amps], [steps[i]], back, (lam.amps, lam_spare.amps))
         grad[k] += 2 * overlap.imag
         psi, psi_spare = psi_spare, psi
         lam, lam_spare = lam_spare, lam

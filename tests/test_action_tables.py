@@ -357,7 +357,7 @@ def test_a_non_local_gate_runs_alone_before_local_steps(monkeypatch, fresh_actio
             want = reference_gate(want, reference_table(h), x[k])
     assert bits(run_steps(phased_uniform_state(n), steps, x)) == bits(want)
     assert [[k for _, k in run] for run in runs_blocked] == [[0], [1, 2, 1], [0], [2]]
-    # the sweep undoes every gate through the same blocks
+    # the sweep undoes every step, gate or phase, through the same blocks
     got = expectation_gradient(phased_uniform_state(n), steps, x, vec)
     monkeypatch.setattr(feasible, "GATE_BLOCK", factorial(n))
     involution_action.cache_clear()

@@ -83,6 +83,27 @@ def test_degree_9_team_matches_one_worker(monkeypatch, team_blocks):
     assert team_blocks and set(team_blocks) == {18}
 
 
+def test_the_sweep_undoes_every_step_on_the_team(monkeypatch, fresh_actions, team_blocks):
+    # degree 7 in 14 blocks of 360 (GATE_BLOCK 7!/9, as check_parallel_steps
+    # sets it): the sweep of a QAOA gradient undoes each of its steps,
+    # phases as well as gates, in one step shared on the team
+    n = 7
+    monkeypatch.setattr(feasible, "GATE_BLOCK", factorial(n) // 9)
+    monkeypatch.setattr(workers, "WORKERS", 2)
+    cfg = QaoaConfig(2, "uniform", slot_wraparound=True)
+    vec = TourCost(random_instance(n + 1, seed=n), reduced=True).vector()
+    steps = qaoa_steps(vec, cfg, n)
+    thetas = np.random.default_rng(n).uniform(0, 2 * np.pi, 2 * cfg.layers)
+    assert any(not isinstance(g, Action) for g, _ in steps)
+    run_steps(initial_state(cfg, n), steps, thetas)
+    forward = len(team_blocks)
+    assert forward and set(team_blocks) == {14}
+    team_blocks.clear()
+    expectation_gradient(initial_state(cfg, n), steps, thetas, vec)
+    assert len(team_blocks) == forward + len(steps)
+    assert set(team_blocks) == {14}
+
+
 def bad_copy(action, rank, value):
     """`action` with the chunk rank that moves local rank `rank` of a
     period set to `value`, built directly so that `Action.of` does not

@@ -66,3 +66,20 @@ def test_ab_pairs_summary_of_canned_runs():
     assert "2/1/1 of 4" in table and table.endswith("failed runs: change pair 2")
     with pytest.raises(ValueError):
         ab.parse("")
+
+
+@pytest.mark.parametrize("returncode, failed", [(0, []), (1, ["change pair 0"])])
+def test_ab_pairs_counts_a_non_zero_exit_as_a_failed_run(monkeypatch, tmp_path, returncode, failed):
+    # a run that prints a correct result line and then exits non-zero is
+    # a failed run, not a good one
+    ab = load_ab_pairs()
+
+    def fake_run(cmd, cwd, **kwargs):
+        code = returncode if Path(cwd).name == "change" else 0
+        return subprocess.CompletedProcess(cmd, code, stdout=result_line(2.0, 0.5), stderr="boom")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    pairs = [(ab.run_once(tmp_path / "base", "sweep7"), ab.run_once(tmp_path / "change", "sweep7"))]
+    assert ab.failures(pairs) == failed
+    if returncode:
+        assert pairs[0][1]["error"] == "exit status 1: boom"
