@@ -595,6 +595,11 @@ def check_bounded_gradient(degrees=range(4, 7), seed: int = 43) -> tuple[bool, s
                   f"{cut} of {sweeps} sweeps stopped early")
 
 
+def _gammas(steps) -> list:
+    """The indices of the angles that phase steps of `steps` use."""
+    return sorted({k for generator, k in steps if not isinstance(generator, fs.Action)})
+
+
 def check_circuit_reuse(n: int = 5, seed: int = 31) -> tuple[bool, str]:
     """A `Circuit` of every circuit kind, walked through a repeated point,
     a middle angle flipped from 0.0 to -0.0 and back, one-angle changes at
@@ -603,12 +608,22 @@ def check_circuit_reuse(n: int = 5, seed: int = 31) -> tuple[bool, str]:
     gives each value, gradient and state bit for bit as `run_steps` and
     `expectation_gradient` do from the initial state.  The walk also
     takes a gradient bounded at 1e-300, whose sweep stops early and
-    leaves the checkpoints for the value and the state after it."""
+    leaves the checkpoints for the value and the state after it.  A QAOA
+    walk goes on through phase angles alone: the last gamma through
+    `CHECKPOINTS` new values and back to its old one, whose held factors
+    another point took by then, every gamma 0.0, and the first one -0.0
+    and back.  One more QAOA circuit has more layers, each at its own
+    gamma, than the circuit holds arrays of factors."""
     rng = np.random.default_rng(seed)
     cost = TourCost(random_instance(n + 1, seed=seed), reduced=True)
     start = tuple(rng.permutation(n).tolist())
-    reuses = skipped = total = 0
-    for name, d, initial, steps, vec, _ in gradient_cases(cost, start):
+    deep = qa.QaoaConfig(fs.CHECKPOINTS + 2, "uniform")
+    cases = [case[:5] for case in gradient_cases(cost, start)]
+    cases.append((f"qaoa uniform, {deep.layers} layers", 2 * deep.layers,
+                  lambda: qa.initial_state(deep, n), qa.qaoa_steps(cost.vector(), deep, n),
+                  cost.vector()))
+    reuses = skipped = total = rebuilt = 0
+    for name, d, initial, steps, vec in cases:
         x = rng.uniform(0, np.pi, d)
         x[d // 2] = 0.0
         walk = [("value", x), ("value", x)]
@@ -622,16 +637,32 @@ def check_circuit_reuse(n: int = 5, seed: int = 31) -> tuple[bool, str]:
             walk.append(("value", x))
         walk += [("bounded", x), ("value", x), ("state", x),
                  ("gradient", x), ("state", x), ("value", x)]
+        gammas = _gammas(steps)
+        if gammas:
+            y = x
+            for gamma in rng.uniform(0, np.pi, fs.CHECKPOINTS):
+                y = y.copy()
+                y[gammas[-1]] = gamma
+                walk.append(("value", y))
+            y = x.copy()
+            y[gammas] = 0.0
+            walk += [("return", x), ("value", y), ("gradient", y)]
+            for sign in (-0.0, 0.0):
+                y = y.copy()
+                y[gammas[0]] = sign
+                walk += [("value", y), ("state", y)]
         circuit = fs.Circuit(initial(), steps, vec)
         for step, (call, x) in enumerate(walk):
             if call == "bounded":
                 got, ran = _bounded_gradient(circuit, x, 1e-300)
                 full = fs.expectation_gradient(initial(), steps, x, vec)
                 same = ran < len(steps) and got.tobytes() == _cut(full, circuit, ran).tobytes()
-            elif call == "value":
+            elif call in ("value", "return"):
+                builds = circuit.phase_builds
                 got = circuit.value(x)
                 want = fs.expectation(fs.run_steps(initial(), steps, x), vec)
                 same = got == want
+                rebuilt += call == "return" and circuit.phase_builds > builds
             elif call == "gradient":
                 got = circuit.gradient(x)
                 same = got.tobytes() == fs.expectation_gradient(initial(), steps, x, vec).tobytes()
@@ -643,8 +674,11 @@ def check_circuit_reuse(n: int = 5, seed: int = 31) -> tuple[bool, str]:
         reuses += circuit.forward_reuses
         skipped += circuit.steps_skipped
         total += circuit.forward_steps
+    if not rebuilt:
+        return False, "no gamma that returned to an earlier value built its factors again"
     return True, (f"values, gradients and states bit-identical to fresh passes over every "
-                  f"circuit kind at n = {n}; {reuses} reuses, {skipped} of {total} steps skipped")
+                  f"circuit kind at n = {n}; {reuses} reuses, {skipped} of {total} steps skipped, "
+                  f"{rebuilt} returning gammas built again")
 
 
 def check_blocked_runs(n: int = 8, seed: int = 37) -> tuple[bool, str]:
@@ -700,8 +734,9 @@ def check_parallel_steps(degrees=(6, 7), blocks: int = 9, seed: int = 41) -> tup
     step shares its blocks out among the team of `workers.WORKERS`,
     `run_steps`, `expectation_gradient` and a `Circuit`'s values and
     gradients after resumes (a change at the last, middle and first
-    angle) give, for every circuit kind (`gradient_cases`) at each of
-    `degrees`, what the same calls give with one worker, bit for bit.  The
+    angle, then at every phase angle, which builds held factors) give,
+    for every circuit kind (`gradient_cases`) at each of `degrees`, what
+    the same calls give with one worker, bit for bit.  The
     team has two workers at least, so that the check covers it on one CPU
     too.  Actions are built afresh at each block and the action cache is
     emptied afterwards."""
@@ -719,7 +754,7 @@ def check_parallel_steps(degrees=(6, 7), blocks: int = 9, seed: int = 41) -> tup
             start = tuple(rng.permutation(n).tolist())
             for name, d, initial, steps, vec, _ in gradient_cases(cost, start):
                 walk = [rng.uniform(0, 2 * np.pi, d)]
-                for i in (d - 1, d // 2, 0):
+                for i in (d - 1, d // 2, 0, _gammas(steps)):
                     walk.append(walk[-1].copy())
                     walk[-1][i] += 0.5
                 workers.WORKERS = team

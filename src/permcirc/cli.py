@@ -157,6 +157,7 @@ def cmd_run(args) -> int:
         print(f"{key:17s} {summary[key]}")
     print(f"{'steps_skipped':17s} {summary['steps_skipped']} of {summary['forward_steps']}")
     print(f"{'sweep_steps':17s} {summary['sweep_steps']} of {summary['full_sweep_steps']}")
+    print(f"{'phase_builds':17s} {summary['phase_builds']} of {summary['phase_steps']}")
     for key in ("status", "initial_ratio", "final_ratio", "optimal_cost"):
         print(f"{key:17s} {summary[key]}")
     print(f"{'optimal_tour':17s} {format_perm(summary['optimal_tour'])}")

@@ -121,7 +121,9 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
     stop-rule gradient and the final state are one `Circuit`'s, which
     resumes each forward pass from what the last one kept; the gradient's
     sweep stops once its norm is past `grad_threshold`.  `sweep_steps`
-    counts the steps the sweeps undid, out of `full_sweep_steps`."""
+    counts the steps the sweeps undid, out of `full_sweep_steps`, and
+    `phase_builds` the forward phase steps that computed their factors,
+    out of the `phase_steps` that forward passes ran."""
     cost = TourCost(spec.instance, spec.reduced)
     vec = cost.vector()
     opt_perm, opt_cost = optimum(spec.instance, spec.reduced)
@@ -158,6 +160,8 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
         "forward_steps": circuit.forward_steps,
         "sweep_steps": circuit.sweep_steps,
         "full_sweep_steps": trace.gradients * len(circuit.steps),
+        "phase_builds": circuit.phase_builds,
+        "phase_steps": circuit.phase_steps,
         "status": trace.status,
         "initial_objective": trace.points[0].value,
         "initial_ratio": trace.points[0].ratio,

@@ -46,7 +46,8 @@ on the state and the costate in one call of the same block loop, summing
 the step's overlap block by block.  A `Circuit` keeps its last forward
 pass: the final state and a few prefix checkpoints, from which its value,
 its gradient's sweep and its final state at a nearby point resume, with
-the same amplitudes bit for bit.
+the same amplitudes bit for bit, and the phase factors exp(-i gamma C) of
+a few angles gamma, which later passes at the same gamma multiply by.
 """
 
 from bisect import bisect_right
@@ -85,8 +86,9 @@ from .sequences import GeneratingSequence, decompose
 GATE_BLOCK = 20160
 
 # States a `Circuit` keeps of its last forward pass: the state before step
-# 0 (the initial state) and before every stride-th step after it.  At
-# degree 8 a state is 645 KB.
+# 0 (the initial state) and before every stride-th step after it; and the
+# most arrays of phase factors it holds, one a state's size.  At degree 8
+# a state is 645 KB.
 CHECKPOINTS = 4
 
 
@@ -286,7 +288,7 @@ def _angles(steps, thetas) -> np.ndarray:
     return thetas
 
 
-def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None):
+def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None, held=None):
     """Apply steps[first:] to `state`, each step writing to the state of
     `pair` that is not its input, or to saved[i] when `saved` holds the
     index i of the step after it; returns the final state and the other
@@ -294,7 +296,8 @@ def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None):
     gate whose period does not divide the block (`_block`) reads other
     blocks of its input, so it is a run of its own, and consecutive local
     steps (`_local`) form one run.  On a one-block state every step is
-    local, so the whole list is one run.  The steps must fit `state`
+    local, so the whole list is one run.  held[i], when given, holds step
+    i's phase factors (`_kernel`).  The steps must fit `state`
     (`_fits_all`)."""
     block = _block(len(state.amps))
     i = first
@@ -306,7 +309,7 @@ def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None):
         chain = [state]  # chain[t] is the input of the run's step t
         for t in range(i, j):
             chain.append(_dest(chain[-1], pair, saved, t))
-        _blocked([s.amps for s in chain], steps[i:j], thetas)
+        _blocked([s.amps for s in chain], steps[i:j], thetas, held=held and held[i:j])
         state, i = chain[-1], j
     return state, pair[1] if state is pair[0] else pair[0]
 
@@ -345,7 +348,7 @@ def _local(generator, block: int) -> bool:
     return not isinstance(generator, Action) or block % generator.period == 0
 
 
-def _blocked(arrays, steps, thetas, costate=None) -> complex:
+def _blocked(arrays, steps, thetas, costate=None, held=None) -> complex:
     """Apply a run of steps, step t reading arrays[t] and writing
     arrays[t+1], one block (`_block`) at a time, every step on a block
     before the worker takes another (`_share`), so every step but the
@@ -353,7 +356,8 @@ def _blocked(arrays, steps, thetas, costate=None) -> complex:
     run is one step exp(-i theta G), G a gate or a phase's cost vector,
     which is also applied to lam, written to lam_out, and the call
     returns <lam|G psi> for psi = arrays[0], summed in block order (0
-    without a costate).  Each amplitude goes through the same operations
+    without a costate).  held[t], when given, holds step t's phase factors
+    (`_kernel`).  Each amplitude goes through the same operations
     whatever the block, bit for bit, because a phase is split only on
     this grid of even-length blocks.  The callers check once that the
     steps fit the arrays (`_fits_all`, `_target`)."""
@@ -361,27 +365,30 @@ def _blocked(arrays, steps, thetas, costate=None) -> complex:
                else thetas[k] for generator, k in steps]
     size = len(arrays[0])
     if size <= GATE_BLOCK:
-        return _kernel(arrays, steps, factors, costate)
+        return _kernel(arrays, steps, factors, costate, held)
     block = _block(size)
     overlaps = [0] * (size // block)
 
     def task(t):
         i = t * block
-        overlaps[t] = _kernel(arrays, steps, factors, costate, i, i + block)
+        overlaps[t] = _kernel(arrays, steps, factors, costate, held, i, i + block)
 
     _share(task, len(overlaps), size)
     return sum(overlaps)
 
 
-def _kernel(arrays, steps, factors, costate, i: int = 0, j: int | None = None) -> complex:
+def _kernel(arrays, steps, factors, costate, held, i: int = 0, j: int | None = None) -> complex:
     """Apply the steps of `_blocked` to ranks i..j-1, or to whole arrays
     when j is None: a gate as `_mix` of its gather with factors[t] =
     (cos, i sin) of its angle, a phase C as exp(-i factors[t] C), for
     factors[t] its angle, times its input; a gate gathers its input
-    through `_gathered`.  With a costate, the one step, gate or phase, is
-    also applied to lam, and its G psi (a gate's gather, or C psi written
-    to `dest` first) gives the block's overlap <lam|G psi>, which it
-    returns (0 without a costate).  It runs once a block, holding the
+    through `_gathered`.  A phase computes its factors into `dest`, or,
+    when held[t] is (array, build), into the array's ranks i..j-1 when
+    build is true, with the same operations on the same block, and reads
+    them there.  With a costate, the one step, gate or phase, is also
+    applied to lam, and its G psi (a gate's gather, or C psi written to
+    `dest` first) gives the block's overlap <lam|G psi>, which it returns
+    (0 without a costate).  It runs once a block, holding the
     interpreter lock between numpy calls, so it slices each array once
     and keeps its work per step small."""
     src = arrays[0] if j is None else arrays[0][i:j]
@@ -403,11 +410,14 @@ def _kernel(arrays, steps, factors, costate, i: int = 0, j: int | None = None) -
             if lam is not None:
                 np.multiply(cost, src, out=dest)
                 overlap = np.vdot(lam, dest)
-            np.multiply(-1j * factors[t], cost, out=dest)
-            np.exp(dest, out=dest)
+            phase, build = held[t] if held and held[t] else (arrays[t + 1], True)
+            phase = phase if j is None else phase[i:j]
+            if build:
+                np.multiply(-1j * factors[t], cost, out=phase)
+                np.exp(phase, out=phase)
             if lam is not None:
-                np.multiply(dest, lam, out=lam_out)
-            np.multiply(dest, src, out=dest)
+                np.multiply(phase, lam, out=lam_out)
+            np.multiply(phase, src, out=dest)
         src = dest
     return overlap
 
@@ -545,15 +555,24 @@ class Circuit:
     checkpoint at or before the first step whose angle changed.  Every
     amplitude goes through the operations of `run_steps` and
     `expectation_gradient` in their order, so every result is bit for
-    bit theirs.  The circuit holds its checkpoints, two states for the
-    pass and two for the gradient's costate, and allocates no state for a
-    value or a gradient; `initial` becomes its own and is never written.
-    A step or a cost that does not fit `initial` is refused here.
+    bit theirs.  A phase step of a pass multiplies by the factors
+    exp(-i gamma C) of its angle gamma that the circuit holds, keyed on
+    gamma's bits, or builds them block by block into an array that no
+    phase angle of x needs, which it then holds; when all `CHECKPOINTS`
+    arrays are needed, the step computes its factors as `run_steps` does.
+    The circuit holds its checkpoints, two states for the pass, two for
+    the gradient's costate and, for a circuit with phase steps, at most
+    `CHECKPOINTS` arrays of factors, however many its layers; it
+    allocates no state for a value or a gradient; `initial` becomes its
+    own and is never written.  A step or a cost that does not fit
+    `initial` is refused here.
 
     `forward_reuses` counts the passes that reused psi_final,
     `steps_skipped` the steps passes did not run, out of
-    `forward_steps`, the steps of a pass from `initial` each time, and
-    `sweep_steps` the steps that gradients' reverse sweeps undid.
+    `forward_steps`, the steps of a pass from `initial` each time,
+    `sweep_steps` the steps that gradients' reverse sweeps undid, and
+    `phase_builds` the phase steps of passes that computed their
+    factors, out of the `phase_steps` the passes ran.
     """
 
     def __init__(self, initial: FeasibleState, steps, cost: np.ndarray):
@@ -565,6 +584,8 @@ class Circuit:
         self._first = np.full(1 + max(k for _, k in steps), len(steps))
         for i in reversed(range(len(steps))):
             self._first[steps[i][1]] = i
+        self._phases = [(i, k) for i, (generator, k) in enumerate(steps)
+                        if not isinstance(generator, Action)]
         self._marks = list(range(0, len(steps), -(-len(steps) // CHECKPOINTS)))
         self._initial = initial
         self._saved = {m: self._blank() for m in self._marks[1:]}
@@ -573,14 +594,16 @@ class Circuit:
         self._costate = (self._blank(), self._blank())
         self._x = None  # the angles the checkpoints hold, None when none hold
         self._final = None  # psi_final at _x, None once a sweep used it
+        self._held = {}  # the bits of an angle -> exp(-i angle cost)
         self.forward_reuses = self.steps_skipped = self.forward_steps = self.sweep_steps = 0
+        self.phase_builds = self.phase_steps = 0
 
     @property
     def periods(self) -> list:
         """Each angle's period: pi when only gates use it (exp(-i(t+pi)H)
         is -exp(-i t H) for an involution H, a global phase), None for a
         phase-separator angle."""
-        phases = {k for generator, k in self.steps if not isinstance(generator, Action)}
+        phases = {k for _, k in self._phases}
         return [None if k in phases else np.pi for k in range(len(self._first))]
 
     def _forward(self, x) -> FeasibleState:
@@ -598,9 +621,43 @@ class Circuit:
         # a pass that raises leaves checkpoints of two points behind
         self._x = self._final = None
         self.steps_skipped += first
-        psi, _ = _run(self._saved[first], self._pair, self.steps, x, first, self._saved)
+        held, built = self._factors(x, first)
+        psi, _ = _run(self._saved[first], self._pair, self.steps, x, first, self._saved, held)
+        self._held.update(built)
         self._x, self._final = x.copy(), psi
         return psi
+
+    def _factors(self, x: np.ndarray, first: int) -> tuple:
+        """For the pass from step `first` at x: the `held` of `_run`, which
+        gives each of its phase steps an array of factors for its angle's
+        bits and whether the step builds them there, and the arrays it
+        builds, by bits, which the circuit holds once the pass is done.  A
+        step builds into an array that no phase angle of x needs, or a new
+        one while fewer than `CHECKPOINTS` exist; when every one is needed,
+        its entry is None and it computes its factors as `run_steps` does."""
+        bits = x.view(np.int64).tolist()
+        need = {bits[k] for _, k in self._phases}
+        free = [key for key in self._held if key not in need]
+        held, built = [None] * len(self.steps), {}
+        for i, k in self._phases:
+            if i < first:
+                continue
+            key = bits[k]
+            array = self._held.get(key, built.get(key))
+            self.phase_steps += 1
+            if array is not None:
+                held[i] = array, False
+                continue
+            self.phase_builds += 1
+            if free:
+                array = self._held.pop(free.pop(0))
+            elif len(self._held) + len(built) < CHECKPOINTS:
+                array = np.empty_like(self._initial.amps)
+            else:
+                continue
+            built[key] = array
+            held[i] = array, True
+        return held, built
 
     def _blank(self) -> FeasibleState:
         return FeasibleState(self._initial.n, np.empty_like(self._initial.amps))

@@ -32,10 +32,12 @@ CAPS = {
     # an action keeps its K = P/B chunk ranks, or the full table on a
     # one-block state: the 26 cached actions of a degree-10 run of every
     # method hold 78.8 MB (158.0 MB as periods, 755 MB as flat tables),
-    # and the benchmark's degree-10 circuits peak near 375 MB RSS.  At 11
-    # one binary-insertion circuit's actions would hold 0.42 GB and a
-    # run's `Circuit` its 8 states (4 checkpoints, 2 for the pass, 2 for
-    # the costate), 5.11 GB, not yet measured.  The product sweep of
+    # and the benchmark's degree-10 circuits peak near 375 MB RSS.  A run's
+    # degree-10 `Circuit` holds 8 states (4 checkpoints, 2 for the pass, 2
+    # for the costate), 464 MB, and a QAOA one up to 4 x 58 MB of phase
+    # factors besides, whatever its layer count.  At 11 one binary-insertion
+    # circuit's actions would hold 0.42 GB and a `Circuit` 5.11 GB of
+    # states, not yet measured.  The product sweep of
     # `verify_generating` needs 10 B a tour and K chunk ranks
     "state": Cap("state", "degree {}", 10, factorial, 16, "a copy"),
     # n^2 float64 weights, drawn before any other size is known

@@ -303,10 +303,10 @@ def runs_blocked(monkeypatch):
     runs = []
     blocked = feasible._blocked
 
-    def recording(arrays, steps, thetas, costate=None):
+    def recording(arrays, steps, thetas, costate=None, held=None):
         if feasible._block(len(arrays[0])) < len(arrays[0]):
             runs.append(steps)
-        return blocked(arrays, steps, thetas, costate)
+        return blocked(arrays, steps, thetas, costate, held)
 
     monkeypatch.setattr(feasible, "_blocked", recording)
     return runs

@@ -18,11 +18,17 @@ from permcirc.experiment import (
     trace_csv,
     write_trace_csv,
 )
-from permcirc.feasible import basis_state, expectation, run_exhaustive_circuit
+from permcirc.feasible import (
+    basis_state,
+    expectation,
+    expectation_gradient,
+    run_exhaustive_circuit,
+    run_steps,
+)
 from permcirc.limits import TooLarge
 from permcirc.optimize import OptConfig, approximation_ratio, minimize
 from permcirc.perms import identity
-from permcirc.qaoa import QaoaConfig, default_layers, run_qaoa
+from permcirc.qaoa import QaoaConfig, default_layers, initial_state, qaoa_steps, run_qaoa
 from permcirc.tsp import TourCost, load_instance, optimum, random_instance
 
 FAST = OptConfig(max_iters=10, grad_window=3)
@@ -221,12 +227,18 @@ def test_run_parameter_counts(tmp_path, capsys):
         lines = stdout.splitlines()
         at = next(i for i, ln in enumerate(lines) if ln.startswith("gradients"))
         assert 1 <= int(lines[at].split()[1]) <= 2
-        reuses, skipped, swept = (lines[at + i].split() for i in (1, 2, 3))
+        reuses, skipped, swept, phased = (lines[at + i].split() for i in (1, 2, 3, 4))
         assert reuses[0] == "forward_reuses" and int(reuses[1]) >= 0
         assert skipped[0] == "steps_skipped" and skipped[2] == "of"
         assert 0 <= int(skipped[1]) <= int(skipped[3])
         assert swept[0] == "sweep_steps" and swept[2] == "of"
         assert 1 <= int(swept[1]) <= int(swept[3])
+        assert phased[0] == "phase_builds" and phased[2] == "of"
+        if method == "qaoa":
+            # the zero start's four gammas share one array of factors
+            assert 1 <= int(phased[1]) < int(phased[3]) <= int(skipped[3]) - int(skipped[1])
+        else:
+            assert phased[1] == phased[3] == "0"
 
 
 def test_run_traces_are_byte_identical(tmp_path):
@@ -386,6 +398,14 @@ def test_run_experiment_summary_consistency():
             <= summary["steps_skipped"] < summary["forward_steps"])
     assert summary["full_sweep_steps"] == summary["gradients"] * summary["parameters"]
     assert summary["gradients"] <= summary["sweep_steps"] <= summary["full_sweep_steps"]
+    assert summary["phase_builds"] == summary["phase_steps"] == 0
+    # QAOA at 3 layers: a pass from the initial state runs 3 phase steps,
+    # and the zero start's three gammas share one array of factors
+    spec = RunSpec(inst, method="qaoa", qaoa=QaoaConfig(3), opt=FAST)
+    trace, summary = run_experiment(spec)
+    passes = summary["evaluations"] + summary["gradients"] + 1
+    assert 1 <= summary["phase_builds"] < summary["phase_steps"] <= 3 * passes
+    assert summary["phase_steps"] <= summary["forward_steps"] - summary["steps_skipped"]
 
 
 @pytest.mark.parametrize("method, initial, status", [
@@ -411,6 +431,27 @@ def test_bounded_sweeps_leave_the_run_unchanged(method, initial, status):
     assert (trace.evaluations, trace.gradients) == (full.evaluations, full.gradients)
     assert circuit.sweep_steps == summary["full_sweep_steps"]
     assert summary["sweep_steps"] < summary["full_sweep_steps"]
+
+
+@pytest.mark.parametrize("initial", ["basis", "uniform"])
+def test_held_phase_factors_leave_the_run_unchanged(initial):
+    # 9 cities: degree-8 states of two blocks, whose held phase factors are
+    # built block by block; minimize on fresh passes from the initial
+    # state, with no Circuit, must write the same trace
+    inst = random_instance(9, seed=7)
+    spec = RunSpec(inst, method="qaoa", qaoa=QaoaConfig(default_layers(8), initial=initial),
+                   opt=OptConfig(max_iters=5, grad_window=3), random_init_seed=2)
+    trace, summary = run_experiment(spec)
+    assert summary["phase_builds"] < summary["phase_steps"]
+    cost = TourCost(inst, reduced=True)
+    vec = cost.vector()
+    steps, p = qaoa_steps(vec, spec.qaoa, 8), spec.qaoa.layers
+    fresh = minimize(lambda x: expectation(run_steps(initial_state(spec.qaoa, 8), steps, x), vec),
+                     trace.points[0].params, spec.opt, periods=[np.pi] * p + [None] * p,
+                     ratio_fn=_ratio_fn(spec, cost, optimum(inst, True)[1]),
+                     gradient=lambda x: expectation_gradient(initial_state(spec.qaoa, 8), steps, x, vec))
+    assert trace_csv(trace, dump_params=True) == trace_csv(fresh, dump_params=True)
+    assert (trace.evaluations, trace.gradients) == (fresh.evaluations, fresh.gradients)
 
 
 @pytest.mark.parametrize("method, initial", [

@@ -22,6 +22,7 @@ from permcirc.feasible import (
     uniform_feasible_state,
 )
 from permcirc.perms import right_action
+from permcirc.qaoa import QaoaConfig, initial_state, qaoa_steps
 from permcirc.sequences import bubble_sequence
 from permcirc.tsp import TourCost, random_instance
 
@@ -89,24 +90,15 @@ def test_gradient_allocates_no_per_gate_state(case):
     assert peak < 4 * state_bytes + block_bytes + 16384
 
 
-@pytest.mark.parametrize("case", ["binary-insertion right-action", "qaoa uniform wraparound=True"])
-def test_circuit_holds_its_checkpoints_and_four_states(case):
-    # the checkpoints (the initial state among them), two states for the
-    # pass and two for the costate, over a walk of values and gradients
-    # that resumes part way and reuses psi_final; one gathered block and
-    # the interpreter's small objects on top
-    n = 8
-    cost = TourCost(random_instance(n + 1, seed=4), reduced=True)
-    vec = cost.vector()
-    start = (3, 1, 7, 0, 2, 6, 4, 5)
-    _, d, initial, steps, _, _ = next(c for c in gradient_cases(cost, start) if c[0] == case)
+def walk_peak(initial, steps, vec, d):
+    """A `Circuit` after a walk of values and gradients that resumes part
+    way and reuses psi_final, and the traced peak of building and walking
+    it."""
     rng = np.random.default_rng(4)
     points = [rng.uniform(0, 2 * np.pi, d)]
     for i in (d - 1, d // 2, 0):
         points.append(points[-1].copy())
         points[-1][i] += 0.1
-    state_bytes = factorial(n) * 16
-    block_bytes = feasible.GATE_BLOCK * 16
     tracemalloc.start()
     try:
         circuit = Circuit(initial(), steps, vec)
@@ -118,7 +110,42 @@ def test_circuit_holds_its_checkpoints_and_four_states(case):
     finally:
         tracemalloc.stop()
     assert 0 < circuit.steps_skipped < circuit.forward_steps
-    assert peak < (feasible.CHECKPOINTS + 4) * state_bytes + block_bytes + 16384
+    return circuit, peak
+
+
+@pytest.mark.parametrize("case", ["binary-insertion right-action", "qaoa uniform wraparound=True"])
+def test_circuit_holds_its_checkpoints_and_four_states(case):
+    # the checkpoints (the initial state among them), two states for the
+    # pass and two for the costate, and for QAOA at most CHECKPOINTS
+    # arrays of phase factors, one a state's size; one gathered block and
+    # the interpreter's small objects on top
+    n = 8
+    cost = TourCost(random_instance(n + 1, seed=4), reduced=True)
+    vec = cost.vector()
+    start = (3, 1, 7, 0, 2, 6, 4, 5)
+    _, d, initial, steps, _, _ = next(c for c in gradient_cases(cost, start) if c[0] == case)
+    circuit, peak = walk_peak(initial, steps, vec, d)
+    held = feasible.CHECKPOINTS if case.startswith("qaoa") else 0
+    assert circuit.phase_builds < circuit.phase_steps or not held
+    state_bytes = factorial(n) * 16
+    block_bytes = feasible.GATE_BLOCK * 16
+    assert peak < (feasible.CHECKPOINTS + 4 + held) * state_bytes + block_bytes + 16384
+
+
+def test_a_deep_qaoa_circuit_holds_no_more_factor_arrays():
+    # more layers than CHECKPOINTS, each at its own gamma: the circuit
+    # holds CHECKPOINTS arrays of factors and computes the rest in place,
+    # within the same bound as a circuit of as many layers as CHECKPOINTS
+    n = 8
+    vec = TourCost(random_instance(n + 1, seed=4), reduced=True).vector()
+    cfg = QaoaConfig(feasible.CHECKPOINTS + 2, "uniform")
+    circuit, peak = walk_peak(lambda: initial_state(cfg, n), qaoa_steps(vec, cfg, n), vec,
+                              2 * cfg.layers)
+    assert len(circuit._held) == feasible.CHECKPOINTS
+    assert 0 < circuit.phase_steps - circuit.phase_builds
+    state_bytes = factorial(n) * 16
+    block_bytes = feasible.GATE_BLOCK * 16
+    assert peak < (2 * feasible.CHECKPOINTS + 4) * state_bytes + block_bytes + 16384
 
 
 def test_a_pass_that_raises_leaves_no_checkpoint_behind(monkeypatch):
@@ -156,6 +183,37 @@ def test_a_pass_that_raises_leaves_no_checkpoint_behind(monkeypatch):
     assert (circuit.gradient(z).tobytes()
             == expectation_gradient(uniform_feasible_state(n), steps, z, vec).tobytes())
     assert circuit.state(z).amps.tobytes() == run_steps(uniform_feasible_state(n), steps, z).amps.tobytes()
+
+
+def test_a_pass_that_raises_holds_no_half_built_factors(monkeypatch, fresh_actions):
+    # degree 5 in five blocks of 24 (GATE_BLOCK 40), QAOA without the
+    # wraparound slot: the pass at y resumes at step 3 and runs (2 3),
+    # (3 4) and the phase of gamma_1 block by block, so it has built that
+    # phase's factors in two blocks when the third block's first gate raises
+    monkeypatch.setattr(feasible, "GATE_BLOCK", 40)
+    n = 5
+    vec = TourCost(random_instance(n + 1, seed=2), reduced=True).vector()
+    cfg = QaoaConfig(2, "uniform", slot_wraparound=False)
+    steps = qaoa_steps(vec, cfg, n)
+    x = np.random.default_rng(2).uniform(0, np.pi, 4)
+    y = x.copy()
+    y[3] += 0.5
+    circuit = Circuit(initial_state(cfg, n), steps, vec)
+    circuit.value(x)
+    mix = feasible._mix
+    calls = []
+
+    def failing_mix(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise RuntimeError("gate failed")
+        return mix(*args, **kwargs)
+
+    monkeypatch.setattr(feasible, "_mix", failing_mix)
+    with pytest.raises(RuntimeError, match="gate failed"):
+        circuit.value(y)
+    monkeypatch.setattr(feasible, "_mix", mix)
+    assert circuit.value(y) == expectation(run_steps(initial_state(cfg, n), steps, y), vec)
 
 
 @pytest.mark.parametrize("block", [7, 40])
