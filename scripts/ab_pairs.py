@@ -12,7 +12,7 @@ summary lists, for every end-to-end metric of `BENCHMARK.json`, the
 base's median and interquartile range, the change's median, their ratio,
 and the pairs in which the change was better, equal and worse, by the
 metric's direction; and the runs that failed an operation or exited
-non-zero.
+non-zero.  The script exits with status 1 when any run failed, else 0.
 """
 
 import argparse
@@ -130,8 +130,9 @@ def main(argv=None) -> int:
         pairs.append((result["base"], result["change"]))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
     print(f"{args.workload}: {args.pairs} pairs, base {args.base}, change {args.change}")
-    print(render(summarize(pairs, better), failures(pairs)))
-    return 0
+    bad = failures(pairs)
+    print(render(summarize(pairs, better), bad))
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from .perms import (
     perm_table,
     rank,
     rank_rows,
-    right_action,
     transposition,
     unrank,
 )
@@ -296,8 +295,9 @@ def check_reachability(degrees=(4, 5), all_starts=(4,), extra_starts=((2, 0, 4, 
 
 
 def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[bool, str]:
-    """Every `Action`'s rank table, built whole from its chunk ranks by
-    `Action.take`, equals the ranks of the permuted rows of `perm_table`:
+    """Every `Action`'s rank table, derived whole from its chunk ranks
+    (its kept `Action.table` on the right, `Action.take` through J on the
+    left), equals the ranks of the permuted rows of `perm_table`:
     the `involution_action` of every involution of S_n on
     both sides, n in `every`, and for n in `constructions` of every
     element of both constructions on both sides and every QAOA slot's
@@ -321,15 +321,13 @@ def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[b
             cases += [(h, "right", qa.mixer_slot_action(t, n)) for t, h in enumerate(slots)]
         ranks, j = np.arange(factorial(n)), inverse_ranks(n)
         for h, side, action in cases:
-            got = action.take(ranks) if side == "right" else j[action.take(ranks)[j]]
+            got = action.table if side == "right" else j[action.take(ranks)[j]]
             rows = tours[:, list(h)] if side == "right" else np.asarray(h)[tours]
             want = rank_rows(rows, n)
             if not np.array_equal(got, want):
                 return False, (f"{side} action of {h} (period {action.period}, chunk "
                                f"{action.chunk}, {len(action.index)} index entries) gathers the wrong ranks")
             if side == "right" and action.chunk > 1:
-                if len(action.index) == len(ranks):  # built for one block: the whole table
-                    action = fs.Action(n, action.period, action.chunk, right_action(h)[0])
                 p = next(m for m in range(n + 1) if factorial(m) == action.period)
                 for block in (action.chunk // 2, factorial(p - 1), factorial(min(p + 1, n))):
                     got = [fs._gathered(ranks, action, i, i + block) for i in range(0, len(ranks), block)]
@@ -729,48 +727,53 @@ def _team_results(initial, steps, vec, walk) -> list:
 
 
 def check_parallel_steps(degrees=(6, 7), blocks: int = 9, seed: int = 41) -> tuple[bool, str]:
-    """With `GATE_BLOCK` set to n!/`blocks` (rounded down), so that a
-    degree-n state holds more than 8 * `GATE_BLOCK` amplitudes and every
-    step shares its blocks out among the team of `workers.WORKERS`,
-    `run_steps`, `expectation_gradient` and a `Circuit`'s values and
-    gradients after resumes (a change at the last, middle and first
-    angle, then at every phase angle, which builds held factors) give,
-    for every circuit kind (`gradient_cases`) at each of `degrees`, what
-    the same calls give with one worker, bit for bit.  The
-    team has two workers at least, so that the check covers it on one CPU
-    too.  Actions are built afresh at each block and the action cache is
-    emptied afterwards."""
+    """Every circuit kind (`gradient_cases`) at each of `degrees` is built
+    and run by `run_steps` on the calling grid (one block at the default
+    `GATE_BLOCK`).  With `GATE_BLOCK` then n!/`blocks` (rounded down), so
+    that every step shares its more than 8 blocks out among the team of
+    `workers.WORKERS`, the same cached actions give `run_steps` the same
+    amplitudes, and `run_steps`, `expectation_gradient` and a `Circuit`'s
+    values and gradients after resumes (a change at the last, middle and
+    first angle, then at every phase angle, which builds held factors)
+    give what they give with one worker, bit for bit.  The team has two
+    workers at least, so that the check covers it on one CPU too."""
     saved = fs.GATE_BLOCK, workers.WORKERS
     team = max(2, workers.WORKERS)
     rng = np.random.default_rng(seed)
     cases = 0
     try:
         for n in degrees:
-            fs.GATE_BLOCK = factorial(n) // blocks
-            fs.involution_action.cache_clear()
-            if factorial(n) <= 8 * fs.GATE_BLOCK:
-                return False, f"n={n}: {factorial(n)} amplitudes span 8 blocks of {fs.GATE_BLOCK} or fewer"
+            fs.GATE_BLOCK = saved[0]
             cost = TourCost(random_instance(n + 1, seed=seed), reduced=True)
             start = tuple(rng.permutation(n).tolist())
+            built = []
             for name, d, initial, steps, vec, _ in gradient_cases(cost, start):
                 walk = [rng.uniform(0, 2 * np.pi, d)]
                 for i in (d - 1, d // 2, 0, _gammas(steps)):
                     walk.append(walk[-1].copy())
                     walk[-1][i] += 0.5
+                built.append((name, initial, steps, vec, walk,
+                              fs.run_steps(initial(), steps, walk[0]).amps.tobytes()))
+            fs.GATE_BLOCK = factorial(n) // blocks
+            if factorial(n) <= 8 * fs.GATE_BLOCK:
+                return False, f"n={n}: {factorial(n)} amplitudes span 8 blocks of {fs.GATE_BLOCK} or fewer"
+            for name, initial, steps, vec, walk, first in built:
                 workers.WORKERS = team
                 shared = _team_results(initial, steps, vec, walk)
                 workers.WORKERS = 1
                 alone = _team_results(initial, steps, vec, walk)
+                if shared[0][1] != first:
+                    return False, (f"{name} n={n}: run_steps on blocks of {fs.GATE_BLOCK} "
+                                   "differs from the calling grid's")
                 for (label, got), (_, want) in zip(shared, alone):
                     if got != want:
                         return False, f"{name} n={n}: {label} on {team} workers differs from one"
                 cases += 1
     finally:
         fs.GATE_BLOCK, workers.WORKERS = saved
-        fs.involution_action.cache_clear()
-    return True, (f"{cases} circuits on {team} workers bit-identical to one worker, {_degrees(degrees)} "
-                  f"with GATE_BLOCK n!/{blocks}: states, gradients, and Circuit values and "
-                  "gradients after resumes")
+    return True, (f"{cases} circuits, {_degrees(degrees)}, with GATE_BLOCK n!/{blocks}: states as on "
+                  f"the calling grid, and states, gradients, and Circuit values and gradients after "
+                  f"resumes on {team} workers bit-identical to one worker")
 
 
 QUICK_CHECKS = [

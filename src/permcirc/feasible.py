@@ -10,11 +10,12 @@ An `Action` holds that table as a map of chunks: an element that moves
 positions s..e maps each run of P = (n-s)! consecutive ranks onto
 itself, the same way in each, and within a run moves whole chunks of
 B = (n-e-1)! consecutive ranks, so `perms.right_action` builds only the
-K = P/B chunk ranks of one run.  A left action is a right action between
-two relabellings by J, the rank table of p -> p^-1.  A circuit
-is a list of steps, each a generator (an `Action` or a diagonal cost
-vector) tied to an angle; `run_steps` alternates its steps between the
-state and one spare state, in runs of the block loop below.
+K = P/B chunk ranks of one run: all an `Action` holds on a state of more
+than one block.  A left action is a right action between two relabellings
+by J, the rank table of p -> p^-1.  A circuit is a list of steps, each a
+generator (an `Action` or a diagonal cost vector) tied to an angle;
+`run_steps` alternates its steps between the state and one spare state,
+in runs of the block loop below.
 
 Every step goes through one block loop, `_blocked`, on one grid: a state
 of at most `GATE_BLOCK` amplitudes is one block, and a longer one is cut
@@ -52,7 +53,7 @@ a few angles gamma, which later passes at the same gamma multiply by.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -79,10 +80,10 @@ from .sequences import GeneratingSequence, decompose
 # a local gate's period of at most 7! ranks) stay in a 2 MB L2.  Every
 # block has an even length (GATE_BLOCK >= 2): with numpy 2.4 on x86-64, a
 # complex multiply or exp over an odd-length block (7 amplitudes, say)
-# rounds its tail differently from the call over the whole array.  An
-# `Action` built for a one-block state keeps its whole table.  A state of
-# more than 8 * GATE_BLOCK amplitudes (2.5 MB) shares its blocks out among
-# the worker team.
+# rounds its tail differently from the call over the whole array.  A gate
+# on a one-block state is one gather through its action's whole table.  A
+# state of more than 8 * GATE_BLOCK amplitudes (2.5 MB) shares its blocks
+# out among the worker team.
 GATE_BLOCK = 20160
 
 # States a `Circuit` keeps of its last forward pass: the state before step
@@ -127,11 +128,11 @@ class Action:
     B consecutive ranks, local rank k*B + b going to mid[k]*B + b, for
     mid the K = P/B chunk ranks of `perms.right_action`.
 
-    On a state of more than `GATE_BLOCK` amplitudes, `index` is mid, the
-    one index array, writeable for `np.take`, which copies a read-only
-    index on every call; for B = 1 it is the period.  On a one-block
-    state (n! <= `GATE_BLOCK`) it is the whole n!-entry rank table,
-    read-only, so that a gate is one gather.
+    `index` is mid, on every grid: one writeable int64 array, as
+    `np.take` copies a read-only index on every call; for B = 1 it is the
+    period.  A gate on a one-block state gathers through `table`, the
+    whole n!-entry rank table, which the action derives from mid on that
+    first gather and keeps.
     """
 
     n: int
@@ -143,47 +144,41 @@ class Action:
     def of(cls, n: int, mid: np.ndarray, chunk: int = 1) -> "Action":
         """The degree-n action that moves chunks of `chunk` ranks by the
         chunk ranks `mid` in every period of P = len(mid) * chunk ranks
-        (with the default chunk of 1, `mid` is the period).  `mid` must
-        hold ranks in 0..K-1 (IndexError otherwise).  P must divide the
-        block (`_block`) or be a multiple of it, and so must the chunk
-        when P does not divide the block (ValueError otherwise), as every
-        factorial does.  On a one-block state the index is the whole
-        table, built from `mid`; elsewhere it is `mid` itself."""
+        (with the default chunk of 1, `mid` is the period).  P must divide
+        n! and, like the chunk, be a factorial (ValueError otherwise), so
+        each divides every block (`_block`) or is a multiple of it; `mid`
+        must hold ranks in 0..K-1 (IndexError otherwise)."""
         size, k = factorial(n), len(mid)
         p = k * chunk
         if not p or size % p:
             raise ValueError(f"a period of {p} ranks does not divide {n}! = {size}")
-        block = _block(size)
-        if block % p and p % block:
-            raise ValueError(f"a period of {p} ranks neither divides a block of {block} "
-                             "ranks nor is a multiple of it")
-        if block % p and block % chunk and chunk % block:
-            raise ValueError(f"a chunk of {chunk} ranks neither divides a block of {block} "
-                             "ranks nor is a multiple of it")
+        for name, ranks in (("period", p), ("chunk", chunk)):
+            if ranks not in {factorial(m) for m in range(n + 1)}:
+                raise ValueError(f"a {name} of {ranks} ranks is not a factorial")
         if mid.min() < 0 or mid.max() >= k:
             raise IndexError(f"{k} chunk ranks have entries outside 0..{k - 1}")
-        if block == size:
-            index = _table(size, mid, chunk)
-            index.setflags(write=False)
-        else:
-            index = mid
-        return cls(n, p, chunk, index)
+        return cls(n, p, chunk, mid)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The whole rank table, read-only, derived from the chunk ranks on
+        first use and kept."""
+        table = _table(factorial(self.n), self.index, self.chunk)
+        table.setflags(write=False)
+        return table
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the index array: 8 a chunk rank, or 8 a rank of a
-        whole table."""
-        return self.index.nbytes
+        """Bytes of the action's arrays: 8 a chunk rank, and 8 a rank of
+        the whole table once a one-block gather has derived it."""
+        return self.index.nbytes + getattr(self.__dict__.get("table"), "nbytes", 0)
 
     def take(self, values: np.ndarray) -> np.ndarray:
-        """values[table] for all n! ranks, through the whole table built
-        from the chunk ranks; a new array."""
-        size = factorial(self.n)
-        if len(values) != size:
+        """values[table] for all n! ranks, through a whole table built from
+        the chunk ranks and not kept; a new array."""
+        if len(values) != factorial(self.n):
             raise ValueError(f"{len(values)} values for a degree-{self.n} action")
-        if len(self.index) == size:
-            return values[self.index]
-        return values[_table(size, self.index, self.chunk)]
+        return values[_table(len(values), self.index, self.chunk)]
 
 
 def _table(size: int, mid: np.ndarray, chunk: int) -> np.ndarray:
@@ -197,8 +192,8 @@ def _table(size: int, mid: np.ndarray, chunk: int) -> np.ndarray:
 def involution_action(element: Perm) -> Action:
     """The `Action` of one involution on all of S_n, mapping rank(p) ->
     rank(p . element) (slot semantics), with the chunk ranks of
-    `perms.right_action`.  The table is itself an involution on 0..n!-1.
-    """
+    `perms.right_action`; it serves every grid for the life of the
+    process.  The table is itself an involution on 0..n!-1."""
     if not is_involution(element):
         raise ValueError(f"element is not an involution: {element}")
     n = len(element)
@@ -424,18 +419,18 @@ def _kernel(arrays, steps, factors, costate, held, i: int = 0, j: int | None = N
 
 def _gathered(amps: np.ndarray, action: Action, i: int, j: int | None) -> np.ndarray:
     """amps[table[i:j]], a new array, for ranks i..j-1 of one block, or
-    for the whole state when j is None (in one gather when the index is
-    the whole table).  Through the K chunk ranks of a period of P = K*B
-    ranks, a block of whole periods is taken along the middle axis of its
-    (periods, K, B) view; a block inside one chunk (B >= the block)
-    copies part of one row of the period's (K, B) view; and a block of
-    whole chunks of one period takes its chunks' rows of that view.  numpy
-    checks every chunk rank against K."""
-    index, chunk = action.index, action.chunk
-    if len(index) == len(amps):  # the whole table, or chunk ranks of n! ranks
-        return amps[index] if j is None else amps[index[i:j]]
+    for the whole state when j is None, in one gather through the action's
+    whole table (`Action.table`).  Through the K chunk ranks of a period
+    of P = K*B ranks, a block of whole periods is taken along the middle
+    axis of its (periods, K, B) view; a block inside one chunk (B >= the
+    block) copies part of one row of the period's (K, B) view; and a block
+    of whole chunks of one period takes its chunks' rows of that view.
+    numpy checks every chunk rank against K."""
     if j is None:
-        i, j = 0, len(amps)
+        return amps[action.table]
+    index, chunk = action.index, action.chunk
+    if len(index) == len(amps):  # the chunk ranks of n! ranks: the whole table
+        return amps[index[i:j]]
     k, p = len(index), action.period
     if (j - i) % p == 0:
         return np.take(amps[i:j].reshape(-1, k, chunk), index, axis=1).reshape(-1)

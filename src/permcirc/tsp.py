@@ -155,6 +155,7 @@ def load_instance(path) -> TspInstance:
     try:
         n = int(header(0, "n"))
         _check_city_count(n)
+        limits.check("instance", n)  # before the n x n weights are allocated
     except ValueError as e:
         raise ValueError(f"{path}: bad city count: {e}") from None
     directed = header(1, "directed")

@@ -104,12 +104,17 @@ def test_involution_action_matches_composition(n):
     j = inverse_ranks(n)
     for h in elements(n):
         action = involution_action(h)
-        assert action.index.dtype == np.int64 and not action.index.flags.writeable
         assert (action.n, action.period, action.chunk) == (n, period_of(h), chunk_of(h))
-        # a one-block state: the index is the whole table
-        assert len(action.index) == factorial(n)
+        # on every grid the index is the K chunk ranks, writeable for np.take
+        assert action.index.dtype == np.int64 and action.index.flags.writeable
+        assert len(action.index) == action.period // action.chunk
+        assert np.array_equal(action.index, right_action(h)[0])
+        # the whole table a one-block gate gathers through, derived from
+        # them, read-only
+        right = action.table
+        assert right.dtype == np.int64 and not right.flags.writeable
+        assert np.array_equal(right, images(action))
         # the left action is the right action between relabellings by J
-        right = images(action)
         left = j[right[j]]
         assert list(right) == [index[compose(p, h)] for p in tours]
         assert list(left) == [index[compose(h, p)] for p in tours]
@@ -123,7 +128,8 @@ def test_right_action_matches_composition(n):
     # every permutation, involution or not, the identity included: chunk
     # k of B ranks goes to chunk mid[k] of the same period, and the period
     # repeats over every run of P ranks, shifted by the run's start; for
-    # involutions it is the gates' cached whole table at these degrees
+    # involutions the gates' cached action holds these chunk ranks and
+    # derives this table
     tours = [unrank(r, n) for r in range(factorial(n))]
     for g in tours:
         mid, chunk = right_action(g)
@@ -133,7 +139,8 @@ def test_right_action_matches_composition(n):
         table = (np.arange(factorial(n) // len(local))[:, None] * len(local) + local).reshape(-1)
         assert list(table) == [rank(compose(p, g)) for p in tours]
         if is_involution(g):
-            assert np.array_equal(involution_action(g).index, table)
+            action = involution_action(g)
+            assert np.array_equal(action.index, mid) and np.array_equal(action.table, table)
     with pytest.raises(ValueError, match="not a permutation"):
         right_action((0, 0))
 
@@ -212,7 +219,7 @@ def test_buffered_circuit_is_bit_identical(build, side):
 
 
 @pytest.mark.parametrize("block", [7, 40, 120])
-def test_blocked_gate_is_bit_identical(monkeypatch, fresh_actions, block):
+def test_blocked_gate_is_bit_identical(monkeypatch, block):
     # 120 amplitudes in blocks of 6 or 24, and in one block
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     rng = np.random.default_rng(block)
@@ -323,7 +330,7 @@ def test_blocked_runs_check(runs_blocked):
 
 @pytest.mark.parametrize("block", [7, 40, 50])
 @pytest.mark.parametrize("n", [5, 6])
-def test_blocked_runs_are_bit_identical(monkeypatch, fresh_actions, runs_blocked, n, block):
+def test_blocked_runs_are_bit_identical(monkeypatch, runs_blocked, n, block):
     # blocks of 6, 24 and 24 amplitudes (48 = 2 * 4! would cut periods of
     # 5! part way).  Both constructions and QAOA from both starts, with
     # and without the wraparound slot
@@ -336,7 +343,7 @@ def test_blocked_runs_are_bit_identical(monkeypatch, fresh_actions, runs_blocked
     assert any(len(run) == 1 and not isinstance(run[0][0], Action) for run in runs_blocked)
 
 
-def test_a_non_local_gate_runs_alone_before_local_steps(monkeypatch, fresh_actions, runs_blocked):
+def test_a_non_local_gate_runs_alone_before_local_steps(monkeypatch, runs_blocked):
     # degree 5 in five blocks of 24 (GATE_BLOCK 50): a gate on position 0
     # (period 120) reads other blocks of its input, so it is a run of its
     # own, and the local steps after it, which overwrite that input block
@@ -359,16 +366,14 @@ def test_a_non_local_gate_runs_alone_before_local_steps(monkeypatch, fresh_actio
     assert [[k for _, k in run] for run in runs_blocked] == [[0], [1, 2, 1], [0], [2]]
     # the sweep undoes every step, gate or phase, through the same blocks
     got = expectation_gradient(phased_uniform_state(n), steps, x, vec)
+    # the same actions on one block
     monkeypatch.setattr(feasible, "GATE_BLOCK", factorial(n))
-    involution_action.cache_clear()
-    whole = [(involution_action(h) if isinstance(g, Action) else g, k)
-             for (g, k), h in zip(steps, (wide, near, None, far, wide, None))]
-    want = expectation_gradient(phased_uniform_state(n), whole, x, vec)
+    want = expectation_gradient(phased_uniform_state(n), steps, x, vec)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize("block", [7, 50])
-def test_circuit_resumes_inside_runs(monkeypatch, fresh_actions, runs_blocked, block):
+def test_circuit_resumes_inside_runs(monkeypatch, runs_blocked, block):
     # checkpoints written inside blocked runs, and resumes from them that
     # start a run part way, give what fresh passes give, bit for bit
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
@@ -418,7 +423,7 @@ def test_buffered_qaoa_is_bit_identical(initial, wraparound, n):
 
 
 @pytest.mark.parametrize("block", [2, 16384])
-def test_out_of_range_table_raises_on_both_paths(monkeypatch, fresh_actions, block):
+def test_out_of_range_table_raises_on_both_paths(monkeypatch, block):
     # a bad period, longer or shorter than the block, is refused as the
     # action is built, before a gate writes anything
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
@@ -473,12 +478,11 @@ def test_out_returns_the_given_state_and_leaves_input():
     assert bits(state) == before
 
 
-def test_action_tables_check(monkeypatch, fresh_actions):
+def test_action_tables_check(monkeypatch):
     ok, detail = check_action_tables()
     assert ok, detail
     # blocks of 6, shorter than most periods
     monkeypatch.setattr(feasible, "GATE_BLOCK", 7)
-    involution_action.cache_clear()
     ok, detail = check_action_tables(every=range(1, 5), constructions=range(5, 7))
     assert ok, detail
 
@@ -496,7 +500,7 @@ def straddling_cases(n):
 
 
 @pytest.mark.parametrize("block", [7, 100])
-def test_straddling_gates_are_bit_identical(monkeypatch, fresh_actions, block):
+def test_straddling_gates_are_bit_identical(monkeypatch, block):
     # 720 amplitudes: blocks of 6 (GATE_BLOCK 7) lie inside periods of
     # 720, 120 and 24, and blocks of 24 (GATE_BLOCK 100) inside periods of
     # 720 and 120; shorter periods are gathered whole
@@ -518,7 +522,7 @@ def test_straddling_gates_are_bit_identical(monkeypatch, fresh_actions, block):
     (transposition(6, 1, 2), 6, 20),  # whole chunks of a longer period
     (transposition(6, 4, 5), 1, 2),  # whole periods of a local gate
 ])
-def test_each_chunk_gather_is_bit_identical_to_take(monkeypatch, fresh_actions, h, chunk, index):
+def test_each_chunk_gather_is_bit_identical_to_take(monkeypatch, h, chunk, index):
     # degree 6 in 30 blocks of 24 (GATE_BLOCK 50): each case of the blocked
     # gather lists the ranks of the whole table `Action.take` builds, and
     # its gate is the reference's through that table, bit for bit
@@ -549,19 +553,18 @@ def test_default_block_gates_on_degree_8_are_bit_identical():
             reference_gate(state, reference_table(h), 0.9)), h
 
 
-def test_straddling_gradient_is_bit_identical(monkeypatch, fresh_actions):
+def test_straddling_gradient_is_bit_identical(monkeypatch):
     # the sweep's overlaps are summed over the same blocks whether the
-    # actions are periods or flat tables
+    # actions hold chunk ranks or flat tables (one period of n! ranks in
+    # chunks of one rank)
     n = 6
     vec = TourCost(random_instance(n + 1, seed=6), reduced=True).vector()
     seq = bubble_sequence(n)
     x = np.random.default_rng(6).uniform(0, np.pi, len(seq))
     monkeypatch.setattr(feasible, "GATE_BLOCK", 100)
     got = expectation_gradient(uniform_feasible_state(n), circuit_steps(seq), x, vec)
-    monkeypatch.setattr(feasible, "GATE_BLOCK", factorial(n))  # flat tables, one block
     flat = [(Action.of(n, reference_table(h)), k) for k, h in enumerate(seq.elements)]
     assert all(len(a.index) == factorial(n) for a, _ in flat)
-    monkeypatch.setattr(feasible, "GATE_BLOCK", 100)
     want = expectation_gradient(uniform_feasible_state(n), flat, x, vec)
     assert got.tobytes() == want.tobytes()
 
@@ -599,7 +602,7 @@ def mid_with_k(h):
 
 
 @pytest.mark.parametrize("block", [7, 16384])
-def test_period_entry_equal_to_p_raises(monkeypatch, fresh_actions, block):
+def test_period_entry_equal_to_p_raises(monkeypatch, block):
     # degree 5, (0 1): a period of 120 ranks, the whole state; (1 2): 24.
     # Each is refused as it is built, shorter or longer than the block
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
@@ -624,7 +627,7 @@ def test_period_entry_equal_to_p_raises(monkeypatch, fresh_actions, block):
         reference_gate(state, reference_table(h), 0.3))
 
 
-def test_sweep_undo_refuses_a_period_entry_equal_to_p(monkeypatch, fresh_actions):
+def test_sweep_undo_refuses_a_period_entry_equal_to_p(monkeypatch):
     # a bad step for the sweep to undo cannot be built: its period of 24
     # ranks, or its 12 chunk ranks, are refused at blocks of 7, before any
     # state is written
@@ -659,7 +662,7 @@ def test_an_action_of_another_degree_is_refused():
         Circuit(uniform_feasible_state(n), steps, vec)
 
 
-def test_a_blocked_run_refuses_a_step_that_does_not_fit(monkeypatch, fresh_actions, runs_blocked):
+def test_a_blocked_run_refuses_a_step_that_does_not_fit(monkeypatch, runs_blocked):
     # blocks of 6 at degree 5: with a degree-4 action (period 2) or a
     # short cost vector as step 1, steps 1..3 form a run; the list is
     # refused before the block loop runs, and the state is left unwritten
@@ -709,22 +712,21 @@ def test_no_block_straddles_a_period(monkeypatch, bound):
             assert block % factorial(k) == 0 or factorial(k) % block == 0, (n, k)
 
 
-def test_a_period_that_fits_no_block_is_refused(monkeypatch, fresh_actions):
-    # 128 ranks divide 9! but neither divide 20160 = 2^6 * 315 nor are a
-    # multiple of it; at blocks of 6, 4 ranks divide 5! and fit neither
-    message = "^a period of {} ranks neither divides a block of {} ranks nor is a multiple of it$"
-    with pytest.raises(ValueError, match=message.format(128, 20160)):
-        Action.of(9, np.arange(128))
-    # a one-block state takes any period that divides it
-    assert Action.of(4, np.arange(4)).index.tolist() == list(range(24))
-    monkeypatch.setattr(feasible, "GATE_BLOCK", 7)
-    with pytest.raises(ValueError, match=message.format(4, 6)):
-        Action.of(5, np.arange(4))
-    # a period of 5! holds whole blocks of 6, and its chunks of 4 ranks
-    # fit no block
-    chunks = "^a chunk of 4 ranks neither divides a block of 6 ranks nor is a multiple of it$"
-    with pytest.raises(ValueError, match=chunks):
-        Action.of(5, np.arange(30), 4)
+def test_a_period_or_chunk_that_is_not_a_factorial_is_refused(monkeypatch):
+    # 128 ranks divide 9! and 4 ranks divide 4!, but neither is a
+    # factorial, and a period of 5! may not move chunks of 4 ranks; each
+    # is refused with the same message on a one-block state, on the
+    # default grid and on blocks of 6
+    message = "^a {} of {} ranks is not a factorial$"
+    for block in (20160, 7):
+        monkeypatch.setattr(feasible, "GATE_BLOCK", block)
+        with pytest.raises(ValueError, match=message.format("period", 128)):
+            Action.of(9, np.arange(128))
+        with pytest.raises(ValueError, match=message.format("period", 4)):
+            Action.of(4, np.arange(4))
+        with pytest.raises(ValueError, match=message.format("chunk", 4)):
+            Action.of(5, np.arange(30), 4)
+        assert Action.of(5, np.arange(20), 6).index.tolist() == list(range(20))
 
 
 def test_circuit_tables_hold_chunk_ranks():
@@ -741,3 +743,21 @@ def test_circuit_tables_hold_chunk_ranks():
         assert a.index.dtype == np.int64 and a.index.flags.writeable
         assert len(a.index) * a.chunk == a.period
     assert {a.chunk for a, _ in steps} > {1}
+
+
+def test_blocked_actions_hold_no_whole_table():
+    # at degree 8 (two default blocks) a binary-insertion circuit's run,
+    # its gradient and `Action.take` derive no whole table: each action
+    # holds its K chunk ranks alone, as it was built (K = n! only for an
+    # element that moves positions 0 and n-1)
+    n = 8
+    seq = binary_insertion_sequence(n)
+    steps = circuit_steps(seq)
+    vec = TourCost(random_instance(n + 1, seed=8), reduced=True).vector()
+    x = np.random.default_rng(8).uniform(0, np.pi, len(steps))
+    run_steps(phased_uniform_state(n), steps, x)
+    expectation_gradient(phased_uniform_state(n), steps, x, vec)
+    for h, (a, _) in zip(seq.elements, steps):
+        assert np.array_equal(images(a), reference_table(h))
+        assert set(vars(a)) == {"n", "period", "chunk", "index"}
+        assert a.nbytes == 8 * len(a.index) == 8 * a.period // a.chunk

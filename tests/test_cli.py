@@ -95,6 +95,13 @@ def test_size_caps_refuse_at_once(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_instance_file_above_the_cap_is_refused(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text("n 5000\ndirected 1\n")
+    assert run_cli("solve-exact", "--instance", str(path)) == 3
+    assert capsys.readouterr().err.startswith("permcirc: size cap: instance of 5000 cities needs ")
+
+
 @pytest.mark.parametrize("argv", [
     ("solve-exact", "--n", "1"),
     ("run", "--n", "1"),

@@ -185,7 +185,7 @@ def test_a_pass_that_raises_leaves_no_checkpoint_behind(monkeypatch):
     assert circuit.state(z).amps.tobytes() == run_steps(uniform_feasible_state(n), steps, z).amps.tobytes()
 
 
-def test_a_pass_that_raises_holds_no_half_built_factors(monkeypatch, fresh_actions):
+def test_a_pass_that_raises_holds_no_half_built_factors(monkeypatch):
     # degree 5 in five blocks of 24 (GATE_BLOCK 40), QAOA without the
     # wraparound slot: the pass at y resumes at step 3 and runs (2 3),
     # (3 4) and the phase of gamma_1 block by block, so it has built that
@@ -232,7 +232,7 @@ def test_gradient_is_independent_of_the_block_size(monkeypatch, block):
 
 
 @pytest.mark.parametrize("block", [7, 16384])
-def test_gradient_refuses_an_out_of_range_table(monkeypatch, fresh_actions, block):
+def test_gradient_refuses_an_out_of_range_table(monkeypatch, block):
     # the 12 chunk ranks of a period of 24 ranks, refused as the action is
     # built, whether blocks of 6 lie inside the period (GATE_BLOCK 7) or
     # the state is one block

@@ -27,7 +27,7 @@ from permcirc.feasible import (
     involution_action,
     run_steps,
 )
-from permcirc.perms import transposition
+from permcirc.perms import perm_table, rank_rows, transposition
 from permcirc.qaoa import QaoaConfig, initial_state, qaoa_steps
 from permcirc.tsp import TourCost, random_instance
 
@@ -57,9 +57,19 @@ def test_parallel_steps_check(team_blocks):
     ok, detail = check_parallel_steps()
     assert ok, detail
     assert team_blocks and min(team_blocks) >= 9
-    # the check leaves the block, the worker count and the action cache as they were
+    # the check leaves the block and the worker count as they were
     assert feasible.GATE_BLOCK == 20160 and workers.WORKERS >= 1
-    assert involution_action.cache_info().currsize == 0
+    # an action the check cached, and ran on one block and on blocks of
+    # 7!/9, still gathers bit-identically on the default grid
+    n, h = 7, transposition(7, 0, 1)
+    hits = involution_action.cache_info().hits
+    action = involution_action(h)
+    assert involution_action.cache_info().hits == hits + 1
+    assert (action.period, action.chunk) == (factorial(n), factorial(5))
+    state = phased_uniform_state(n)
+    table = rank_rows(perm_table(n)[:, list(h)], n)
+    want = np.cos(0.9) * state.amps - 1j * np.sin(0.9) * state.amps[table]
+    assert apply_involution_exp(state, action, 0.9).amps.tobytes() == want.tobytes()
 
 
 def test_degree_9_team_matches_one_worker(monkeypatch, team_blocks):
@@ -83,7 +93,7 @@ def test_degree_9_team_matches_one_worker(monkeypatch, team_blocks):
     assert team_blocks and set(team_blocks) == {18}
 
 
-def test_the_sweep_undoes_every_step_on_the_team(monkeypatch, fresh_actions, team_blocks):
+def test_the_sweep_undoes_every_step_on_the_team(monkeypatch, team_blocks):
     # degree 7 in 14 blocks of 360 (GATE_BLOCK 7!/9, as check_parallel_steps
     # sets it): the sweep of a QAOA gradient undoes each of its steps,
     # phases as well as gates, in one step shared on the team
@@ -115,7 +125,7 @@ def bad_copy(action, rank, value):
 
 @pytest.mark.parametrize("position", [0, 300, 719])
 def test_a_bad_head_raises_from_the_team_and_the_team_stays_usable(
-        monkeypatch, fresh_actions, team_blocks, position):
+        monkeypatch, team_blocks, position):
     # degree 6 in 30 blocks of 24 (GATE_BLOCK 50): the bad chunk rank of a
     # gate on positions 0..1 (a period of the whole table in 30 chunks of
     # 24 ranks, one a block) fails one block; the bad chunk rank of a local

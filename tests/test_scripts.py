@@ -83,3 +83,25 @@ def test_ab_pairs_counts_a_non_zero_exit_as_a_failed_run(monkeypatch, tmp_path, 
     assert ab.failures(pairs) == failed
     if returncode:
         assert pairs[0][1]["error"] == "exit status 1: boom"
+
+
+@pytest.mark.parametrize("code, correct, status", [
+    (0, True, 0),  # every run good
+    (0, False, 1),  # the change's runs failed an operation
+    (1, True, 1),  # the change's runs exited non-zero
+])
+def test_ab_pairs_exits_1_when_a_run_failed(monkeypatch, tmp_path, capsys, code, correct, status):
+    # two canned pairs: a scripted comparison must not pass over a failed run
+    ab = load_ab_pairs()
+
+    def fake_run(cmd, cwd, **kwargs):
+        change = Path(cwd).name == "change"
+        return subprocess.CompletedProcess(cmd, code if change else 0, stderr="boom",
+                                           stdout=result_line(2.0, 0.5, correct or not change))
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    argv = ["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
+            "--workload", "sweep7", "--pairs", "2"]
+    assert ab.main(argv) == status
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == ("failed runs: none" if status == 0 else "failed runs: change pair 0, change pair 1")

@@ -120,6 +120,14 @@ def test_city_counts_below_one_are_refused(n, tmp_path):
         load_instance(path)
 
 
+def test_load_refuses_a_city_count_above_the_cap(tmp_path):
+    # the header alone is refused, before any weight row is read
+    path = tmp_path / "inst.txt"
+    path.write_text("n 5000\ndirected 1\n")
+    with pytest.raises(TooLarge, match="^instance of 5000 cities needs 0.2 GiB; cap is 4096 cities$"):
+        load_instance(path)
+
+
 def test_save_load_roundtrip_exact(tmp_path):
     inst = random_instance(9, seed=11)
     path = tmp_path / "inst.txt"
