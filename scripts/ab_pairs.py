@@ -10,9 +10,10 @@ that a drift of the host's speed hits both sides alike.  Every run's last
 line of output is kept in --log, one JSON object a line, when given.  The
 summary lists, for every end-to-end metric of `BENCHMARK.json`, the
 base's median and interquartile range, the change's median, their ratio,
-and the pairs in which the change was better, equal and worse, by the
-metric's direction; and the runs that failed an operation or exited
-non-zero.  The script exits with status 1 when any run failed, else 0.
+the pairs in which the change was better, equal and worse, by the
+metric's direction, and a verdict against the metric's bound (`verdict`);
+and the runs that failed an operation or exited non-zero.  The script
+exits with status 1 when any run failed, else 0.
 """
 
 import argparse
@@ -42,20 +43,37 @@ def quartiles(values) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(pairs, better: dict) -> list[dict]:
-    """One row per metric of `better` (name -> "lower" or "higher") from
+def verdict(base: list, change: list, sign: int, bound: float) -> str:
+    """"worse" when the change's median is worse than the base's by more
+    than bound times the base median; else "unresolved" when the base's
+    interquartile range is wider than that, unless every change run beats
+    every base run; else "ok".  `sign` is 1 when lower is better, -1 when
+    higher is."""
+    base_median = statistics.median(base)
+    allowed = bound * abs(base_median)
+    if sign * (statistics.median(change) - base_median) > allowed:
+        return "worse"
+    q1, q3 = quartiles(base)
+    beats_all = max(change) < min(base) if sign == 1 else min(change) > max(base)
+    return "unresolved" if q3 - q1 > allowed and not beats_all else "ok"
+
+
+def summarize(pairs, metrics) -> list[dict]:
+    """One row per metric of `metrics` (the `end_to_end` entries of
+    `BENCHMARK.json`: name, better "lower" or "higher", bound) from
     `pairs`, a list of (base, change) result objects as `parse` returns
-    them: the medians, the base's interquartile range, change / base, and
-    the pairs won, tied and lost by the change.  Runs without a metric
-    are left out of its row."""
+    them: the medians, the base's interquartile range, change / base, the
+    pairs won, tied and lost by the change, and the `verdict`.  Runs
+    without a metric are left out of its row."""
     rows = []
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         got = [(b["metrics"][name]["value"], c["metrics"][name]["value"]) for b, c in pairs
                if name in b.get("metrics", {}) and name in c.get("metrics", {})]
         if not got:
             continue
         base, change = [b for b, _ in got], [c for _, c in got]
-        sign = 1 if direction == "lower" else -1
+        sign = 1 if metric["better"] == "lower" else -1
         won = sum(sign * (c - b) < 0 for b, c in got)
         tied = sum(c == b for b, c in got)
         q1, q3 = quartiles(base)
@@ -63,7 +81,8 @@ def summarize(pairs, better: dict) -> list[dict]:
         rows.append({"metric": name, "base": base_median, "base_iqr": q3 - q1,
                      "change": change_median,
                      "ratio": change_median / base_median if base_median else float("nan"),
-                     "won": won, "tied": tied, "lost": len(got) - won - tied, "pairs": len(got)})
+                     "won": won, "tied": tied, "lost": len(got) - won - tied, "pairs": len(got),
+                     "verdict": verdict(base, change, sign, metric["bound"])})
     return rows
 
 
@@ -80,11 +99,11 @@ def failures(pairs) -> list[str]:
 
 def render(rows, bad) -> str:
     lines = [f"{'metric':18s} {'base':>12s} {'base IQR':>10s} {'change':>12s} {'ratio':>7s}  "
-             "won/tied/lost"]
+             f"{'won/tied/lost':15s} verdict"]
     for r in rows:
+        counts = f"{r['won']}/{r['tied']}/{r['lost']} of {r['pairs']}"
         lines.append(f"{r['metric']:18s} {r['base']:12.6g} {r['base_iqr']:10.3g} "
-                     f"{r['change']:12.6g} {r['ratio']:7.3f}  "
-                     f"{r['won']}/{r['tied']}/{r['lost']} of {r['pairs']}")
+                     f"{r['change']:12.6g} {r['ratio']:7.3f}  {counts:15s} {r['verdict']}")
     lines.append("failed runs: " + (", ".join(bad) if bad else "none"))
     return "\n".join(lines)
 
@@ -114,8 +133,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--log", type=Path, help="append every run's result here, one JSON a line")
     args = ap.parse_args(argv)
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     pairs = []
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -131,7 +149,7 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
     print(f"{args.workload}: {args.pairs} pairs, base {args.base}, change {args.change}")
     bad = failures(pairs)
-    print(render(summarize(pairs, better), bad))
+    print(render(summarize(pairs, metrics), bad))
     return 1 if bad else 0
 
 

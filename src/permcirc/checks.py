@@ -303,10 +303,10 @@ def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[b
     element of both constructions on both sides and every QAOA slot's
     `mixer_slot_action`.  The left action of h is J[R_h[J]], for R_h the
     right one and J = `inverse_ranks`.  For every right action that moves
-    chunks of B = b! > 1 ranks in periods of P = p! ranks, the blocked
-    gather through its chunk ranks (`feasible._gathered`) lists the same
-    ranks on blocks of B/2 (halves of one chunk), of (p-1)! (whole chunks
-    of one period, or one chunk when p = b + 1) and of (p+1)! (whole
+    chunks of B = b! ranks in periods of P = p! ranks, the blocked gather
+    (`feasible._gathered`) lists the same ranks on blocks of B/2 (halves
+    of one chunk, when B > 1), of (p-1)! (whole chunks of one period: for
+    B = 1 and P = n!, of the n! chunk ranks) and of (p+1)! (whole
     periods; one period when p = n)."""
     checked = gathered = 0
     for n in sorted(set(every) | set(constructions)):
@@ -327,9 +327,9 @@ def check_action_tables(every=range(1, 6), constructions=range(1, 8)) -> tuple[b
             if not np.array_equal(got, want):
                 return False, (f"{side} action of {h} (period {action.period}, chunk "
                                f"{action.chunk}, {len(action.index)} index entries) gathers the wrong ranks")
-            if side == "right" and action.chunk > 1:
-                p = next(m for m in range(n + 1) if factorial(m) == action.period)
-                for block in (action.chunk // 2, factorial(p - 1), factorial(min(p + 1, n))):
+            if side == "right":
+                p = max(m for m in range(n + 1) if factorial(m) == action.period)
+                for block in filter(None, (action.chunk // 2, factorial(p - 1), factorial(min(p + 1, n)))):
                     got = [fs._gathered(ranks, action, i, i + block) for i in range(0, len(ranks), block)]
                     if not np.array_equal(np.concatenate(got), want):
                         return False, (f"the chunk gather of {h} (period {action.period}, chunk "
@@ -683,10 +683,11 @@ def check_blocked_runs(n: int = 8, seed: int = 37) -> tuple[bool, str]:
     """`run_steps` of every circuit kind (`gradient_cases`) at degree n
     gives, bit for bit, the amplitudes of its steps applied one at a time
     as whole-array numpy expressions: cos(t) a - 1j sin(t) a[table] for a
-    gate, through the full rank table `Action.take` lists, and
-    exp(-1j t cost) a for a phase.  Every step goes through one block
-    loop; on states longer than `GATE_BLOCK` its runs of local steps go
-    block by block, so at the default block a degree-8 state is blocked.
+    gate, through the whole table `Action.take` gathers (which
+    `check_action_tables` holds to `rank_rows`), and exp(-1j t cost) a
+    for a phase.  Every step goes through one block loop; on states longer
+    than `GATE_BLOCK` its runs of local steps go block by block, so at the
+    default block a degree-8 state is blocked.
     QAOA without the wraparound slot ends a layer's run with the next
     phase step; with that slot, each phase step is a run of its own."""
     rng = np.random.default_rng(seed)

@@ -39,9 +39,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_instance_flags(p):
-    p.add_argument("--instance", metavar="PATH", help="instance file")
-    p.add_argument("--n", type=int, help="city count for a random instance")
+def _add_instance_flags(p, file=True):
+    if file:  # else the random instance's --n is required
+        p.add_argument("--instance", metavar="PATH", help="instance file")
+    p.add_argument("--n", type=int, required=not file, help="city count for a random instance")
     p.add_argument("--seed", type=int, default=0, help="random-instance seed")
     p.add_argument("--lo", type=float, default=1.0, help="minimum edge weight")
     p.add_argument("--hi", type=float, default=10.0, help="maximum edge weight")
@@ -68,7 +69,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-instance", help="write a random instance file")
-    _add_instance_flags(p)
+    _add_instance_flags(p, file=False)
     p.add_argument("--out", required=True, metavar="PATH")
 
     p = sub.add_parser("solve-exact", help="exact optimal tour")

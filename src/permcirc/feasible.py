@@ -10,22 +10,22 @@ An `Action` holds that table as a map of chunks: an element that moves
 positions s..e maps each run of P = (n-s)! consecutive ranks onto
 itself, the same way in each, and within a run moves whole chunks of
 B = (n-e-1)! consecutive ranks, so `perms.right_action` builds only the
-K = P/B chunk ranks of one run: all an `Action` holds on a state of more
-than one block.  A left action is a right action between two relabellings
-by J, the rank table of p -> p^-1.  A circuit is a list of steps, each a
-generator (an `Action` or a diagonal cost vector) tied to an angle;
-`run_steps` alternates its steps between the state and one spare state,
-in runs of the block loop below.
+K = P/B chunk ranks of one run, which `perms.take_chunks` applies: all
+an `Action` holds on a state of more than one block.  A left action is a
+right action between two relabellings by J, the rank table of p -> p^-1.
+A circuit is a list of steps, each a generator (an `Action` or a
+diagonal cost vector) tied to an angle; `run_steps` alternates its steps
+between the state and one spare state, in runs of the block loop below.
 
 Every step goes through one block loop, `_blocked`, on one grid: a state
 of at most `GATE_BLOCK` amplitudes is one block, and a longer one is cut
 into equal blocks of c * m! amplitudes with c dividing m + 1 (`_block`).
 Every period (n-s)! and every chunk (n-e-1)! then either divides the
 block or is a multiple of it, so no block straddles a period or a chunk:
-a gate gathers a block of whole periods, whole chunks of one period, or
-part of one chunk, each through the chunk ranks (`_gathered`),
-bounds-checked by numpy indexing, with the same amplitudes, bit for bit,
-whether or not `out` is given.  A run
+a gate copies part of one chunk, or gathers whole chunks through the
+chunk ranks, those of a block of whole periods or of its rows of one
+period (`_gathered`), every chunk rank checked against K, with the same
+amplitudes, bit for bit, whether or not `out` is given.  A run
 of consecutive local steps (phase steps, and gates whose period divides
 the block) maps each block onto itself, so it goes block by block, every
 step of the run on one block while the block stays in cache, with the
@@ -68,6 +68,7 @@ from .perms import (
     is_involution,
     rank,
     right_action,
+    take_chunks,
     unrank,
 )
 from .sequences import GeneratingSequence, decompose
@@ -130,9 +131,9 @@ class Action:
 
     `index` is mid, on every grid: one writeable int64 array, as
     `np.take` copies a read-only index on every call; for B = 1 it is the
-    period.  A gate on a one-block state gathers through `table`, the
-    whole n!-entry rank table, which the action derives from mid on that
-    first gather and keeps.
+    period.  `take`, `table` (the whole n!-entry rank table, gathered on
+    a one-block state's first gate and kept) and the gathers of longer
+    states apply it through `perms.take_chunks`.
     """
 
     n: int
@@ -161,9 +162,9 @@ class Action:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """The whole rank table, read-only, derived from the chunk ranks on
+        """The whole rank table, read-only, gathered from the n! ranks on
         first use and kept."""
-        table = _table(factorial(self.n), self.index, self.chunk)
+        table = self.take(np.arange(factorial(self.n)))
         table.setflags(write=False)
         return table
 
@@ -174,18 +175,11 @@ class Action:
         return self.index.nbytes + getattr(self.__dict__.get("table"), "nbytes", 0)
 
     def take(self, values: np.ndarray) -> np.ndarray:
-        """values[table] for all n! ranks, through a whole table built from
-        the chunk ranks and not kept; a new array."""
+        """values[table] for all n! ranks, gathered through the chunk ranks
+        (`perms.take_chunks`); a new array."""
         if len(values) != factorial(self.n):
             raise ValueError(f"{len(values)} values for a degree-{self.n} action")
-        return values[_table(len(values), self.index, self.chunk)]
-
-
-def _table(size: int, mid: np.ndarray, chunk: int) -> np.ndarray:
-    """The whole rank table of the map that moves chunks of `chunk` ranks
-    by `mid` in every period of len(mid) * chunk ranks, over `size` ranks."""
-    starts = np.arange(0, size, len(mid) * chunk)[:, None, None]
-    return (starts + (mid * chunk)[:, None] + np.arange(chunk)).reshape(-1)
+        return take_chunks(values, self.index, self.chunk)
 
 
 @lru_cache(maxsize=None)
@@ -419,27 +413,22 @@ def _kernel(arrays, steps, factors, costate, held, i: int = 0, j: int | None = N
 
 def _gathered(amps: np.ndarray, action: Action, i: int, j: int | None) -> np.ndarray:
     """amps[table[i:j]], a new array, for ranks i..j-1 of one block, or
-    for the whole state when j is None, in one gather through the action's
-    whole table (`Action.table`).  Through the K chunk ranks of a period
-    of P = K*B ranks, a block of whole periods is taken along the middle
-    axis of its (periods, K, B) view; a block inside one chunk (B >= the
-    block) copies part of one row of the period's (K, B) view; and a block
-    of whole chunks of one period takes its chunks' rows of that view.
-    numpy checks every chunk rank against K."""
+    for the whole state when j is None, through `Action.table`.  A block
+    inside one chunk (B >= the block) copies part of its source chunk,
+    whose rank is checked against K like a gather's (IndexError); any
+    other block gathers whole chunks (`perms.take_chunks`), all of its
+    own when it holds whole periods, else its rows of its period."""
     if j is None:
         return amps[action.table]
-    index, chunk = action.index, action.chunk
-    if len(index) == len(amps):  # the chunk ranks of n! ranks: the whole table
-        return amps[index[i:j]]
-    k, p = len(index), action.period
+    index, chunk, p = action.index, action.chunk, action.period
     if (j - i) % p == 0:
-        return np.take(amps[i:j].reshape(-1, k, chunk), index, axis=1).reshape(-1)
+        return take_chunks(amps[i:j], index, chunk)
     base = i - i % p
-    rows = amps[base:base + p].reshape(k, chunk)
     first, offset = divmod(i - base, chunk)
     if chunk >= j - i:
-        return rows[index[first], offset:offset + j - i].copy()
-    return np.take(rows, index[first:first + (j - i) // chunk], axis=0).reshape(-1)
+        start = base + range(len(index))[index[first]] * chunk + offset
+        return amps[start:start + j - i].copy()
+    return take_chunks(amps[base:base + p], index, chunk, first, first + (j - i) // chunk)
 
 
 def _mix(c, block: np.ndarray, s, gathered: np.ndarray, dest: np.ndarray, lam=None) -> complex:

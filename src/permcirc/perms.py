@@ -16,7 +16,8 @@ builds the rank map of p -> p . g, which gates and the product sweep
 share: g keeps the digits before the first position s it moves, so the
 map sends each run of (n-s)! consecutive ranks onto itself, the same way
 in each, moving whole chunks of consecutive ranks, one per value of the
-digits g changes; `inverse_ranks` turns it into p -> g . p.
+digits g changes; `take_chunks` applies it, `inverse_ranks` turns it
+into p -> g . p.
 """
 
 from functools import lru_cache
@@ -222,6 +223,14 @@ def right_action(element: Perm) -> tuple[np.ndarray, int]:
     arrangements = perm_table(big)[::chunk, :m]
     local = np.asarray(element[s:e + 1]) - s
     return rank_rows(arrangements[:, local], big), chunk
+
+
+def take_chunks(values: np.ndarray, mid: np.ndarray, chunk: int, k0=0, k1=None) -> np.ndarray:
+    """`values`, whole periods of K = len(mid) chunks of `chunk` entries,
+    through the chunk map of `right_action`: chunks k0..k1-1 (all K by
+    default) of each period, chunk k read from chunk mid[k], in one np.take
+    along the middle axis of the (periods, K, B) view; a new flat array."""
+    return np.take(values.reshape(-1, len(mid), chunk), mid[k0:k1], axis=1).reshape(-1)
 
 
 def format_perm(p: Perm) -> str:

@@ -36,6 +36,7 @@ from .perms import (
     is_perm,
     rank,
     right_action,
+    take_chunks,
     transposition,
     unrank,
 )
@@ -216,9 +217,9 @@ def _first_layers(seq: GeneratingSequence) -> np.ndarray:
 
     Layer k is layer k-1 plus h_k . p for each p in it, and
     (h_k . p)^-1 = p^-1 . h_k^-1, so q is in layer k exactly when q or
-    q . h_k is in layer k-1: one gather per element, through the chunk
-    ranks of its right action in every run of P ranks
-    (`perms.right_action`), as a gate gathers a block of whole periods.
+    q . h_k is in layer k-1: one gather per element, `perms.take_chunks`
+    through the chunk ranks of its right action (`perms.right_action`)
+    over all n! ranks, as a gate gathers a block of whole periods.
     Memory is 4 B a tour for `first`, 4 B for the gathered layer and 2 B
     of masks, within the "state" row of `limits.CAPS`.
     """
@@ -230,9 +231,7 @@ def _first_layers(seq: GeneratingSequence) -> np.ndarray:
     first = np.full(factorial(n), d + 1, dtype=np.int32)
     first[0] = 0  # the identity
     for k, h in enumerate(seq.elements, 1):
-        mid, chunk = right_action(h)
-        runs = first.reshape(-1, len(mid), chunk)
-        first[(first > d) & (np.take(runs, mid, axis=1) < k).reshape(-1)] = k
+        first[(first > d) & (take_chunks(first, *right_action(h)) < k)] = k
     return first
 
 

@@ -8,6 +8,7 @@ cities with the two boundary edges added implicitly.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -135,35 +136,34 @@ def save_instance(inst: TspInstance, path) -> None:
 
 
 def load_instance(path) -> TspInstance:
-    """Parse the `save_instance` format with line/field diagnostics.
-    Under `directed 0` the weights must be symmetric."""
-    lines = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(Path(path).read_text().splitlines())
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if len(lines) < 2:
-        raise ValueError(f"{path}: expected header lines 'n ...' and 'directed ...'")
+    """Parse the `save_instance` format with line/field diagnostics, the
+    header first; under `directed 0` the weights must be symmetric."""
+    with open(path) as f:
+        lines = ((i, t) for i, t in enumerate(map(str.strip, f), 1) if t and not t.startswith("#"))
+        head = list(islice(lines, 2))
+        if len(head) < 2:
+            raise ValueError(f"{path}: expected header lines 'n ...' and 'directed ...'")
 
-    def header(index, key):
-        lineno, text = lines[index]
-        parts = text.split()
-        if len(parts) != 2 or parts[0] != key:
-            raise ValueError(f"{path}:{lineno}: expected '{key} <value>', got {text!r}")
-        return parts[1]
+        def header(index, key):
+            lineno, text = head[index]
+            parts = text.split()
+            if len(parts) != 2 or parts[0] != key:
+                raise ValueError(f"{path}:{lineno}: expected '{key} <value>', got {text!r}")
+            return parts[1]
 
-    try:
-        n = int(header(0, "n"))
-        _check_city_count(n)
-        limits.check("instance", n)  # before the n x n weights are allocated
-    except ValueError as e:
-        raise ValueError(f"{path}: bad city count: {e}") from None
-    directed = header(1, "directed")
-    if directed not in ("0", "1"):
-        raise ValueError(f"{path}:{lines[1][0]}: directed must be 0 or 1, got {lines[1][1]!r}")
-    rows = lines[2:]
-    if len(rows) != n:
-        raise ValueError(f"{path}: expected {n} weight rows, found {len(rows)}")
+        try:
+            n = int(header(0, "n"))
+            _check_city_count(n)
+            limits.check("instance", n)  # before any weight row is read
+        except ValueError as e:
+            raise ValueError(f"{path}: bad city count: {e}") from None
+        directed = header(1, "directed")
+        if directed not in ("0", "1"):
+            raise ValueError(f"{path}:{head[1][0]}: directed must be 0 or 1, got {head[1][1]!r}")
+        rows = list(islice(lines, n))
+        found = len(rows) + sum(1 for _ in lines)
+    if found != n:
+        raise ValueError(f"{path}: expected {n} weight rows, found {found}")
     w = np.zeros((n, n))
     for u, (lineno, text) in enumerate(rows):
         fields = text.split()

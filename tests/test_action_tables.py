@@ -543,6 +543,28 @@ def test_each_chunk_gather_is_bit_identical_to_take(monkeypatch, h, chunk, index
     assert bits(apply_involution_exp(state, action, 0.9, out=spare_like(state))) == want
 
 
+def grids(n):
+    """The block lengths L dividing n! such that every k! (k <= n) divides
+    L or is a multiple of it, the grids `feasible._block` can cut."""
+    facts = [factorial(k) for k in range(n + 1)]
+    return [L for L in range(1, facts[n] + 1)
+            if facts[n] % L == 0 and all(L % f == 0 or f % L == 0 for f in facts)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_blocked_gather_lists_the_table_on_every_grid(n):
+    # every form of `_gathered` (part of one chunk, whole chunks of one
+    # period, whole periods; one period of n! chunk ranks for an element
+    # moving positions 0 and n-1) lists the ranks of `Action.table`
+    ranks = np.arange(factorial(n))
+    for h in filter(is_involution, permutations(range(n))):
+        action = involution_action(h)
+        for block in grids(n):
+            gathered = [feasible._gathered(ranks, action, i, i + block)
+                        for i in range(0, len(ranks), block)]
+            assert np.array_equal(np.concatenate(gathered), action.table), (h, block)
+
+
 def test_default_block_gates_on_degree_8_are_bit_identical():
     # 40320 amplitudes in two blocks of 20160: each lies inside a period
     # of 8!, and holds whole periods of 7! and less; references from

@@ -53,6 +53,23 @@ def test_gen_instance_rejects_zero_lo(tmp_path):
                    "--out", str(out)) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: --n"),
+    (("--instance", "inst.txt", "--n", "4"), "unrecognized arguments: --instance inst.txt"),
+])
+def test_gen_instance_needs_n_and_takes_no_instance(argv, message, tmp_path, capsys):
+    # a missing --n once ended in a TypeError from the city-count check,
+    # and --instance was accepted and then ignored
+    out = tmp_path / "x.txt"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen-instance", *argv, "--out", str(out))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: permcirc") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert run_cli("run") == 1  # neither --instance nor --n
     with pytest.raises(SystemExit) as exc:

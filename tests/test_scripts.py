@@ -42,6 +42,11 @@ def result_line(wall, ratio, correct=True):
                                    "final_ratio_mean": {"value": ratio, "unit": "ratio"}}})
 
 
+def metrics(bound=0.25, **better):
+    """`end_to_end` entries of `BENCHMARK.json`, each with `bound`."""
+    return [{"name": name, "better": direction, "bound": bound} for name, direction in better.items()]
+
+
 def test_ab_pairs_summary_of_canned_runs():
     ab = load_ab_pairs()
     head = "# workload circuit10 seed 0 trace 0 passes=3\nwall_s  2.0 s\n"
@@ -49,8 +54,8 @@ def test_ab_pairs_summary_of_canned_runs():
     change = [ab.parse(head + result_line(w, r, correct=(i != 2)))
               for i, (w, r) in enumerate(((1.9, 0.6), (2.3, 0.5), (2.0, 0.4), (2.6, 0.5)))]
     pairs = list(zip(base, change))
-    rows = {r["metric"]: r for r in ab.summarize(pairs, {"wall_s": "lower", "peak_rss_mb": "lower",
-                                                         "final_ratio_mean": "higher"})}
+    rows = {r["metric"]: r for r in ab.summarize(pairs, metrics(
+        wall_s="lower", peak_rss_mb="lower", final_ratio_mean="higher"))}
     # no run reports peak_rss_mb, so it has no row
     assert set(rows) == {"wall_s", "final_ratio_mean"}
     wall = rows["wall_s"]
@@ -62,10 +67,34 @@ def test_ab_pairs_summary_of_canned_runs():
     assert (ratio["won"], ratio["tied"], ratio["lost"]) == (1, 2, 1)
     assert ratio["base_iqr"] == 0
     assert ab.failures(pairs) == ["change pair 2"]
-    table = ab.render(ab.summarize(pairs, {"wall_s": "lower"}), ab.failures(pairs))
+    table = ab.render(ab.summarize(pairs, metrics(wall_s="lower")), ab.failures(pairs))
     assert "2/1/1 of 4" in table and table.endswith("failed runs: change pair 2")
     with pytest.raises(ValueError):
         ab.parse("")
+
+
+def test_ab_pairs_verdicts_against_the_bounds():
+    # four pairs a metric; bound 0.25 for the seconds, 0.1 for the rest
+    runs = {  # name: (better, bound, base runs, change runs, verdict)
+        "wall_s": ("lower", 0.25, (2.0, 2.0, 2.1, 2.1), (2.7, 2.7, 2.8, 2.8), "worse"),
+        "setup_s": ("lower", 0.25, (1.0, 1.0, 2.0, 2.0), (1.5, 1.5, 1.5, 1.5), "unresolved"),
+        "peak_rss_mb": ("lower", 0.1, (40.0, 40.0, 40.1, 40.1), (40.5, 40.5, 40.6, 40.6), "ok"),
+        # the base spread is wider than the bound, but every change run wins
+        "final_ratio_mean": ("higher", 0.1, (0.4, 0.4, 0.6, 0.6), (0.7, 0.7, 0.8, 0.8), "ok"),
+        "evaluations": ("lower", 0.1, (100, 100, 100, 100), (111, 111, 111, 111), "worse"),
+    }
+
+    def result(side, i):
+        return {"correct": True, "metrics": {name: {"value": run[2 + side][i]}
+                                             for name, run in runs.items()}}
+
+    ab = load_ab_pairs()
+    pairs = [(result(0, i), result(1, i)) for i in range(4)]
+    specs = [{"name": name, "better": run[0], "bound": run[1]} for name, run in runs.items()]
+    rows = ab.summarize(pairs, specs)
+    assert {r["metric"]: r["verdict"] for r in rows} == {name: run[4] for name, run in runs.items()}
+    table = ab.render(rows, []).splitlines()
+    assert table[0].endswith("verdict") and table[2].endswith("unresolved")
 
 
 @pytest.mark.parametrize("returncode, failed", [(0, []), (1, ["change pair 0"])])

@@ -128,6 +128,38 @@ def test_load_refuses_a_city_count_above_the_cap(tmp_path):
         load_instance(path)
 
 
+def test_an_oversized_file_is_refused_from_its_header(tmp_path, capsys):
+    # 400 weight rows of 4 097 fields (6.6 MB) under a header over the cap:
+    # refused before the rows are read, so the traced peak stays far below
+    # the file's size
+    import tracemalloc
+
+    from permcirc.cli import main
+
+    path = tmp_path / "big.txt"
+    row = " ".join(["1.0"] * 4097) + "\n"
+    path.write_text("# a comment\n\nn 4097\ndirected 1\n" + row * 400)
+    size = path.stat().st_size
+    assert size > 6_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="^instance of 4097 cities needs "):
+            load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 50
+    assert main(["solve-exact", "--instance", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("permcirc: size cap: instance of 4097 cities needs ")
+
+
+def test_rows_past_the_nth_are_counted(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_text("n 2\ndirected 1\n0 1\n\n# between\n1 0\n1 0\n1 0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: expected 2 weight rows, found 4")):
+        load_instance(path)
+
+
 def test_save_load_roundtrip_exact(tmp_path):
     inst = random_instance(9, seed=11)
     path = tmp_path / "inst.txt"
