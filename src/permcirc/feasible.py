@@ -34,12 +34,24 @@ the block is a run of its own, and on a one-block state the whole circuit
 is one run.
 
 On a state of more than 8 * `GATE_BLOCK` amplitudes (2.5 MB, past the
-L2 that `GATE_BLOCK` assumes: degree 9 and up), the blocks of a run are
-shared out among the team of `workers.WORKERS` threads, one per CPU the
-process may run on (`taskset` limits it), the calling thread among them.
-Its other threads start the first time a step qualifies, so smaller
-states start none.  The amplitudes, and the gradient's terms summed in
-block order, are those of one thread bit for bit.
+L2 that `GATE_BLOCK` assumes: degree 9 and up; `_shared`), the blocks of
+a run are shared out among the team of `workers.WORKERS` threads, one per
+CPU the process may run on (`taskset` limits it), the calling thread
+among them.  Its other threads start the first time a step qualifies, so
+smaller states start none.  The amplitudes, and the gradient's terms
+summed in block order, are those of one thread in raw bytes.
+
+On such a state a forward pass also keeps a mask of the blocks that may
+hold a nonzero amplitude (`_run`), and a run writes +0.0 to every output
+of a block the mask rules out instead of gathering and mixing it, so a
+circuit that starts from one tour computes only the blocks its state has
+reached.  Where another grid's kernel computes such a block it may write
+-0.0, so across grids (a blocked pass against a one-block or whole-row
+one) the amplitudes are the same up to the sign of zero: equal values,
+and equal bytes once +0.0 is added; every nonzero amplitude, and every
+expectation and gradient, keeps its bits.  On one grid (the team against
+one thread, a `Circuit` against a fresh pass) they are the same in raw
+bytes.  The reverse sweep, `expectation` and single steps skip nothing.
 
 `expectation_gradient` differentiates a circuit's expected cost over all
 its angles by one reverse sweep, which undoes each step, gate or phase,
@@ -287,8 +299,21 @@ def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None, 
     steps (`_local`) form one run.  On a one-block state every step is
     local, so the whole list is one run.  held[i], when given, holds step
     i's phase factors (`_kernel`).  The steps must fit `state`
-    (`_fits_all`)."""
+    (`_fits_all`).
+
+    On a state the team shares (`_shared`), the pass keeps `live`, one
+    flag a block, false only for a block that holds no nonzero amplitude;
+    each rule is exact or errs toward live.  It starts as `any` of each
+    block of the input, the initial state or a checkpoint.  A run of local
+    steps maps each block onto itself unitarily, so it keeps the mask.  A
+    non-local gate, a run of its own, may write to every block of a period
+    that holds a live block, and re-marks each block it computes by `any`
+    of its output (`_blocked`).  So a pass resumed from a checkpoint skips
+    the blocks a pass from the initial state skips."""
     block = _block(len(state.amps))
+    live = None
+    if _shared(len(state.amps)):
+        live = state.amps.view(np.float64).reshape(-1, 2 * block).any(axis=1)
     i = first
     while i < len(steps):
         j = i + 1
@@ -298,7 +323,7 @@ def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None, 
         chain = [state]  # chain[t] is the input of the run's step t
         for t in range(i, j):
             chain.append(_dest(chain[-1], pair, saved, t))
-        _blocked([s.amps for s in chain], steps[i:j], thetas, held=held and held[i:j])
+        _blocked([s.amps for s in chain], steps[i:j], thetas, held=held and held[i:j], live=live)
         state, i = chain[-1], j
     return state, pair[1] if state is pair[0] else pair[0]
 
@@ -337,7 +362,7 @@ def _local(generator, block: int) -> bool:
     return not isinstance(generator, Action) or block % generator.period == 0
 
 
-def _blocked(arrays, steps, thetas, costate=None, held=None) -> complex:
+def _blocked(arrays, steps, thetas, costate=None, held=None, live=None) -> complex:
     """Apply a run of steps, step t reading arrays[t] and writing
     arrays[t+1], one block (`_block`) at a time, every step on a block
     before the worker takes another (`_share`), so every step but the
@@ -349,7 +374,14 @@ def _blocked(arrays, steps, thetas, costate=None, held=None) -> complex:
     (`_kernel`).  Each amplitude goes through the same operations
     whatever the block, bit for bit, because a phase is split only on
     this grid of even-length blocks.  The callers check once that the
-    steps fit the arrays (`_fits_all`, `_target`)."""
+    steps fit the arrays (`_fits_all`, `_target`).
+
+    `live`, the mask of a forward pass (`_run`), when given: a run of
+    local steps writes +0.0 to every output of a block it rules out, and
+    a non-local gate to every block of a period without a live block,
+    and re-marks each block it computes by `any` of its output, while the
+    block is in cache.  A skipped block still builds the factors that
+    held[t] builds, so a held array is whole for later passes to read."""
     factors = [(np.cos(thetas[k]), 1j * np.sin(thetas[k])) if isinstance(generator, Action)
                else thetas[k] for generator, k in steps]
     size = len(arrays[0])
@@ -357,10 +389,22 @@ def _blocked(arrays, steps, thetas, costate=None, held=None) -> complex:
         return _kernel(arrays, steps, factors, costate, held)
     block = _block(size)
     overlaps = [0] * (size // block)
+    reach = live
+    if live is not None and not _local(steps[0][0], block):
+        per = steps[0][0].period // block
+        reach = live.reshape(-1, per).any(axis=1).repeat(per)
 
     def task(t):
         i = t * block
+        if reach is not None and not reach[t]:
+            for u, out in enumerate(arrays[1:]):
+                out[i:i + block] = 0
+                if held and held[u] and held[u][1]:
+                    _exp(factors[u], steps[u][0][i:i + block], held[u][0][i:i + block])
+            return
         overlaps[t] = _kernel(arrays, steps, factors, costate, held, i, i + block)
+        if reach is not live:
+            live[t] = arrays[1][i:i + block].view(np.float64).any()
 
     _share(task, len(overlaps), size)
     return sum(overlaps)
@@ -402,13 +446,18 @@ def _kernel(arrays, steps, factors, costate, held, i: int = 0, j: int | None = N
             phase, build = held[t] if held and held[t] else (arrays[t + 1], True)
             phase = phase if j is None else phase[i:j]
             if build:
-                np.multiply(-1j * factors[t], cost, out=phase)
-                np.exp(phase, out=phase)
+                _exp(factors[t], cost, phase)
             if lam is not None:
                 np.multiply(phase, lam, out=lam_out)
             np.multiply(phase, src, out=dest)
         src = dest
     return overlap
+
+
+def _exp(gamma, cost: np.ndarray, phase: np.ndarray) -> None:
+    """phase = exp(-i gamma cost), a phase step's factors on one block."""
+    np.multiply(-1j * gamma, cost, out=phase)
+    np.exp(phase, out=phase)
 
 
 def _gathered(amps: np.ndarray, action: Action, i: int, j: int | None) -> np.ndarray:
@@ -448,9 +497,16 @@ def _share(task, blocks: int, size: int) -> None:
     when the state spans more than 8 gate blocks, else in order in this
     thread.  Blocks are independent, so the order in which they run
     changes no amplitude."""
-    if not (size > 8 * GATE_BLOCK and workers.share(task, blocks)):
+    if not (_shared(size) and workers.share(task, blocks)):
         for t in range(blocks):
             task(t)
+
+
+def _shared(size: int) -> bool:
+    """Whether a step on `size` amplitudes shares its blocks out among the
+    worker team (more than 8 gate blocks), and a forward pass on it keeps
+    the mask of its live blocks (`_run`)."""
+    return size > 8 * GATE_BLOCK
 
 
 def circuit_steps(seq: GeneratingSequence) -> list:
@@ -538,8 +594,8 @@ class Circuit:
     pass reuses psi_final outright; at another x it resumes from the last
     checkpoint at or before the first step whose angle changed.  Every
     amplitude goes through the operations of `run_steps` and
-    `expectation_gradient` in their order, so every result is bit for
-    bit theirs.  A phase step of a pass multiplies by the factors
+    `expectation_gradient` in their order, so every result is theirs in
+    raw bytes.  A phase step of a pass multiplies by the factors
     exp(-i gamma C) of its angle gamma that the circuit holds, keyed on
     gamma's bits, or builds them block by block into an array that no
     phase angle of x needs, which it then holds; when all `CHECKPOINTS`

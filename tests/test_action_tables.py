@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 import permcirc.feasible as feasible
-from permcirc.checks import check_action_tables, check_blocked_runs, check_circuit_reuse
+import permcirc.workers as workers
+from permcirc.checks import (
+    check_action_tables,
+    check_blocked_runs,
+    check_circuit_reuse,
+    equal_up_to_zero_sign,
+)
 from permcirc.feasible import (
     Action,
     Circuit,
@@ -176,6 +182,15 @@ def bits(state):
     return state.amps.tobytes()
 
 
+def same_as_reference(got, want):
+    """Raw bytes on a state the team does not share; up to the sign of
+    zero on one it shares, whose forward pass writes +0.0 to the blocks
+    it skips (`feasible._run`)."""
+    if feasible._shared(len(got.amps)):
+        return equal_up_to_zero_sign(got.amps, want.amps)
+    return bits(got) == bits(want)
+
+
 def spare_like(state):
     return FeasibleState(state.n, np.empty_like(state.amps))
 
@@ -208,27 +223,30 @@ def phased_uniform_state(n):
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_buffered_circuit_is_bit_identical(build, side):
     # at degrees 8 and 9 a left circuit runs through J, and periods of 8!
-    # span default-size blocks; references from whole rows either way
+    # span default-size blocks; references from whole rows either way.
+    # Degree 9 shares its 18 blocks out among the team, whose pass writes
+    # +0.0 to the blocks it skips, so it matches up to the sign of zero
     rng = np.random.default_rng(11)
     for n in (1, 2, 5, 6, 8, 9):
         seq = build(n)
         seq = type(seq)(seq.n, seq.elements, action_side=side)
         thetas = rng.uniform(0, 2 * np.pi, len(seq))
         start = tuple(rng.permutation(n).tolist())
-        assert bits(run_exhaustive_circuit(seq, thetas, start)) == bits(functional_circuit(seq, thetas, start))
+        assert same_as_reference(run_exhaustive_circuit(seq, thetas, start), functional_circuit(seq, thetas, start))
 
 
 @pytest.mark.parametrize("block", [7, 40, 120])
 def test_blocked_gate_is_bit_identical(monkeypatch, block):
-    # 120 amplitudes in blocks of 6 or 24, and in one block
+    # 120 amplitudes in blocks of 6 or 24, and in one block; the 20
+    # blocks of 6 are shared out among the team, and its circuits match
+    # up to the sign of zero
     monkeypatch.setattr(feasible, "GATE_BLOCK", block)
     rng = np.random.default_rng(block)
     for build in (bubble_sequence, binary_insertion_sequence):
         seq = build(5)
         thetas = rng.uniform(0, 2 * np.pi, len(seq))
-        assert bits(run_exhaustive_circuit(seq, thetas, (4, 2, 0, 1, 3))) == bits(
-            functional_circuit(seq, thetas, (4, 2, 0, 1, 3))
-        )
+        assert same_as_reference(run_exhaustive_circuit(seq, thetas, (4, 2, 0, 1, 3)),
+                                 functional_circuit(seq, thetas, (4, 2, 0, 1, 3)))
     state = phased_uniform_state(5)
     h = transposition(5, 1, 3)
     action = Action.of(5, reference_table(h, "left"))
@@ -310,10 +328,10 @@ def runs_blocked(monkeypatch):
     runs = []
     blocked = feasible._blocked
 
-    def recording(arrays, steps, thetas, costate=None, held=None):
+    def recording(arrays, steps, thetas, costate=None, held=None, live=None):
         if feasible._block(len(arrays[0])) < len(arrays[0]):
             runs.append(steps)
-        return blocked(arrays, steps, thetas, costate, held)
+        return blocked(arrays, steps, thetas, costate, held, live)
 
     monkeypatch.setattr(feasible, "_blocked", recording)
     return runs
@@ -404,6 +422,17 @@ def test_circuit_resumes_inside_runs(monkeypatch, runs_blocked, block):
     assert inside
 
 
+def reference_qaoa(cost, cfg, n, betas, gammas, start=None):
+    """The QAOA circuit as whole-row phases and gates."""
+    state = initial_state(cfg, n, start)
+    for beta, gamma in zip(betas, gammas):
+        state = reference_phase(state, gamma, cost.vector())
+        for t in range(n if cfg.slot_wraparound else n - 1):
+            swap = transposition(n, t, t + 1) if t < n - 1 else transposition(n, 0, t)
+            state = reference_gate(state, reference_table(swap), beta)
+    return state
+
+
 @pytest.mark.parametrize("initial", ["basis", "uniform"])
 @pytest.mark.parametrize("wraparound", [True, False])
 @pytest.mark.parametrize("n", [5, 6])
@@ -413,13 +442,99 @@ def test_buffered_qaoa_is_bit_identical(initial, wraparound, n):
     cost = TourCost(random_instance(n + 1, seed=n), reduced=True)
     cfg = QaoaConfig(3, initial, wraparound)
     betas, gammas = rng.uniform(0, np.pi, (2, cfg.layers))
-    state = initial_state(cfg, n)
-    for beta, gamma in zip(betas, gammas):
-        state = reference_phase(state, gamma, cost.vector())
-        for t in range(n if wraparound else n - 1):
-            swap = transposition(n, t, t + 1) if t < n - 1 else transposition(n, 0, t)
-            state = reference_gate(state, reference_table(swap), beta)
-    assert bits(run_qaoa(cost, cfg, betas, gammas)) == bits(state)
+    assert bits(run_qaoa(cost, cfg, betas, gammas)) == bits(reference_qaoa(cost, cfg, n, betas, gammas))
+
+
+def sparse_grid(monkeypatch, n):
+    """Set `GATE_BLOCK` to n!/9, so that a degree-n state spans more than
+    8 blocks, shared out among the team, and its forward passes keep the
+    mask of its live blocks; returns the block count."""
+    monkeypatch.setattr(feasible, "GATE_BLOCK", factorial(n) // 9)
+    blocks = factorial(n) // feasible._block(factorial(n))
+    assert feasible._shared(factorial(n)) and blocks > 8
+    return blocks
+
+
+@pytest.fixture
+def block_steps(monkeypatch):
+    """[the block-steps `_kernel` computed]: a run of k steps on a block
+    counts k."""
+    counted = [0]
+    kernel = feasible._kernel
+
+    def counting(arrays, steps, *args):
+        counted[0] += len(steps)
+        return kernel(arrays, steps, *args)
+
+    monkeypatch.setattr(feasible, "_kernel", counting)
+    return counted
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_a_pass_from_one_tour_skips_the_blocks_it_has_not_reached(monkeypatch, block_steps, n):
+    # degrees 5, 6 and 7 in 10, 30 and 14 blocks: circuits from one tour
+    # (both constructions, right and left, the left through J) and QAOA
+    # from a basis state compute fewer block-steps than steps x blocks,
+    # match whole-row references up to the sign of zero, and give the
+    # same bytes on two workers as on one
+    blocks = sparse_grid(monkeypatch, n)
+    rng = np.random.default_rng(n)
+    start = tuple(rng.permutation(n).tolist())
+    cases = []
+    for build in (bubble_sequence, binary_insertion_sequence):
+        for side in ("right", "left"):
+            seq = build(n)
+            seq = type(seq)(n, seq.elements, action_side=side)
+            thetas = rng.uniform(0, np.pi, len(seq))
+            cases.append((len(seq), lambda seq=seq, thetas=thetas: run_exhaustive_circuit(seq, thetas, start),
+                          functional_circuit(seq, thetas, start)))
+    cost = TourCost(random_instance(n + 1, seed=n), reduced=True)
+    cfg = QaoaConfig(3, "basis")
+    betas, gammas = rng.uniform(0, np.pi, (2, cfg.layers))
+    cases.append((cfg.layers * (n + 1), lambda: run_qaoa(cost, cfg, betas, gammas, start),
+                  reference_qaoa(cost, cfg, n, betas, gammas, start)))
+    for steps, run, want in cases:
+        got = {}
+        for size in (2, 1):
+            monkeypatch.setattr(workers, "WORKERS", size)
+            block_steps[0] = 0
+            got[size] = run()
+            assert 0 < block_steps[0] < steps * blocks
+        assert bits(got[2]) == bits(got[1])
+        assert same_as_reference(got[1], want)
+
+
+def test_held_factors_built_on_a_sparse_pass(monkeypatch, block_steps):
+    # QAOA from a basis state at degree 6 in 30 blocks: the first pass, at
+    # betas 0, keeps the state on the start tour's block and builds every
+    # gamma's factors while the other 29 blocks are zero and skipped.
+    # Passes at new betas and the same gammas, one from the initial state
+    # and one resumed from a checkpoint, multiply by those held factors on
+    # blocks the state has reached since, and give a fresh pass's bytes
+    n = 6
+    blocks = sparse_grid(monkeypatch, n)
+    cost = TourCost(random_instance(n + 1, seed=n), reduced=True).vector()
+    cfg = QaoaConfig(3, "basis")
+    start = (4, 2, 0, 5, 1, 3)
+    steps = qaoa_steps(cost, cfg, n)
+    circuit = Circuit(initial_state(cfg, n, start), steps, cost)
+    x = np.array([0.0, 0.0, 0.0, 0.4, 1.3, 2.2])
+    want = run_steps(initial_state(cfg, n, start), steps, x)
+    assert np.count_nonzero(want.amps) == 1
+    block_steps[0] = 0
+    assert circuit.value(x) == expectation(want, cost)
+    assert circuit.phase_builds == cfg.layers
+    assert block_steps[0] < len(steps) * blocks // 2
+    for i in (0, cfg.layers - 1):  # the first beta, then the last
+        x = x.copy()
+        x[i] = 0.9 + i
+        builds, skipped = circuit.phase_builds, circuit.steps_skipped
+        want = run_steps(initial_state(cfg, n, start), steps, x)
+        assert circuit.value(x) == expectation(want, cost)
+        assert (circuit.steps_skipped > skipped) == (i > 0)
+        assert bits(circuit.state(x)) == bits(want)
+        assert circuit.phase_builds == builds
+    assert want.amps.reshape(blocks, -1).any(axis=1).all()
 
 
 @pytest.mark.parametrize("block", [2, 16384])

@@ -1,5 +1,5 @@
 """The benchmark script runs end to end at a toy size, and the A/B pair
-script summarises canned results."""
+and bit-identity scripts summarise canned results."""
 
 import importlib.util
 import json
@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,8 +29,8 @@ def test_run_benchmark_writes_one_trace_per_variant(tmp_path):
         assert len(rows) == 4  # header, the start and two iterations
 
 
-def load_ab_pairs():
-    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -48,7 +49,7 @@ def metrics(bound=0.25, **better):
 
 
 def test_ab_pairs_summary_of_canned_runs():
-    ab = load_ab_pairs()
+    ab = load_script("ab_pairs")
     head = "# workload circuit10 seed 0 trace 0 passes=3\nwall_s  2.0 s\n"
     base = [ab.parse(head + result_line(w, 0.5)) for w in (2.0, 2.2, 2.4, 2.6)]
     change = [ab.parse(head + result_line(w, r, correct=(i != 2)))
@@ -88,7 +89,7 @@ def test_ab_pairs_verdicts_against_the_bounds():
         return {"correct": True, "metrics": {name: {"value": run[2 + side][i]}
                                              for name, run in runs.items()}}
 
-    ab = load_ab_pairs()
+    ab = load_script("ab_pairs")
     pairs = [(result(0, i), result(1, i)) for i in range(4)]
     specs = [{"name": name, "better": run[0], "bound": run[1]} for name, run in runs.items()]
     rows = ab.summarize(pairs, specs)
@@ -101,7 +102,7 @@ def test_ab_pairs_verdicts_against_the_bounds():
 def test_ab_pairs_counts_a_non_zero_exit_as_a_failed_run(monkeypatch, tmp_path, returncode, failed):
     # a run that prints a correct result line and then exits non-zero is
     # a failed run, not a good one
-    ab = load_ab_pairs()
+    ab = load_script("ab_pairs")
 
     def fake_run(cmd, cwd, **kwargs):
         code = returncode if Path(cwd).name == "change" else 0
@@ -121,7 +122,7 @@ def test_ab_pairs_counts_a_non_zero_exit_as_a_failed_run(monkeypatch, tmp_path, 
 ])
 def test_ab_pairs_exits_1_when_a_run_failed(monkeypatch, tmp_path, capsys, code, correct, status):
     # two canned pairs: a scripted comparison must not pass over a failed run
-    ab = load_ab_pairs()
+    ab = load_script("ab_pairs")
 
     def fake_run(cmd, cwd, **kwargs):
         change = Path(cwd).name == "change"
@@ -134,3 +135,57 @@ def test_ab_pairs_exits_1_when_a_run_failed(monkeypatch, tmp_path, capsys, code,
     assert ab.main(argv) == status
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == ("failed runs: none" if status == 0 else "failed runs: change pair 0, change pair 1")
+
+
+def test_same_bits_verdicts_on_canned_arrays():
+    sb = load_script("same_bits")
+    amps = np.array([0.5 + 0.25j, 0.0, 0.0, 0.125j])
+    amps.view(np.float64)[2:5] = -0.0
+    flipped = amps + 0.0  # +0.0 wherever the base has -0.0
+    assert flipped.tobytes() != amps.tobytes()
+    moved = amps.copy()
+    moved[0] += 2 ** -50
+    assert sb.compare_arrays(amps, amps.copy()) == "same"
+    assert sb.compare_arrays(amps, flipped) == "same up to the sign of zero"
+    assert sb.compare_arrays(amps, moved) == "differs: largest absolute difference 8.88e-16"
+    assert sb.compare_arrays(amps, amps[:3]) == "differs: shape (4,) against (3,)"
+    table = np.arange(6)
+    assert sb.compare_arrays(table, table.copy()) == "same"
+    assert sb.compare_arrays(table, table.astype(float)) == "differs: dtype int64 against float64"
+    assert sb.compare_arrays(table, table[::-1].copy()) == "differs: largest absolute difference 5"
+
+
+def test_same_bits_verdicts_on_canned_csvs():
+    sb = load_script("same_bits")
+    base = "iteration,objective,ratio,theta_1\n0,48.5,0.25,0.0\n1,47.25,0.5,0.125\n"
+    assert sb.compare_csv(base, base) == "same"
+    assert sb.compare_csv(base, base.replace("0.25,0.0", "0.25,-0.0")) == "same up to the sign of zero"
+    moved = base.replace("47.25", "47.250000000000004")
+    assert sb.compare_csv(base, moved) == "differs: largest absolute difference 7.11e-15, first at line 3"
+    longer = base + "2,47.0,0.75,0.25\n"
+    assert sb.compare_csv(base, longer) == "differs: largest absolute difference inf, first at line 4"
+    text = base.replace("0,48.5", "0,nope")
+    assert sb.compare_csv(base, text) == "differs: largest absolute difference inf, first at line 2"
+
+
+@pytest.mark.parametrize("moved, status", [(False, 0), (True, 1)])
+def test_same_bits_prints_a_verdict_per_artifact(monkeypatch, tmp_path, capsys, moved, status):
+    # canned artifacts in place of each tree's subprocess: one amplitude
+    # array whose zeros flip sign, and a trace CSV that differs or not
+    sb = load_script("same_bits")
+
+    def fake_tree(tree, out):
+        out.mkdir(parents=True)
+        amps = np.array([0.5, -0.0, 0.25]) if tree.name == "base" else np.array([0.5, 0.0, 0.25])
+        np.save(out / "001.npy", amps)
+        trace = "iteration,objective\n0,2.5\n" if tree.name == "base" or not moved else "iteration,objective\n0,2.75\n"
+        (out / "002.csv").write_text(trace)
+        return [("001.npy", "forward bubble n=5"), ("002.csv", "trace n=9 bubble")]
+
+    monkeypatch.setattr(sb, "run_tree", fake_tree)
+    assert sb.main(["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change")]) == status
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "forward bubble n=5: same up to the sign of zero"
+    assert lines[1] == ("trace n=9 bubble: differs: largest absolute difference 0.25, first at line 2"
+                        if moved else "trace n=9 bubble: same")
+    assert lines[2] == f"2 artifacts, {int(moved)} differ"
