@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compare the numbers that two source trees compute, artifact by artifact.
 
-    python3 scripts/same_bits.py --base ../parent --change .
+    python3 scripts/same_bits.py --base ../parent
 
-Each tree computes one fixed list of artifacts (`emit`) in a subprocess of
+compares the tree given as --base with the tree this script is in.  Each
+tree computes one fixed list of artifacts (`emit`) in a subprocess of
 its own, started from the tree's root, which imports `permcirc` from the
 tree's `src` with OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1
 and writes every artifact to a scratch directory:
@@ -117,14 +118,17 @@ def emit(out: Path) -> None:
 
 def compare_arrays(base: np.ndarray, change: np.ndarray) -> str:
     """The verdict on two arrays: "same", "same up to the sign of zero"
-    or "differs: ..." (dtype, shape or largest absolute difference)."""
+    (`checks.equal_up_to_zero_sign` of this script's tree) or
+    "differs: ..." (dtype, shape or largest absolute difference)."""
+    from permcirc.checks import equal_up_to_zero_sign
+
     if base.dtype != change.dtype:
         return f"differs: dtype {base.dtype} against {change.dtype}"
     if base.shape != change.shape:
         return f"differs: shape {base.shape} against {change.shape}"
     if base.tobytes() == change.tobytes():
         return "same"
-    if np.array_equal(base, change) and (base + 0.0).tobytes() == (change + 0.0).tobytes():
+    if equal_up_to_zero_sign(base, change):
         return "same up to the sign of zero"
     return f"differs: largest absolute difference {np.max(np.abs(base - change)):.3g}"
 
@@ -185,7 +189,6 @@ def run_tree(tree: Path, out: Path) -> list:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", type=Path, help="root of the tree to compare against")
-    ap.add_argument("--change", type=Path, default=ROOT, help="root of the changed tree")
     ap.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.emit:
@@ -193,9 +196,12 @@ def main(argv=None) -> int:
         return 0
     if args.base is None:
         ap.error("--base is required")
+    # imported only here, after `--emit`, so that a tree computing its
+    # artifacts imports no `permcirc` but its own
+    sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory(prefix="same_bits.") as work:
         listed = {}
-        for side, tree in (("base", args.base), ("change", args.change)):
+        for side, tree in (("base", args.base), ("change", ROOT)):
             try:
                 listed[side] = run_tree(tree.resolve(), Path(work) / side)
             except (RuntimeError, subprocess.TimeoutExpired) as e:

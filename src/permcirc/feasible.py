@@ -303,17 +303,17 @@ def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None, 
 
     On a state the team shares (`_shared`), the pass keeps `live`, one
     flag a block, false only for a block that holds no nonzero amplitude;
-    each rule is exact or errs toward live.  It starts as `any` of each
+    each rule is exact or errs toward live.  It starts as `_any` of each
     block of the input, the initial state or a checkpoint.  A run of local
     steps maps each block onto itself unitarily, so it keeps the mask.  A
     non-local gate, a run of its own, may write to every block of a period
-    that holds a live block, and re-marks each block it computes by `any`
+    that holds a live block, and re-marks each block it computes by `_any`
     of its output (`_blocked`).  So a pass resumed from a checkpoint skips
     the blocks a pass from the initial state skips."""
     block = _block(len(state.amps))
     live = None
     if _shared(len(state.amps)):
-        live = state.amps.view(np.float64).reshape(-1, 2 * block).any(axis=1)
+        live = np.array([_any(state.amps[i:i + block]) for i in range(0, len(state.amps), block)])
     i = first
     while i < len(steps):
         j = i + 1
@@ -379,7 +379,7 @@ def _blocked(arrays, steps, thetas, costate=None, held=None, live=None) -> compl
     `live`, the mask of a forward pass (`_run`), when given: a run of
     local steps writes +0.0 to every output of a block it rules out, and
     a non-local gate to every block of a period without a live block,
-    and re-marks each block it computes by `any` of its output, while the
+    and re-marks each block it computes by `_any` of its output, while the
     block is in cache.  A skipped block still builds the factors that
     held[t] builds, so a held array is whole for later passes to read."""
     factors = [(np.cos(thetas[k]), 1j * np.sin(thetas[k])) if isinstance(generator, Action)
@@ -404,7 +404,7 @@ def _blocked(arrays, steps, thetas, costate=None, held=None, live=None) -> compl
             return
         overlaps[t] = _kernel(arrays, steps, factors, costate, held, i, i + block)
         if reach is not live:
-            live[t] = arrays[1][i:i + block].view(np.float64).any()
+            live[t] = _any(arrays[1][i:i + block])
 
     _share(task, len(overlaps), size)
     return sum(overlaps)
@@ -452,6 +452,12 @@ def _kernel(arrays, steps, factors, costate, held, i: int = 0, j: int | None = N
             np.multiply(phase, src, out=dest)
         src = dest
     return overlap
+
+
+def _any(amps: np.ndarray) -> bool:
+    """Whether `amps` holds a nonzero amplitude: the first one settles it
+    on a block of a dense state, else every one is read."""
+    return bool(amps[0] != 0 or amps.view(np.float64).any())
 
 
 def _exp(gamma, cost: np.ndarray, phase: np.ndarray) -> None:

@@ -16,7 +16,7 @@ from permcirc.checks import (
     check_action_tables,
     check_blocked_runs,
     check_circuit_reuse,
-    equal_up_to_zero_sign,
+    matches_reference,
 )
 from permcirc.feasible import (
     Action,
@@ -183,12 +183,25 @@ def bits(state):
 
 
 def same_as_reference(got, want):
-    """Raw bytes on a state the team does not share; up to the sign of
-    zero on one it shares, whose forward pass writes +0.0 to the blocks
-    it skips (`feasible._run`)."""
-    if feasible._shared(len(got.amps)):
-        return equal_up_to_zero_sign(got.amps, want.amps)
-    return bits(got) == bits(want)
+    """`matches_reference` on two states: raw bytes unless the team
+    shares them, whose forward pass writes +0.0 to the blocks it skips
+    (`feasible._run`)."""
+    return matches_reference(got.amps, want.amps)
+
+
+def test_matches_reference_is_raw_unless_the_team_shares_the_state(monkeypatch):
+    want = np.array([0.5, 0.0, -0.25j, 0.0] * 6)
+    signed = want.copy()
+    signed[1] = -0.0
+    moved = want.copy()
+    moved[0] = np.nextafter(0.5, 1)
+    assert not feasible._shared(len(want))
+    assert matches_reference(want.copy(), want)
+    assert not matches_reference(signed, want)
+    monkeypatch.setattr(feasible, "GATE_BLOCK", 2)
+    assert feasible._shared(len(want))
+    assert matches_reference(signed, want)
+    assert not matches_reference(moved, want)
 
 
 def spare_like(state):

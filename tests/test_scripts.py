@@ -176,14 +176,14 @@ def test_same_bits_prints_a_verdict_per_artifact(monkeypatch, tmp_path, capsys, 
 
     def fake_tree(tree, out):
         out.mkdir(parents=True)
-        amps = np.array([0.5, -0.0, 0.25]) if tree.name == "base" else np.array([0.5, 0.0, 0.25])
+        amps = np.array([0.5, -0.0, 0.25]) if out.name == "base" else np.array([0.5, 0.0, 0.25])
         np.save(out / "001.npy", amps)
-        trace = "iteration,objective\n0,2.5\n" if tree.name == "base" or not moved else "iteration,objective\n0,2.75\n"
+        trace = "iteration,objective\n0,2.5\n" if out.name == "base" or not moved else "iteration,objective\n0,2.75\n"
         (out / "002.csv").write_text(trace)
         return [("001.npy", "forward bubble n=5"), ("002.csv", "trace n=9 bubble")]
 
     monkeypatch.setattr(sb, "run_tree", fake_tree)
-    assert sb.main(["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change")]) == status
+    assert sb.main(["--base", str(tmp_path / "base")]) == status
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "forward bubble n=5: same up to the sign of zero"
     assert lines[1] == ("trace n=9 bubble: differs: largest absolute difference 0.25, first at line 2"
