@@ -6,6 +6,7 @@ from .encoding import COMPACT, ONEHOT, EncodingSpec, Infeasible, decode, encode,
 from .experiment import RunSpec, reach_report, run_experiment, write_trace_csv
 from .feasible import (
     FeasibleState,
+    Phase,
     apply_involution_exp,
     apply_phase,
     basis_state,

@@ -92,6 +92,15 @@ def matches_reference(got: np.ndarray, want: np.ndarray) -> bool:
     return got.tobytes() == want.tobytes()
 
 
+def reference_factors(phase: fs.Phase, gamma: float) -> np.ndarray:
+    """A phase step's factors exp(-i gamma cost) as one whole-array numpy
+    expression of the `Phase` tables, with no block or row view: the
+    bit-level oracle of the kernel's (`feasible._exp`)."""
+    head = np.exp(-1j * gamma * phase.head)
+    tail = np.exp(-1j * gamma * phase.tail)
+    return (head[:, None] * tail[phase.group]).reshape(-1)
+
+
 def _mult_table(n: int) -> np.ndarray:
     table = perm_table(n)
     return np.stack([rank_rows(table[a][table]) for a in range(factorial(n))])
@@ -281,6 +290,37 @@ def check_tour_costs(rotation_seeds=(11,), optimum_degrees=range(3, 7)) -> tuple
             return False, f"reduced and full optimum differ at n={n}"
     return True, ("cyclic invariance of 5-city tours, reduced/full optimum "
                   f"agreement for {_degrees(optimum_degrees)}")
+
+
+def check_phase_tables(degrees=range(1, 9), seed: int = 47, rtol: float = 1e-12) -> tuple[bool, str]:
+    """The `Phase` of reduced and full tours at each of `degrees`, on the
+    random instance seeded seed + degree: head[q] + tail[group[q], u] is
+    the cost vector within `rtol` of each cost, every row of the tables
+    has an even length S from degree 2 on, and `apply_phase` of a state
+    of ones, the factors its kernel builds, is np.exp(-1j gamma cost)
+    within `rtol`, for gamma 0, -0.0, pi, -pi, 2 pi and one drawn value."""
+    rng = np.random.default_rng(seed)
+    worst = [0.0, 0.0]
+    for d in degrees:
+        for reduced in (True, False):
+            cost = TourCost(random_instance(d + reduced, seed=seed + d), reduced)
+            vec, phase = cost.vector(), cost.phase()
+            where = f"degree {d}, reduced={reduced}"
+            if d >= 2 and phase.tail.shape[1] % 2:
+                return False, f"{where}: rows of {phase.tail.shape[1]} ranks, an odd length"
+            split = (phase.head[:, None] + phase.tail[phase.group]).reshape(-1)
+            err = float(np.max(np.abs(split - vec) / np.maximum(vec, np.finfo(float).tiny)))
+            if not err <= rtol:
+                return False, f"{where}: split costs off the cost vector by {err:.1e} relative"
+            ones = fs.FeasibleState(d, np.ones(len(vec), dtype=complex))
+            for gamma in (0.0, -0.0, np.pi, -np.pi, 2 * np.pi, rng.uniform(-np.pi, np.pi)):
+                got = fs.apply_phase(ones, gamma, phase).amps
+                gap = float(np.max(np.abs(got - np.exp(-1j * gamma * vec))))
+                if not gap <= rtol:
+                    return False, f"{where}, gamma={gamma!r}: factors off exp(-i gamma cost) by {gap:.1e}"
+                worst = [max(worst[0], err), max(worst[1], gap)]
+    return True, (f"phase tables of reduced and full tours at {_degrees(degrees)}: split costs within "
+                  f"{worst[0]:.1e} relative, factors within {worst[1]:.1e} of exp(-i gamma cost)")
 
 
 def check_reachability(degrees=(4, 5), all_starts=(4,), extra_starts=((2, 0, 4, 1, 3),),
@@ -531,7 +571,7 @@ def gradient_cases(cost: TourCost, start):
             cfg = qa.QaoaConfig(qa.default_layers(n), initial, wrap)
             p = cfg.layers
             yield (f"qaoa {initial} wraparound={wrap}", 2 * p,
-                   lambda cfg=cfg: qa.initial_state(cfg, n, start), qa.qaoa_steps(vec, cfg, n), vec,
+                   lambda cfg=cfg: qa.initial_state(cfg, n, start), qa.qaoa_steps(cost.phase(), cfg, n), vec,
                    lambda x, cfg=cfg, p=p: qa.run_qaoa(cost, cfg, x[:p], x[p:], start))
 
 
@@ -637,7 +677,7 @@ def check_circuit_reuse(n: int = 5, seed: int = 31) -> tuple[bool, str]:
     deep = qa.QaoaConfig(fs.CHECKPOINTS + 2, "uniform")
     cases = [case[:5] for case in gradient_cases(cost, start)]
     cases.append((f"qaoa uniform, {deep.layers} layers", 2 * deep.layers,
-                  lambda: qa.initial_state(deep, n), qa.qaoa_steps(cost.vector(), deep, n),
+                  lambda: qa.initial_state(deep, n), qa.qaoa_steps(cost.phase(), deep, n),
                   cost.vector()))
     reuses = skipped = total = rebuilt = 0
     for name, d, initial, steps, vec in cases:
@@ -705,7 +745,9 @@ def check_blocked_runs(n: int = 8, seed: int = 37) -> tuple[bool, str]:
     shares the state, then up to the sign of zero): cos(t) a - 1j sin(t) a[table] for a
     gate, through the whole table `Action.take` gathers (which
     `check_action_tables` holds to `rank_rows`), and exp(-1j t cost) a
-    for a phase.  Every step goes through one block loop; on states longer
+    for a phase, its factors from the phase's tables (`reference_factors`,
+    which `check_phase_tables` holds to np.exp of the cost vector).  Every
+    step goes through one block loop; on states longer
     than `GATE_BLOCK` its runs of local steps go block by block, so at the
     default block a degree-8 state is blocked.
     QAOA without the wraparound slot ends a layer's run with the next
@@ -723,7 +765,7 @@ def check_blocked_runs(n: int = 8, seed: int = 37) -> tuple[bool, str]:
             if isinstance(generator, fs.Action):
                 want = np.cos(x[k]) * want - 1j * np.sin(x[k]) * want[generator.take(ranks)]
             else:
-                want = np.exp(-1j * x[k] * generator) * want
+                want = reference_factors(generator, x[k]) * want
         if not matches_reference(fs.run_steps(initial(), steps, x).amps, want):
             return False, f"{name} n={n}: run_steps differs from the steps one at a time"
         blocked += sum(block < size and fs._local(generator, block) for generator, _ in steps)
@@ -811,6 +853,7 @@ QUICK_CHECKS = [
     ("blocked-runs", check_blocked_runs),
     ("parallel-steps", check_parallel_steps),
     ("tour-costs", check_tour_costs),
+    ("phase-tables", check_phase_tables),
     ("reachability", check_reachability),
     ("norm-preservation", check_norm_preservation),
     ("optimizer", check_optimizer),
@@ -821,6 +864,7 @@ QUICK_CHECKS = [
 
 FULL_CHECKS = QUICK_CHECKS + [
     ("generating-property-n10", lambda: check_generating(range(2, 11))),
+    ("phase-tables-n10", lambda: check_phase_tables(range(9, 11))),
     ("cross-simulator", check_cross_simulator),
     ("ancilla-circuit", check_ancilla_circuit),
     ("mixer-oracle", check_mixer_oracle),

@@ -103,14 +103,14 @@ def _ratio_fn(spec: RunSpec, cost: TourCost, opt_cost: float):
     return lambda v: approximation_ratio(v, opt_cost)
 
 
-def _circuit(spec: RunSpec, vec: np.ndarray) -> Circuit:
-    """The run's state preparation against the cost vector `vec`.  The
-    start tour is the identity."""
-    degree = spec.degree
+def _circuit(spec: RunSpec, cost: TourCost) -> Circuit:
+    """The run's state preparation against the cost vector of `cost`.
+    The start tour is the identity."""
+    degree, vec = spec.degree, cost.vector()
     start = identity(degree)
     if spec.method == "qaoa":
         cfg = spec.qaoa or QaoaConfig(default_layers(degree))
-        return Circuit(initial_state(cfg, degree, start), qaoa_steps(vec, cfg, degree), vec)
+        return Circuit(initial_state(cfg, degree, start), qaoa_steps(cost.phase(), cfg, degree), vec)
     seq = build_sequence(spec.method, degree)
     return Circuit(basis_state(start), circuit_steps(seq), vec)
 
@@ -127,7 +127,7 @@ def run_experiment(spec: RunSpec) -> tuple[OptTrace, dict]:
     cost = TourCost(spec.instance, spec.reduced)
     vec = cost.vector()
     opt_perm, opt_cost = optimum(spec.instance, spec.reduced)
-    circuit = _circuit(spec, vec)
+    circuit = _circuit(spec, cost)
     periods = circuit.periods
     num_params = len(periods)
 

@@ -14,8 +14,16 @@ K = P/B chunk ranks of one run, which `perms.take_chunks` applies: all
 an `Action` holds on a state of more than one block.  A left action is a
 right action between two relabellings by J, the rank table of p -> p^-1.
 A circuit is a list of steps, each a generator (an `Action` or a
-diagonal cost vector) tied to an angle; `run_steps` alternates its steps
-between the state and one spare state, in runs of the block loop below.
+`Phase`, a diagonal cost vector split into two small tables) tied to an
+angle; `run_steps` alternates its steps between the state and one spare
+state, in runs of the block loop below.
+
+A phase step exp(-i gamma C) never calls exp once a tour: a `Phase`
+writes rank r = q * S + u, S = (n-k)!, as the rank q of the tour's first
+k cities and the Lehmer rank u of the order of the rest, and C[r] as
+head[q] + tail[group[q], u], so the step's factors are products
+exp(-i gamma head)[q] * exp(-i gamma tail)[group[q], u] of two tables it
+computes once, before its blocks are shared out (`_exp`).
 
 Every step goes through one block loop, `_blocked`, on one grid: a state
 of at most `GATE_BLOCK` amplitudes is one block, and a longer one is cut
@@ -45,11 +53,14 @@ On such a state a forward pass also keeps a mask of the blocks that may
 hold a nonzero amplitude (`_run`), and a run writes +0.0 to every output
 of a block the mask rules out instead of gathering and mixing it, so a
 circuit that starts from one tour computes only the blocks its state has
-reached.  Where another grid's kernel computes such a block it may write
--0.0, so across grids (a blocked pass against a one-block or whole-row
-one) the amplitudes are the same up to the sign of zero: equal values,
-and equal bytes once +0.0 is added; every nonzero amplitude, and every
-expectation and gradient, keeps its bits.  On one grid (the team against
+reached; it writes such a block only when its destination may hold
+something other than +0.0 (a spare the pass allocated with `np.zeros`,
+or a block it wrote +0.0 to, does not).  Where another grid's kernel
+computes such a block it may write -0.0, so across grids (a blocked pass
+against a one-block or whole-row one) the amplitudes are the same up to
+the sign of zero: equal values, and equal bytes once +0.0 is added;
+every nonzero amplitude, and every expectation and gradient, keeps its
+bits.  On one grid (the team against
 one thread, a `Circuit` against a fresh pass) they are the same in raw
 bytes.  The reverse sweep, `expectation` and single steps skip nothing.
 
@@ -91,9 +102,11 @@ from .sequences import GeneratingSequence, decompose
 # 4 * 7!, `_block`), so that every factorial divides the block or is a
 # multiple of it, and a block's passes (about 48 bytes an amplitude, with
 # a local gate's period of at most 7! ranks) stay in a 2 MB L2.  Every
-# block has an even length (GATE_BLOCK >= 2): with numpy 2.4 on x86-64, a
-# complex multiply or exp over an odd-length block (7 amplitudes, say)
-# rounds its tail differently from the call over the whole array.  A gate
+# block has an even length (GATE_BLOCK >= 2), and so has every row of S
+# ranks of a phase's tables (`Phase`, S = (n-k)! with n - k >= 2) that a
+# block's factors are multiplied in: with numpy 2.4 on x86-64, a complex
+# multiply over an odd length (7 amplitudes, say) may round its tail
+# differently from the call over the whole array.  A gate
 # on a one-block state is one gather through its action's whole table.  A
 # state of more than 8 * GATE_BLOCK amplitudes (2.5 MB) shares its blocks
 # out among the worker team.
@@ -207,6 +220,43 @@ def involution_action(element: Perm) -> Action:
     return Action.of(n, *right_action(element))
 
 
+@dataclass(frozen=True, eq=False)
+class Phase:
+    """The generator of a phase step: the rank-indexed cost vector `cost`
+    of n! entries, split as cost[q * S + u] = head[q] + tail[group[q], u]
+    for S = tail.shape[1], the `tail` rows of every group of prefixes q.
+    S must divide n! and be a factorial, so that it divides every block
+    (`_block`) or is a multiple of it, and is even for n >= 2.
+
+    `tsp.TourCost.phase` splits a tour cost at its k-th city, with
+    S = (n-k)!: head[q] is the cost of the edges of the first k cities q
+    visits, group[q] stands for the cities left and the last (and first)
+    of them, and tail[g, u] is the cost of the edges from that last city
+    through the rest in the order of Lehmer rank u.  `Phase.of` splits
+    any vector in one group."""
+
+    cost: np.ndarray
+    head: np.ndarray
+    group: np.ndarray
+    tail: np.ndarray
+
+    @classmethod
+    def of(cls, cost) -> "Phase":
+        """Any cost vector, as float64 (not copied when it is), in one
+        group: head 0 and one tail row, the vector itself."""
+        cost = np.asarray(cost, dtype=float)
+        return cls(cost, np.zeros(1), np.zeros(1, dtype=np.intp), cost.reshape(1, -1))
+
+    def __len__(self) -> int:
+        return len(self.cost)
+
+    def factors(self, gamma) -> tuple:
+        """(exp(-i gamma head), exp(-i gamma tail), group): the two tables
+        whose products are exp(-i gamma cost) (`_exp`)."""
+        head, tail = -1j * gamma * self.head, -1j * gamma * self.tail
+        return np.exp(head, out=head), np.exp(tail, out=tail), self.group
+
+
 def apply_involution_exp(state: FeasibleState, action: Action, theta: float,
                          out: FeasibleState | None = None) -> FeasibleState:
     """exp(-i theta H) for the involutory permutation operator H given by
@@ -237,8 +287,11 @@ def _fits(state: FeasibleState, generator) -> None:
 
 def _fits_all(state: FeasibleState, steps) -> None:
     """Refuse, before any state is written, a step list with a generator
-    that does not fit `state` (`_fits`)."""
+    that is neither an `Action` nor a `Phase` (TypeError) or does not fit
+    `state` (`_fits`)."""
     for generator, _ in steps:
+        if not isinstance(generator, (Action, Phase)):
+            raise TypeError(f"a step's generator is an Action or a Phase, not {type(generator).__name__}")
         _fits(state, generator)
 
 
@@ -253,14 +306,15 @@ def _target(state: FeasibleState, generator, out: FeasibleState | None = None) -
     return out
 
 
-def apply_phase(state: FeasibleState, gamma: float, cost: np.ndarray,
+def apply_phase(state: FeasibleState, gamma: float, phase: Phase,
                 out: FeasibleState | None = None) -> FeasibleState:
-    """Diagonal phase exp(-i gamma * cost) per tour, for the rank-indexed
-    cost vector `cost`; probabilities untouched.  The result is written to
-    `out` (a state other than `state`), or to a new state when `out` is
-    omitted, and returned."""
-    out = _target(state, cost, out)
-    _blocked([state.amps, out.amps], [(cost, 0)], (gamma,))
+    """Diagonal phase exp(-i gamma * cost) per tour, for the `Phase` of
+    the rank-indexed cost vector, from its tables (`_exp`); probabilities
+    untouched.  The result is written to `out` (a state other than
+    `state`), or to a new state when `out` is omitted, and returned."""
+    _fits_all(state, [(phase, 0)])
+    out = _target(state, phase, out)
+    _blocked([state.amps, out.amps], [(phase, 0)], (gamma,))
     return out
 
 
@@ -268,16 +322,15 @@ def run_steps(state: FeasibleState, steps, thetas) -> FeasibleState:
     """Apply exp(-i thetas[k] G) for every step (G, k) in order.
 
     A step's generator G is an involution's `Action` (a gate, as
-    `apply_involution_exp` applies it) or a rank-indexed cost vector (a
-    phase, as `apply_phase` applies it); k indexes `thetas`, which needs
-    one entry per index up to the largest, as steps may share an angle.
+    `apply_involution_exp` applies it) or a `Phase` (as `apply_phase`
+    applies it); k indexes `thetas`, which needs one entry per index up
+    to the largest, as steps may share an angle.
     The steps alternate between `state`, which is overwritten, and one
     more state, in runs that go block by block (`_run`), with the
     amplitudes of one step at a time bit for bit.
     """
     _fits_all(state, steps)
-    spare = FeasibleState(state.n, np.empty_like(state.amps))
-    return _run(state, (state, spare), steps, _angles(steps, thetas))[0]
+    return _run(state, (state, None), steps, _angles(steps, thetas))[0]
 
 
 def _angles(steps, thetas) -> np.ndarray:
@@ -293,10 +346,11 @@ def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None, 
     """Apply steps[first:] to `state`, each step writing to the state of
     `pair` that is not its input, or to saved[i] when `saved` holds the
     index i of the step after it; returns the final state and the other
-    state of `pair`.  The steps go in runs, each one `_blocked` call: a
-    gate whose period does not divide the block (`_block`) reads other
-    blocks of its input, so it is a run of its own, and consecutive local
-    steps (`_local`) form one run.  On a one-block state every step is
+    state of `pair`.  A pair (state, None) gets a spare allocated with
+    `np.zeros`, which leaves its pages untouched.  The steps go in runs,
+    each one `_blocked` call: a gate whose period does not divide the
+    block (`_block`) reads other blocks of its input, so it is a run of
+    its own, and consecutive local steps (`_local`) form one run.  On a one-block state every step is
     local, so the whole list is one run.  held[i], when given, holds step
     i's phase factors (`_kernel`).  The steps must fit `state`
     (`_fits_all`).
@@ -309,11 +363,20 @@ def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None, 
     non-local gate, a run of its own, may write to every block of a period
     that holds a live block, and re-marks each block it computes by `_any`
     of its output (`_blocked`).  So a pass resumed from a checkpoint skips
-    the blocks a pass from the initial state skips."""
+    the blocks a pass from the initial state skips.  The pass also keeps,
+    for each array it writes, keyed by the array's id, `zero`: the blocks
+    it knows hold +0.0, every block of a spare it allocated and each block
+    it wrote +0.0 to and has not written since, so that a skipped block is
+    written only when its destination may hold something else."""
     block = _block(len(state.amps))
-    live = None
+    spare = None
+    if pair[1] is None:
+        spare = np.zeros(len(state.amps), dtype=complex)
+        pair = state, FeasibleState(state.n, spare)
+    live = zero = None
     if _shared(len(state.amps)):
         live = np.array([_any(state.amps[i:i + block]) for i in range(0, len(state.amps), block)])
+        zero = {} if spare is None else {id(spare): np.ones(len(live), dtype=bool)}
     i = first
     while i < len(steps):
         j = i + 1
@@ -323,7 +386,10 @@ def _run(state: FeasibleState, pair, steps, thetas, first: int = 0, saved=None, 
         chain = [state]  # chain[t] is the input of the run's step t
         for t in range(i, j):
             chain.append(_dest(chain[-1], pair, saved, t))
-        _blocked([s.amps for s in chain], steps[i:j], thetas, held=held and held[i:j], live=live)
+        outputs = None if zero is None else [
+            zero.setdefault(id(s.amps), np.zeros(len(live), dtype=bool)) for s in chain[1:]]
+        _blocked([s.amps for s in chain], steps[i:j], thetas, held=held and held[i:j], live=live,
+                 zero=outputs)
         state, i = chain[-1], j
     return state, pair[1] if state is pair[0] else pair[0]
 
@@ -362,7 +428,7 @@ def _local(generator, block: int) -> bool:
     return not isinstance(generator, Action) or block % generator.period == 0
 
 
-def _blocked(arrays, steps, thetas, costate=None, held=None, live=None) -> complex:
+def _blocked(arrays, steps, thetas, costate=None, held=None, live=None, zero=None) -> complex:
     """Apply a run of steps, step t reading arrays[t] and writing
     arrays[t+1], one block (`_block`) at a time, every step on a block
     before the worker takes another (`_share`), so every step but the
@@ -371,19 +437,29 @@ def _blocked(arrays, steps, thetas, costate=None, held=None, live=None) -> compl
     which is also applied to lam, written to lam_out, and the call
     returns <lam|G psi> for psi = arrays[0], summed in block order (0
     without a costate).  held[t], when given, holds step t's phase factors
-    (`_kernel`).  Each amplitude goes through the same operations
-    whatever the block, bit for bit, because a phase is split only on
-    this grid of even-length blocks.  The callers check once that the
-    steps fit the arrays (`_fits_all`, `_target`).
+    (`_kernel`).  A phase step computes its two exp tables here, once
+    (`Phase.factors`), unless it multiplies by held factors it does not
+    build.  Each amplitude goes through the same operations whatever the
+    block, bit for bit, because a phase's factors are products of the
+    same table entries on any grid, and a block's operations run over
+    even lengths.  The callers check once that the steps fit the arrays
+    (`_fits_all`, `_target`).
 
-    `live`, the mask of a forward pass (`_run`), when given: a run of
-    local steps writes +0.0 to every output of a block it rules out, and
-    a non-local gate to every block of a period without a live block,
-    and re-marks each block it computes by `_any` of its output, while the
-    block is in cache.  A skipped block still builds the factors that
-    held[t] builds, so a held array is whole for later passes to read."""
-    factors = [(np.cos(thetas[k]), 1j * np.sin(thetas[k])) if isinstance(generator, Action)
-               else thetas[k] for generator, k in steps]
+    `live`, the mask of a forward pass (`_run`), and `zero`, its masks of
+    the blocks known to hold +0.0 in arrays[1:], when given: a run of
+    local steps writes +0.0 to every output of a block it rules out that
+    is not known to hold it, and a non-local gate to every such block of
+    a period without a live block, and re-marks each block it computes by
+    `_any` of its output, while the block is in cache.  A skipped block
+    still builds the factors that held[t] builds, so a held array is
+    whole for later passes to read."""
+    factors = []
+    for t, (generator, k) in enumerate(steps):
+        if isinstance(generator, Action):
+            factors.append((np.cos(thetas[k]), 1j * np.sin(thetas[k])))
+        else:
+            reads = held and held[t] and not held[t][1]
+            factors.append(None if reads else generator.factors(thetas[k]))
     size = len(arrays[0])
     if size <= GATE_BLOCK:
         return _kernel(arrays, steps, factors, costate, held)
@@ -398,11 +474,16 @@ def _blocked(arrays, steps, thetas, costate=None, held=None, live=None) -> compl
         i = t * block
         if reach is not None and not reach[t]:
             for u, out in enumerate(arrays[1:]):
-                out[i:i + block] = 0
+                if not zero[u][t]:
+                    out[i:i + block] = 0
+                    zero[u][t] = True
                 if held and held[u] and held[u][1]:
-                    _exp(factors[u], steps[u][0][i:i + block], held[u][0][i:i + block])
+                    _exp(factors[u], i, held[u][0][i:i + block])
             return
         overlaps[t] = _kernel(arrays, steps, factors, costate, held, i, i + block)
+        if zero is not None:
+            for known in zero:
+                known[t] = False
         if reach is not live:
             live[t] = _any(arrays[1][i:i + block])
 
@@ -413,8 +494,8 @@ def _blocked(arrays, steps, thetas, costate=None, held=None, live=None) -> compl
 def _kernel(arrays, steps, factors, costate, held, i: int = 0, j: int | None = None) -> complex:
     """Apply the steps of `_blocked` to ranks i..j-1, or to whole arrays
     when j is None: a gate as `_mix` of its gather with factors[t] =
-    (cos, i sin) of its angle, a phase C as exp(-i factors[t] C), for
-    factors[t] its angle, times its input; a gate gathers its input
+    (cos, i sin) of its angle, a phase C as exp(-i gamma C) from its exp
+    tables factors[t] (`_exp`), times its input; a gate gathers its input
     through `_gathered`.  A phase computes its factors into `dest`, or,
     when held[t] is (array, build), into the array's ranks i..j-1 when
     build is true, with the same operations on the same block, and reads
@@ -439,14 +520,13 @@ def _kernel(arrays, steps, factors, costate, held, i: int = 0, j: int | None = N
             if lam is not None:
                 _mix(c, lam, s, _gathered(costate[0], generator, i, j), lam_out)
         else:
-            cost = generator if j is None else generator[i:j]
             if lam is not None:
-                np.multiply(cost, src, out=dest)
+                np.multiply(generator.cost if j is None else generator.cost[i:j], src, out=dest)
                 overlap = np.vdot(lam, dest)
             phase, build = held[t] if held and held[t] else (arrays[t + 1], True)
             phase = phase if j is None else phase[i:j]
             if build:
-                _exp(factors[t], cost, phase)
+                _exp(factors[t], i, phase)
             if lam is not None:
                 np.multiply(phase, lam, out=lam_out)
             np.multiply(phase, src, out=dest)
@@ -460,10 +540,17 @@ def _any(amps: np.ndarray) -> bool:
     return bool(amps[0] != 0 or amps.view(np.float64).any())
 
 
-def _exp(gamma, cost: np.ndarray, phase: np.ndarray) -> None:
-    """phase = exp(-i gamma cost), a phase step's factors on one block."""
-    np.multiply(-1j * gamma, cost, out=phase)
-    np.exp(phase, out=phase)
+def _exp(factors, i: int, phase: np.ndarray) -> None:
+    """phase = exp(-i gamma cost) on ranks i.. of a block, a phase step's
+    factors, from factors = `Phase.factors`(gamma): rank q * S + u gets
+    exp(-i gamma head)[q] * exp(-i gamma tail)[group[q], u], written
+    through a view of the block as rows of S ranks, or as one row's part
+    when the block lies inside a row."""
+    head, tail, group = factors
+    q, u = divmod(i, tail.shape[1])
+    rows = phase.reshape(-1, min(len(phase), tail.shape[1]))
+    np.take(tail[:, u:u + rows.shape[1]], group[q:q + len(rows)], axis=0, out=rows, mode="clip")
+    np.multiply(head[q:q + len(rows), None], rows, out=rows)
 
 
 def _gathered(amps: np.ndarray, action: Action, i: int, j: int | None) -> np.ndarray:
@@ -548,7 +635,8 @@ def expectation_gradient(state: FeasibleState, steps, thetas, cost: np.ndarray) 
     """
     thetas = _angles(steps, thetas)
     _fits_all(state, steps)
-    psi, spare = _run(state, (state, _target(state, cost)), steps, thetas)
+    _fits(state, cost)
+    psi, spare = _run(state, (state, None), steps, thetas)
     return _sweep(psi, spare, _target(psi, cost), _target(psi, cost), steps, thetas, cost)[0]
 
 

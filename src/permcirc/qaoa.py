@@ -15,6 +15,7 @@ import numpy as np
 from .feasible import (
     Action,
     FeasibleState,
+    Phase,
     basis_state,
     involution_action,
     run_steps,
@@ -77,16 +78,15 @@ def initial_state(cfg: QaoaConfig, degree: int, start: Perm | None = None) -> Fe
     return basis_state(start if start is not None else identity(degree))
 
 
-def qaoa_steps(cost: np.ndarray, cfg: QaoaConfig, degree: int) -> list:
+def qaoa_steps(phase: Phase, cfg: QaoaConfig, degree: int) -> list:
     """The circuit as `feasible.run_steps` steps over the angles
-    (betas, gammas): per layer the phase separator of the rank-indexed
-    cost vector `cost` on gamma, then every mixer slot on beta.  The phase
-    step holds `cost` as float64."""
-    cost = np.asarray(cost, dtype=float)
+    (betas, gammas): per layer the phase separator of the `Phase` of the
+    rank-indexed cost vector (`TourCost.phase`) on gamma, then every mixer
+    slot on beta."""
     slots = mixer_slots(degree, cfg.slot_wraparound)
     steps = []
     for layer in range(cfg.layers):
-        steps.append((cost, cfg.layers + layer))
+        steps.append((phase, cfg.layers + layer))
         steps.extend((action, layer) for action in slots)
     return steps
 
@@ -101,5 +101,5 @@ def run_qaoa(cost: TourCost, cfg: QaoaConfig, betas, gammas,
             f"need {cfg.layers} betas and gammas, got {betas.shape} and {gammas.shape}"
         )
     state = initial_state(cfg, cost.degree, start)
-    steps = qaoa_steps(cost.vector(), cfg, cost.degree)
+    steps = qaoa_steps(cost.phase(), cfg, cost.degree)
     return run_steps(state, steps, np.concatenate([betas, gammas]))

@@ -5,15 +5,24 @@ Tours are permutations in one-line notation: position t holds the city
 visited at time t (0-based).  The reduced cost fixes the last city as
 tour start, so reduced tours are permutations of the remaining n-1
 cities with the two boundary edges added implicitly.
+
+A tour's cost also splits at its k-th city into the edges through its
+first k cities and the rest, which depends only on the cities left, the
+last (and, for a full tour, the first) of the k, and the order of the
+rest: the (set, last city) state of Held & Karp (J. SIAM 10(1), 1962).
+`TourCost.phase` keeps that split as a `feasible.Phase`, whose two small
+tables give a QAOA phase separator's factors.
 """
 
 from dataclasses import dataclass, field
 from itertools import islice
+from math import factorial
 from pathlib import Path
 
 import numpy as np
 
 from . import limits
+from .feasible import Phase
 from .perms import Perm, check_perm, perm_table, unrank
 
 
@@ -23,8 +32,10 @@ class TspInstance:
     w[u, v] > 0 for u != v, and every tour's cost finite."""
 
     w: np.ndarray
-    # read-only cost vectors keyed by `reduced`, built once by TourCost
+    # read-only cost vectors and their `Phase` splits keyed by `reduced`,
+    # built once by TourCost
     _cost_vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -95,6 +106,53 @@ class TourCost:
             costs.setflags(write=False)
             cached[self.reduced] = costs
         return cached[self.reduced]
+
+    def phase(self) -> Phase:
+        """The cost vector split at the k-th city of a tour, k = degree // 2
+        (at most degree - 2, so that S = (degree - k)! is even from
+        degree 2 on), as a `Phase`: head[q] holds the edges from the start
+        city through the k-city prefix of rank q, group[q] stands for the
+        cities left, the last prefix city and, for a full tour, the first,
+        and tail[g, u] holds the edges from that last city through the rest
+        in the order of Lehmer rank u, back to the start.  Built once per
+        instance and `reduced`, beside the cost vector, and shared."""
+        cached = self.instance._phases
+        if self.reduced not in cached:
+            cached[self.reduced] = _split(self.instance.w, self.degree, self.reduced, self.vector())
+        return cached[self.reduced]
+
+
+def _split(w: np.ndarray, d: int, reduced: bool, cost: np.ndarray) -> Phase:
+    """`TourCost.phase` of the degree-d tours on the weights w."""
+    n, k = len(w), max(0, min(d // 2, d - 2))
+    width = factorial(d - k)
+    prefixes = perm_table(d)[::width, :k].astype(np.intp)  # the rows at u = 0, in rank order
+    start = [np.full(len(prefixes), n - 1)] if reduced else []
+    path = start + list(prefixes.T)
+    head = np.zeros(len(prefixes))
+    for u, v in zip(path, path[1:]):
+        head += w[u, v]
+    taken = np.zeros(len(prefixes), dtype=np.int64)
+    for column in prefixes.T:
+        taken |= 1 << column
+    key = taken
+    if path:
+        key = key * n + path[-1]
+    if k and not reduced:
+        key = key * n + prefixes[:, 0]
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    # each group's rest, in the order of every Lehmer rank u: (groups, S, d - k)
+    left = np.array([[c for c in range(d) if not taken[q] >> c & 1] for q in first], dtype=np.intp)
+    rest = left[:, perm_table(d - k).astype(np.intp)]
+    ends = [rest[..., i] for i in range(d - k)]
+    if path:
+        ends = [path[-1][first, None]] + ends + [np.full(1, n - 1) if reduced else prefixes[first, :1]]
+    elif d > 1:
+        ends.append(ends[0])
+    tail = np.zeros(rest.shape[:2])
+    for u, v in zip(ends, ends[1:]):
+        tail += w[u, v]
+    return Phase(cost, head, group.reshape(-1), tail)
 
 
 def optimum(inst: TspInstance, reduced: bool = False) -> tuple[Perm, float]:

@@ -17,11 +17,13 @@ from permcirc.checks import (
     check_blocked_runs,
     check_circuit_reuse,
     matches_reference,
+    reference_factors,
 )
 from permcirc.feasible import (
     Action,
     Circuit,
     FeasibleState,
+    Phase,
     apply_involution_exp,
     apply_phase,
     basis_state,
@@ -215,8 +217,10 @@ def reference_gate(state, table, theta):
     return FeasibleState(state.n, amps)
 
 
-def reference_phase(state, gamma, cost):
-    return FeasibleState(state.n, np.exp(-1j * gamma * cost) * state.amps)
+def reference_phase(state, gamma, phase):
+    """The phase step as one allocating expression of its tables' whole
+    exp arrays (`checks.reference_factors`)."""
+    return FeasibleState(state.n, reference_factors(phase, gamma) * state.amps)
 
 
 def functional_circuit(seq, thetas, start):
@@ -268,6 +272,23 @@ def test_blocked_gate_is_bit_identical(monkeypatch, block):
     assert bits(apply_involution_exp(state, action, 0.9)) == expected
 
 
+@pytest.mark.parametrize("block", [7, 40, 5040])
+def test_blocked_phase_is_bit_identical(monkeypatch, block):
+    # degree 7, rows of S = 4! = 24 ranks: blocks of 6 lie inside a row
+    # (840 of them, shared out among the team), blocks of 24 are one row,
+    # and the whole state is one block; a one-group split (`Phase.of`,
+    # one row of 7! ranks) has every block inside its row.  Each matches
+    # the whole-array product of the tables' exps in raw bytes
+    monkeypatch.setattr(feasible, "GATE_BLOCK", block)
+    n = 7
+    state = phased_uniform_state(n)
+    cost = TourCost(random_instance(n + 1, seed=n), reduced=True)
+    rng = np.random.default_rng(block)
+    for phase in (cost.phase(), Phase.of(rng.uniform(1, 50, factorial(n)))):
+        for gamma in (0.9, -2.3):
+            assert bits(apply_phase(state, gamma, phase)) == bits(reference_phase(state, gamma, phase))
+
+
 def test_degree_8_buffered_circuit_is_bit_identical():
     # 40320 amplitudes span several default-size blocks
     seq = binary_insertion_sequence(8)
@@ -317,10 +338,12 @@ def test_circuit_allocates_no_per_gate_state():
 def test_qaoa_run_allocates_no_per_gate_state():
     # without the wraparound slot each layer's run of slots 1..6 ends
     # with the next phase step; a blocked run, like a gate, holds one
-    # gathered block at a time, and its phase steps hold none
+    # gathered block at a time, and its phase steps hold their two exp
+    # tables (1 680 + 280 x 24 entries) while their run goes
     n = 8
     cfg = QaoaConfig(3, "uniform", slot_wraparound=False)
-    steps = qaoa_steps(TourCost(random_instance(n + 1, seed=4), reduced=True).vector(), cfg, n)
+    phase = TourCost(random_instance(n + 1, seed=4), reduced=True).phase()
+    steps = qaoa_steps(phase, cfg, n)
     thetas = np.random.default_rng(4).uniform(0, 2 * np.pi, 2 * cfg.layers)
     run_steps(initial_state(cfg, n), steps, thetas)
     state_bytes = factorial(n) * 16
@@ -331,7 +354,8 @@ def test_qaoa_run_allocates_no_per_gate_state():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * state_bytes + block_bytes + 16384
+    table_bytes = 16 * (phase.head.size + phase.tail.size)
+    assert peak < 2 * state_bytes + block_bytes + table_bytes + 16384
 
 
 @pytest.fixture
@@ -341,10 +365,10 @@ def runs_blocked(monkeypatch):
     runs = []
     blocked = feasible._blocked
 
-    def recording(arrays, steps, thetas, costate=None, held=None, live=None):
+    def recording(arrays, steps, thetas, costate=None, held=None, live=None, zero=None):
         if feasible._block(len(arrays[0])) < len(arrays[0]):
             runs.append(steps)
-        return blocked(arrays, steps, thetas, costate, held, live)
+        return blocked(arrays, steps, thetas, costate, held, live, zero)
 
     monkeypatch.setattr(feasible, "_blocked", recording)
     return runs
@@ -382,15 +406,16 @@ def test_a_non_local_gate_runs_alone_before_local_steps(monkeypatch, runs_blocke
     monkeypatch.setattr(feasible, "GATE_BLOCK", 50)
     n = 5
     assert feasible._block(factorial(n)) == 24
-    vec = TourCost(random_instance(n + 1, seed=5), reduced=True).vector()
+    cost = TourCost(random_instance(n + 1, seed=5), reduced=True)
+    vec, phase = cost.vector(), cost.phase()
     wide, near, far = transposition(n, 0, 1), transposition(n, 2, 3), transposition(n, 3, 4)
-    steps = [(involution_action(wide), 0), (involution_action(near), 1), (vec, 2),
-             (involution_action(far), 1), (involution_action(wide), 0), (vec, 2)]
+    steps = [(involution_action(wide), 0), (involution_action(near), 1), (phase, 2),
+             (involution_action(far), 1), (involution_action(wide), 0), (phase, 2)]
     x = np.array([0.7, 1.9, 0.4])
     want = phased_uniform_state(n)
     for h, k in ((wide, 0), (near, 1), (None, 2), (far, 1), (wide, 0), (None, 2)):
         if h is None:
-            want = reference_phase(want, x[k], vec)
+            want = reference_phase(want, x[k], phase)
         else:
             want = reference_gate(want, reference_table(h), x[k])
     assert bits(run_steps(phased_uniform_state(n), steps, x)) == bits(want)
@@ -439,7 +464,7 @@ def reference_qaoa(cost, cfg, n, betas, gammas, start=None):
     """The QAOA circuit as whole-row phases and gates."""
     state = initial_state(cfg, n, start)
     for beta, gamma in zip(betas, gammas):
-        state = reference_phase(state, gamma, cost.vector())
+        state = reference_phase(state, gamma, cost.phase())
         for t in range(n if cfg.slot_wraparound else n - 1):
             swap = transposition(n, t, t + 1) if t < n - 1 else transposition(n, 0, t)
             state = reference_gate(state, reference_table(swap), beta)
@@ -526,10 +551,11 @@ def test_held_factors_built_on_a_sparse_pass(monkeypatch, block_steps):
     # blocks the state has reached since, and give a fresh pass's bytes
     n = 6
     blocks = sparse_grid(monkeypatch, n)
-    cost = TourCost(random_instance(n + 1, seed=n), reduced=True).vector()
+    tour_cost = TourCost(random_instance(n + 1, seed=n), reduced=True)
+    cost = tour_cost.vector()
     cfg = QaoaConfig(3, "basis")
     start = (4, 2, 0, 5, 1, 3)
-    steps = qaoa_steps(cost, cfg, n)
+    steps = qaoa_steps(tour_cost.phase(), cfg, n)
     circuit = Circuit(initial_state(cfg, n, start), steps, cost)
     x = np.array([0.0, 0.0, 0.0, 0.4, 1.3, 2.2])
     want = run_steps(initial_state(cfg, n, start), steps, x)
@@ -548,6 +574,49 @@ def test_held_factors_built_on_a_sparse_pass(monkeypatch, block_steps):
         assert bits(circuit.state(x)) == bits(want)
         assert circuit.phase_builds == builds
     assert want.amps.reshape(blocks, -1).any(axis=1).all()
+
+
+def test_a_skipped_block_is_written_only_where_it_may_hold_something_else(monkeypatch):
+    # degree 6 in 30 blocks of 24.  A run skips block 1 and block 2 (no
+    # live amplitude): it leaves block 1 of its output alone, which `zero`
+    # says holds +0.0 (NaN here shows that it is not written), writes +0.0
+    # to block 2 and marks it, and unmarks block 0, which it computes
+    n = 6
+    blocks = sparse_grid(monkeypatch, n)
+    block = factorial(n) // blocks
+    src = np.zeros(factorial(n), dtype=complex)
+    src[:block] = phased_uniform_state(n).amps[:block]
+    out = np.full(factorial(n), np.nan, dtype=complex)
+    live = np.zeros(blocks, dtype=bool)
+    live[0] = True
+    zero = np.ones(blocks, dtype=bool)
+    zero[0] = zero[2] = False
+    action = involution_action(transposition(n, 4, 5))
+    feasible._blocked([src, out], [(action, 0)], [0.7], live=live, zero=[zero])
+    assert np.isnan(out[block:2 * block]).all()
+    assert out[2 * block:3 * block].tobytes() == bytes(16 * block)
+    assert zero.tolist() == [False] + [True] * (blocks - 1)
+    assert out[:block].tobytes() == reference_gate(FeasibleState(n, src), reference_table(
+        transposition(n, 4, 5)), 0.7).amps[:block].tobytes()
+
+
+def test_a_pass_into_a_spare_it_did_not_allocate_writes_every_skipped_block(monkeypatch):
+    # degree 6 in 30 blocks: a bubble circuit from one tour skips blocks;
+    # into a spare that holds NaN (as a `Circuit`'s states may hold old
+    # amplitudes) the pass writes +0.0 to each block it skips, and gives
+    # the bytes of `run_steps`, whose spare from `np.zeros` it never
+    # writes a zero to until it has computed there
+    n = 6
+    sparse_grid(monkeypatch, n)
+    start = (4, 2, 0, 5, 1, 3)
+    steps = circuit_steps(bubble_sequence(n))
+    x = np.random.default_rng(6).uniform(0, np.pi, len(steps))
+    want = run_steps(basis_state(start), steps, x)
+    state = basis_state(start)
+    spare = FeasibleState(n, np.full(factorial(n), np.nan, dtype=complex))
+    got, other = feasible._run(state, (state, spare), steps, x)
+    assert bits(got) == bits(want)
+    assert not np.isnan(other.amps).any()
 
 
 @pytest.mark.parametrize("block", [2, 16384])
@@ -585,7 +654,7 @@ def test_out_of_range_table_raises_on_both_paths(monkeypatch, block):
 def test_out_must_not_alias_the_input():
     state = uniform_feasible_state(3)
     action = involution_action(transposition(3, 0, 1))
-    cost = np.arange(6.0)
+    cost = Phase.of(np.arange(6.0))
     with pytest.raises(ValueError):
         apply_involution_exp(state, action, 0.3, out=state)
     with pytest.raises(ValueError):
@@ -599,7 +668,7 @@ def test_out_returns_the_given_state_and_leaves_input():
     spare = spare_like(state)
     assert apply_involution_exp(state, involution_action(h), 0.7, out=spare) is spare
     assert bits(spare) == bits(reference_gate(state, reference_table(h), 0.7))
-    cost = np.linspace(1.0, 2.0, state.amps.size)
+    cost = Phase.of(np.linspace(1.0, 2.0, state.amps.size))
     assert apply_phase(state, 0.7, cost, out=spare) is spare
     assert bits(spare) == bits(reference_phase(state, 0.7, cost))
     assert bits(apply_phase(state, 0.7, cost)) == bits(spare)
@@ -822,7 +891,7 @@ def test_a_blocked_run_refuses_a_step_that_does_not_fit(monkeypatch, runs_blocke
     x = np.full(len(steps), 0.4)
     for bad, message in ((involution_action(transposition(n - 1, n - 3, n - 2)),
                           "^action of degree 4 for a state of degree 5$"),
-                         (np.ones(24), "^generator has 24 entries for 120 amplitudes$")):
+                         (Phase.of(np.ones(24)), "^generator has 24 entries for 120 amplitudes$")):
         steps[1] = (bad, 1)
         assert [feasible._local(g, feasible._block(factorial(n))) for g, _ in steps[:5]] == [
             False, True, True, True, False]

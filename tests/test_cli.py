@@ -446,7 +446,7 @@ def test_bounded_sweeps_leave_the_run_unchanged(method, initial, status):
     spec = RunSpec(inst, method=method, qaoa=cfg)
     trace, summary = run_experiment(spec)
     cost = TourCost(inst, reduced=True)
-    circuit = _circuit(spec, cost.vector())
+    circuit = _circuit(spec, cost)
     full = minimize(circuit.value, np.zeros(len(circuit.periods)), spec.opt,
                     periods=circuit.periods, ratio_fn=_ratio_fn(spec, cost, optimum(inst, True)[1]),
                     gradient=circuit.gradient)
@@ -469,7 +469,7 @@ def test_held_phase_factors_leave_the_run_unchanged(initial):
     assert summary["phase_builds"] < summary["phase_steps"]
     cost = TourCost(inst, reduced=True)
     vec = cost.vector()
-    steps, p = qaoa_steps(vec, spec.qaoa, 8), spec.qaoa.layers
+    steps, p = qaoa_steps(cost.phase(), spec.qaoa, 8), spec.qaoa.layers
     fresh = minimize(lambda x: expectation(run_steps(initial_state(spec.qaoa, 8), steps, x), vec),
                      trace.points[0].params, spec.opt, periods=[np.pi] * p + [None] * p,
                      ratio_fn=_ratio_fn(spec, cost, optimum(inst, True)[1]),
@@ -538,7 +538,7 @@ def test_verify_quick_passes(capsys):
     assert run_cli("verify", "--level", "quick") == 0
     assert time.perf_counter() - began < 10.0
     out = capsys.readouterr().out
-    assert out.endswith("17/17 checks passed (quick)\n")
+    assert out.endswith("18/18 checks passed (quick)\n")
     assert "PASS action-tables " in out
     assert "PASS bounded-gradient " in out
     assert "PASS blocked-runs " in out
@@ -548,7 +548,7 @@ def test_verify_quick_passes(capsys):
 def test_verify_full_passes(capsys):
     assert run_cli("verify", "--level", "full") == 0
     out = capsys.readouterr().out
-    assert out.endswith("22/22 checks passed (full)\n")
+    assert out.endswith("24/24 checks passed (full)\n")
     assert "PASS action-tables " in out
     assert "PASS generating-property-n10 " in out
     assert "PASS circuit-reuse " in out
@@ -580,7 +580,7 @@ assert "permcirc.checks" in sys.modules
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("17/17 checks passed (quick)\n")
+    assert proc.stdout.endswith("18/18 checks passed (quick)\n")
 
 
 def test_top_k_rows_order():

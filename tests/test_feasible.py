@@ -166,7 +166,7 @@ def test_pi_shift_gives_unit_fidelity():
 
 def test_apply_phase():
     inst = random_instance(4, seed=3)
-    cost = TourCost(inst).vector()
+    cost = TourCost(inst).phase()
     state = uniform_feasible_state(4)
     unchanged = apply_phase(state, 0.0, cost)
     assert np.allclose(unchanged.amps, state.amps)

@@ -14,6 +14,7 @@ from permcirc.checks import (
 from permcirc.feasible import (
     Action,
     Circuit,
+    Phase,
     apply_phase,
     circuit_steps,
     expectation,
@@ -137,9 +138,10 @@ def test_a_deep_qaoa_circuit_holds_no_more_factor_arrays():
     # holds CHECKPOINTS arrays of factors and computes the rest in place,
     # within the same bound as a circuit of as many layers as CHECKPOINTS
     n = 8
-    vec = TourCost(random_instance(n + 1, seed=4), reduced=True).vector()
+    cost = TourCost(random_instance(n + 1, seed=4), reduced=True)
+    vec = cost.vector()
     cfg = QaoaConfig(feasible.CHECKPOINTS + 2, "uniform")
-    circuit, peak = walk_peak(lambda: initial_state(cfg, n), qaoa_steps(vec, cfg, n), vec,
+    circuit, peak = walk_peak(lambda: initial_state(cfg, n), qaoa_steps(cost.phase(), cfg, n), vec,
                               2 * cfg.layers)
     assert len(circuit._held) == feasible.CHECKPOINTS
     assert 0 < circuit.phase_steps - circuit.phase_builds
@@ -192,9 +194,10 @@ def test_a_pass_that_raises_holds_no_half_built_factors(monkeypatch):
     # phase's factors in two blocks when the third block's first gate raises
     monkeypatch.setattr(feasible, "GATE_BLOCK", 40)
     n = 5
-    vec = TourCost(random_instance(n + 1, seed=2), reduced=True).vector()
+    cost = TourCost(random_instance(n + 1, seed=2), reduced=True)
+    vec = cost.vector()
     cfg = QaoaConfig(2, "uniform", slot_wraparound=False)
-    steps = qaoa_steps(vec, cfg, n)
+    steps = qaoa_steps(cost.phase(), cfg, n)
     x = np.random.default_rng(2).uniform(0, np.pi, 4)
     y = x.copy()
     y[3] += 0.5
@@ -254,10 +257,10 @@ def test_cost_length_must_match_the_state(length):
     bad = np.full(length, 5.0)
     good = np.linspace(1.0, 2.0, 24)
     with pytest.raises(ValueError, match=f"generator has {length} entries for 24 amplitudes"):
-        apply_phase(state, 0.3, bad)
+        apply_phase(state, 0.3, Phase.of(bad))
     with pytest.raises(ValueError, match="entries for 24 amplitudes"):
         expectation(state, bad)
     with pytest.raises(ValueError, match="entries for 24 amplitudes"):
-        expectation_gradient(state, [(bad, 0)], [0.3], good)
+        expectation_gradient(state, [(Phase.of(bad), 0)], [0.3], good)
     with pytest.raises(ValueError, match="entries for 24 amplitudes"):
-        expectation_gradient(state, [(good, 0)], [0.3], bad)
+        expectation_gradient(state, [(Phase.of(good), 0)], [0.3], bad)

@@ -101,8 +101,9 @@ def test_the_sweep_undoes_every_step_on_the_team(monkeypatch, team_blocks):
     monkeypatch.setattr(feasible, "GATE_BLOCK", factorial(n) // 9)
     monkeypatch.setattr(workers, "WORKERS", 2)
     cfg = QaoaConfig(2, "uniform", slot_wraparound=True)
-    vec = TourCost(random_instance(n + 1, seed=n), reduced=True).vector()
-    steps = qaoa_steps(vec, cfg, n)
+    cost = TourCost(random_instance(n + 1, seed=n), reduced=True)
+    vec = cost.vector()
+    steps = qaoa_steps(cost.phase(), cfg, n)
     thetas = np.random.default_rng(n).uniform(0, 2 * np.pi, 2 * cfg.layers)
     assert any(not isinstance(g, Action) for g, _ in steps)
     run_steps(initial_state(cfg, n), steps, thetas)
@@ -244,24 +245,27 @@ def test_the_team_hands_out_every_block_once():
 def test_a_team_step_holds_one_gathered_block_a_worker(monkeypatch):
     # degree 9 with 3 workers: a gate with `out` allocates no state, a run
     # one spare state and the sweep three, each with at most one gathered
-    # block of GATE_BLOCK amplitudes on each worker; the allowance covers
-    # the interpreter's small objects
+    # block of GATE_BLOCK amplitudes on each worker, and a phase step its
+    # two exp tables (3 024 + 504 x 120 entries); the allowance covers the
+    # interpreter's small objects
     monkeypatch.setattr(workers, "WORKERS", 3)
     n = 9
     cfg = QaoaConfig(2, "uniform", slot_wraparound=False)
-    vec = TourCost(random_instance(n + 1, seed=4), reduced=True).vector()
-    steps = qaoa_steps(vec, cfg, n)
+    cost = TourCost(random_instance(n + 1, seed=4), reduced=True)
+    vec = cost.vector()
+    steps = qaoa_steps(cost.phase(), cfg, n)
     thetas = np.random.default_rng(4).uniform(0, 2 * np.pi, 2 * cfg.layers)
     action = involution_action(transposition(n, 0, 1))
     state = initial_state(cfg, n)
     spare = FeasibleState(n, np.empty_like(state.amps))
     state_bytes, held = state.amps.nbytes, 3 * feasible.GATE_BLOCK * 16 + 16384
-    # (states the call allocates, the call): the run and the sweep also
-    # allocate their initial state
-    calls = [(0, lambda: apply_involution_exp(state, action, 0.4, out=spare)),
-             (2, lambda: run_steps(initial_state(cfg, n), steps, thetas)),
-             (4, lambda: expectation_gradient(initial_state(cfg, n), steps, thetas, vec))]
-    for states, call in calls:
+    table_bytes = 16 * (cost.phase().head.size + cost.phase().tail.size)
+    # (states the call allocates, its exp tables, the call): the run and
+    # the sweep also allocate their initial state
+    calls = [(0, 0, lambda: apply_involution_exp(state, action, 0.4, out=spare)),
+             (2, table_bytes, lambda: run_steps(initial_state(cfg, n), steps, thetas)),
+             (4, table_bytes, lambda: expectation_gradient(initial_state(cfg, n), steps, thetas, vec))]
+    for states, tables, call in calls:
         call()
         tracemalloc.start()
         try:
@@ -269,7 +273,7 @@ def test_a_team_step_holds_one_gathered_block_a_worker(monkeypatch):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < states * state_bytes + held, states
+        assert peak < states * state_bytes + tables + held, states
 
 
 def test_no_thread_starts_below_the_threshold():
@@ -284,12 +288,13 @@ from permcirc import feasible, qaoa, sequences, workers
 from permcirc.tsp import TourCost, random_instance
 workers.WORKERS = 2
 for n in (6, 8):
-    vec = TourCost(random_instance(n + 1, seed=n), reduced=True).vector()
+    cost = TourCost(random_instance(n + 1, seed=n), reduced=True)
+    vec = cost.vector()
     cases = [(feasible.basis_state(tuple(range(n))), feasible.circuit_steps(build(n)))
              for build in (sequences.bubble_sequence, sequences.binary_insertion_sequence)]
     for wrap in (True, False):
         cfg = qaoa.QaoaConfig(qaoa.default_layers(n), "uniform", wrap)
-        cases.append((qaoa.initial_state(cfg, n), qaoa.qaoa_steps(vec, cfg, n)))
+        cases.append((qaoa.initial_state(cfg, n), qaoa.qaoa_steps(cost.phase(), cfg, n)))
     for initial, steps in cases:
         x = np.full(1 + max(k for _, k in steps), 0.3)
         feasible.run_steps(feasible.FeasibleState(n, initial.amps.copy()), steps, x)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from permcirc.feasible import (
+    Phase,
     basis_state,
     expectation_gradient,
     probabilities,
@@ -144,7 +145,7 @@ def test_integer_costs_run_as_their_float_copy():
     angles = np.array([0.3, 0.7])
     runs = []
     for cost in (np.arange(24), np.arange(24.0)):
-        steps = qaoa_steps(cost, cfg, 4)
+        steps = qaoa_steps(Phase.of(cost), cfg, 4)
         state = run_steps(initial_state(cfg, 4), steps, angles)
         grad = expectation_gradient(initial_state(cfg, 4), steps, angles, np.arange(24.0))
         runs.append((state.amps, grad))
@@ -156,4 +157,6 @@ def test_integer_costs_run_as_their_float_copy():
 
 def test_float_costs_are_not_copied():
     cost = np.arange(24.0)
-    assert qaoa_steps(cost, QaoaConfig(1), 4)[0][0] is cost
+    phase = Phase.of(cost)
+    assert phase.cost is cost
+    assert qaoa_steps(phase, QaoaConfig(1), 4)[0][0] is phase

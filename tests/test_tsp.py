@@ -4,7 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from permcirc.checks import check_tour_costs
+from permcirc.checks import check_phase_tables, check_tour_costs
 from permcirc.limits import TooLarge
 from permcirc.perms import all_perms, identity, unrank
 from permcirc.tsp import (
@@ -257,3 +257,24 @@ def test_cyclic_rotation_invariance():
 def test_reduced_equals_full_optimum(n):
     ok, detail = check_tour_costs(rotation_seeds=(), optimum_degrees=(n,))
     assert ok, detail
+
+
+def test_phase_tables_check():
+    # degrees 1..8, reduced and full (the verify check; its full level
+    # adds degrees 9 and 10)
+    ok, detail = check_phase_tables()
+    assert ok, detail
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+def test_phase_tables_are_built_once_beside_the_cost_vector(reduced):
+    # degree 8 split after 4 cities: 1 680 prefixes, and 280 groups of
+    # (cities left, last city) for reduced tours, 840 with the first city
+    # too for full ones, each a row of 4! = 24 suffix orders
+    inst = random_instance(8 + reduced, seed=3)
+    phase = TourCost(inst, reduced).phase()
+    assert TourCost(inst, reduced).phase() is phase
+    assert phase.cost is TourCost(inst, reduced).vector()
+    assert phase.head.shape == phase.group.shape == (1680,)
+    assert phase.tail.shape == (280 if reduced else 840, 24)
+    assert TourCost(inst, not reduced).phase() is not phase
