@@ -118,12 +118,13 @@ class TourCost:
         instance and `reduced`, beside the cost vector, and shared."""
         cached = self.instance._phases
         if self.reduced not in cached:
-            cached[self.reduced] = _split(self.instance.w, self.degree, self.reduced, self.vector())
+            cached[self.reduced] = Phase(self.vector(), *_split(self.instance.w, self.degree, self.reduced))
         return cached[self.reduced]
 
 
-def _split(w: np.ndarray, d: int, reduced: bool, cost: np.ndarray) -> Phase:
-    """`TourCost.phase` of the degree-d tours on the weights w."""
+def _split(w: np.ndarray, d: int, reduced: bool) -> tuple:
+    """The head, group and tail of `TourCost.phase` for the degree-d tours
+    on the weights w."""
     n, k = len(w), max(0, min(d // 2, d - 2))
     width = factorial(d - k)
     prefixes = perm_table(d)[::width, :k].astype(np.intp)  # the rows at u = 0, in rank order
@@ -152,7 +153,7 @@ def _split(w: np.ndarray, d: int, reduced: bool, cost: np.ndarray) -> Phase:
     tail = np.zeros(rest.shape[:2])
     for u, v in zip(ends, ends[1:]):
         tail += w[u, v]
-    return Phase(cost, head, group.reshape(-1), tail)
+    return head, group.reshape(-1), tail
 
 
 def optimum(inst: TspInstance, reduced: bool = False) -> tuple[Perm, float]:
