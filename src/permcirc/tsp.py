@@ -143,8 +143,8 @@ def _split(w: np.ndarray, d: int, reduced: bool) -> tuple:
         key = key * n + prefixes[:, 0]
     _, first, group = np.unique(key, return_index=True, return_inverse=True)
     # each group's rest, in the order of every Lehmer rank u: (groups, S, d - k)
-    left = np.array([[c for c in range(d) if not taken[q] >> c & 1] for q in first], dtype=np.int8)
-    rest = left[:, perm_table(d - k)]
+    left = np.array([[c for c in range(d) if not taken[q] >> c & 1] for q in first], dtype=np.intp)
+    rest = left[:, perm_table(d - k).astype(np.intp)]
     ends = [rest[..., i] for i in range(d - k)]
     if path:
         ends = [path[-1][first, None]] + ends + [np.full(1, n - 1) if reduced else prefixes[first, :1]]
